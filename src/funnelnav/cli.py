@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, FunnelNavError, InvalidPathError, TeachDegenerateError
 from .evaluate import (
-    GridSpec,
     MetricsReport,
     Scenario,
     accuracy,
@@ -134,26 +133,13 @@ def cmd_compare(scn: Scenario, out: Path) -> int:
     return 0
 
 
-def _oracle_grid(scn: Scenario, d: dict | None) -> tuple[int, GridSpec]:
-    o = d or {}
-    g = o.get("grid", {})
-    xmin, ymin, xmax, ymax = scn.world.bounds
-    spec = GridSpec(
-        x0=float(g.get("x0", xmin)),
-        x1=float(g.get("x1", xmax)),
-        nx=int(g.get("nx", 200)),
-        y0=float(g.get("y0", ymin)),
-        y1=float(g.get("y1", ymax)),
-        ny=int(g.get("ny", 200)),
-    )
-    return int(o.get("keyframe", -1)), spec
-
-
-def cmd_oracle_check(scn: Scenario, out: Path, oracle_cfg: dict | None) -> int:
+def cmd_oracle_check(scn: Scenario, out: Path) -> int:
     if not scn.world.landmarks:
         raise TeachDegenerateError("world has no landmarks to build a funnel lane from")
-    kf_index, grid = _oracle_grid(scn, oracle_cfg)
     path = _teach_path(scn)
+    kf_index, grid, n_kf = scn.oracle.keyframe, scn.oracle.grid, len(path.keyframes)
+    if not -n_kf <= kf_index < n_kf:
+        raise ConfigError(f"oracle: keyframe {kf_index} is out of range for {n_kf} keyframes")
     kf = path.keyframes[kf_index]
     oracle = funnel_oracle(kf, scn.world, scn.camera, grid)
     claimed = controller_inside_grid(kf, scn.world, scn.camera, grid)
@@ -177,6 +163,15 @@ def cmd_oracle_check(scn: Scenario, out: Path, oracle_cfg: dict | None) -> int:
     return 0
 
 
+def _run_summary(f: Path) -> tuple[tuple[float, float], str]:
+    """Final position and outcome from the summary record that ends a run trace."""
+    try:
+        last = json.loads(f.read_text().strip().splitlines()[-1])
+        return (float(last["final_x"]), float(last["final_y"])), str(last["outcome"])
+    except (IndexError, KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"{f}: does not end in a run-summary record") from e
+
+
 def cmd_metrics(scn: Scenario, out: Path) -> int:
     """Recompute endpoint metrics from previously written run traces."""
     path = _teach_path(scn)
@@ -189,11 +184,9 @@ def cmd_metrics(scn: Scenario, out: Path) -> int:
         if not runs:
             continue
         found = True
-        points, outcomes = [], {}
-        for f in runs:
-            last = json.loads(f.read_text().strip().splitlines()[-1])
-            points.append((last["final_x"], last["final_y"]))
-            outcomes[last["outcome"]] = outcomes.get(last["outcome"], 0) + 1
+        summaries = [_run_summary(f) for f in runs]
+        points = [p for p, _ in summaries]
+        outcomes = Counter(o for _, o in summaries)
         print(
             f"{sub.name:>10}  acc {accuracy(points, goal):7.3f} m"
             f"  rep {repeatability(points):7.3f} m  outcomes {dict(sorted(outcomes.items()))}"
@@ -235,11 +228,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(scn, out)
         if args.command == "oracle-check":
-            import yaml
-
-            with open(args.config) as fh:
-                raw = yaml.safe_load(fh)
-            return cmd_oracle_check(scn, out, raw.get("oracle"))
+            return cmd_oracle_check(scn, out)
         return cmd_metrics(scn, out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -4,19 +4,16 @@ batch execution of teach/repeat scenarios."""
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
 
-from .control_standard import inside_funnel
 from .control_sloped import SlopedParams
-from .control_standard import StandardParams
+from .control_standard import StandardParams, inside_funnel
 from .errors import ConfigError, EmptyMatchError
-from .features import Keyframe, MatchSet, NoiseModel, VisualPath, match
+from .features import Keyframe, NoiseModel, VisualPath, match
 from .geometry import CameraModel, MotionCommand, Pose, World, visible_set, world_from_dict
 from .navigate import NavigatorConfig, RunTrace, navigate
 from .teach import TeachScript, record
@@ -25,6 +22,7 @@ __all__ = [
     "accuracy",
     "repeatability",
     "GridSpec",
+    "OracleSpec",
     "grid_poses",
     "funnel_oracle",
     "controller_inside_grid",
@@ -64,6 +62,16 @@ class GridSpec:
     y0: float
     y1: float
     ny: int
+
+    def __post_init__(self):
+        if self.nx < 1 or self.ny < 1:
+            raise ValueError(f"grid needs at least 1 x 1 poses, got {self.nx} x {self.ny}")
+
+
+@dataclass(frozen=True)
+class OracleSpec:
+    keyframe: int  # index into the taught path; negative counts from the end
+    grid: GridSpec
 
 
 def grid_poses(grid: GridSpec, theta: float) -> list[Pose]:
@@ -138,6 +146,7 @@ class Scenario:
     repeat_start: Pose
     noise: NoiseModel
     navigator: NavigatorConfig
+    oracle: OracleSpec
     runs: int = 1
     seed: int = 0
     tolerance: float = 0.3  # meters, per-run success bound on final error
@@ -181,13 +190,6 @@ class MetricsReport:
         }
 
 
-def _max_workers() -> int:
-    env = os.environ.get("FUNNEL_NAV_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def run_scenario(
     scenario: Scenario,
     controller: str | None = None,
@@ -213,8 +215,7 @@ def run_scenario(
         noise = replace(scenario.noise, seed=scenario.seed + i)
         return navigate(world, scenario.camera, path, scenario.repeat_start, cfg, noise)
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        traces = list(pool.map(one, range(scenario.runs)))
+    traces = [one(i) for i in range(scenario.runs)]
 
     points = tuple((t.final_pose.x, t.final_pose.y) for t in traces)
     errors = [math.hypot(p[0] - goal[0], p[1] - goal[1]) for p in points]
@@ -272,6 +273,16 @@ def scenario_from_dict(d: dict) -> Scenario:
             nav["sloped"] = SlopedParams(**ctrl["sloped"])
         navigator = NavigatorConfig(**nav)
 
+        o = d.get("oracle") or {}
+        g = (o.get("grid") or {}) if isinstance(o, dict) else None
+        if not isinstance(g, dict):
+            raise ConfigError("oracle: the block and its grid must be mappings")
+        xmin, ymin, xmax, ymax = world.bounds
+        grid = GridSpec(
+            float(g.get("x0", xmin)), float(g.get("x1", xmax)), int(g.get("nx", 200)),
+            float(g.get("y0", ymin)), float(g.get("y1", ymax)), int(g.get("ny", 200)),
+        )
+
         return Scenario(
             name=name,
             world=world,
@@ -280,6 +291,7 @@ def scenario_from_dict(d: dict) -> Scenario:
             repeat_start=repeat_start,
             noise=noise,
             navigator=navigator,
+            oracle=OracleSpec(keyframe=int(o.get("keyframe", -1)), grid=grid),
             runs=int(r.get("runs", 1)),
             seed=int(r.get("seed", 0)),
             tolerance=float(r.get("tolerance", 0.3)),

@@ -108,9 +108,6 @@ class MatchSet:
     def u_keyframe(self) -> np.ndarray:
         return np.array([p[2] for p in self.pairs], dtype=float)
 
-    def swapped(self) -> "MatchSet":
-        return MatchSet(tuple((i, b, a) for i, a, b in self.pairs))
-
 
 def perturb(u: float, noise: NoiseModel, rng: np.random.Generator) -> float:
     """Apply truncated Gaussian pixel noise to one coordinate."""

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-import yaml
 
 from funnelnav.cli import main
 from funnelnav.control_sloped import SlopedParams, compute_s_x, compute_s_y, radius_policy, sloped_command
@@ -69,14 +68,10 @@ class TestOracleEquivalence:
     def test_two_feature_world_grid_agreement(self):
         t0 = time.perf_counter()
         scn = scenario("funnel_two_features")
-        raw = yaml.safe_load((SCENARIO_DIR / "funnel_two_features.yaml").read_text())
-        g = raw["oracle"]["grid"]
-        grid = GridSpec(
-            x0=g["x0"], x1=g["x1"], nx=g["nx"], y0=g["y0"], y1=g["y1"], ny=g["ny"]
-        )
-        assert grid.nx == 200 and grid.ny == 200
+        grid = scn.oracle.grid
+        assert grid == GridSpec(x0=-2.0, x1=5.5, nx=200, y0=-3.0, y1=3.0, ny=200)
         path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
-        kf = path.keyframes[raw["oracle"]["keyframe"]]
+        kf = path.keyframes[scn.oracle.keyframe]
         assert len(kf.observations) == 2
 
         oracle = funnel_oracle(kf, scn.world, scn.camera, grid)

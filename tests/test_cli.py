@@ -138,6 +138,18 @@ class TestOracleCheck:
         assert lines[0] == "x,y,oracle,controller"
         assert len(lines) - 1 == summary["n_disagreements"]
 
+    def test_empty_grid_exits_2(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, oracle={"grid": {"nx": 0}})
+        out = tmp_path / "out"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "grid" in capsys.readouterr().err
+
+    def test_keyframe_out_of_range_exits_2(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, oracle={"keyframe": 99, "grid": {"nx": 2, "ny": 2}})
+        out = tmp_path / "out"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "keyframe 99" in capsys.readouterr().err
+
 
 class TestMetricsCommand:
     def test_recomputes_from_traces(self, tmp_path, capsys):
@@ -148,6 +160,25 @@ class TestMetricsCommand:
         text = capsys.readouterr().out
         assert "sloped" in text
         assert "acc" in text
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            lambda text: "",
+            lambda text: text[: len(text) // 2],
+            lambda text: "".join(text.splitlines(keepends=True)[:-1]),
+        ],
+        ids=["empty", "mid-line", "no-summary"],
+    )
+    def test_truncated_trace_exits_2(self, tmp_path, capsys, cut):
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        main(["repeat", "--config", str(cfg), "--out", str(out)])
+        run = out / "sloped" / "run_000.jsonl"
+        run.write_text(cut(run.read_text()))
+        capsys.readouterr()
+        assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "run_000.jsonl" in capsys.readouterr().err
 
     def test_no_traces_exits_2(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -1,6 +1,7 @@
 """Metrics, funnel-lane oracle and scenario-harness tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from funnelnav.evaluate import (
 )
 from funnelnav.features import NoiseModel
 from funnelnav.geometry import CameraModel, Landmark, MotionCommand, Pose, World
-from funnelnav.navigate import NavigatorConfig
+from funnelnav.navigate import NavigatorConfig, navigate
 from funnelnav.teach import TeachScript, record
 
 CAM = CameraModel()
@@ -57,6 +58,11 @@ class TestMetrics:
 
 
 class TestGrid:
+    @pytest.mark.parametrize("nx, ny", [(0, 5), (5, 0), (-1, -1)])
+    def test_empty_grid_rejected(self, nx, ny):
+        with pytest.raises(ValueError, match="grid"):
+            GridSpec(x0=0.0, x1=1.0, nx=nx, y0=0.0, y1=1.0, ny=ny)
+
     def test_row_major_order_and_heading(self):
         grid = GridSpec(x0=0.0, x1=1.0, nx=2, y0=0.0, y1=1.0, ny=2)
         poses = grid_poses(grid, 0.3)
@@ -162,6 +168,22 @@ class TestScenarioConfig:
         removed = scn.repeat_world()
         assert {lm.id for lm in scn.world.landmarks} - {lm.id for lm in removed.landmarks} == {3, 4}
 
+    def test_oracle_block_defaults(self):
+        scn = scenario_from_dict(minimal_scenario_dict())
+        assert scn.oracle.keyframe == -1
+        assert scn.oracle.grid == GridSpec(x0=-5.0, x1=20.0, nx=200, y0=-5.0, y1=5.0, ny=200)
+
+    def test_oracle_block_parsed(self):
+        d = minimal_scenario_dict(oracle={"keyframe": 1, "grid": {"x0": 1, "nx": 3, "ny": 4}})
+        scn = scenario_from_dict(d)
+        assert scn.oracle.keyframe == 1
+        assert scn.oracle.grid == GridSpec(x0=1.0, x1=20.0, nx=3, y0=-5.0, y1=5.0, ny=4)
+
+    @pytest.mark.parametrize("oracle", [[1], {"grid": [1]}, {"keyframe": "last"}])
+    def test_malformed_oracle_block_is_config_error(self, oracle):
+        with pytest.raises(ConfigError, match="oracle|keyframe|last"):
+            scenario_from_dict(minimal_scenario_dict(oracle=oracle))
+
     def test_yaml_parse_error_carries_line_number(self, tmp_path):
         f = tmp_path / "bad.yaml"
         f.write_text("name: x\nworld: [unclosed\n")
@@ -201,16 +223,22 @@ class TestRunScenario:
         b = run_scenario(scn, controller="standard")
         assert a.to_dict() == b.to_dict()
 
-    def test_thread_cap_env_applies(self, monkeypatch):
-        from funnelnav.evaluate import _max_workers
-
-        monkeypatch.setenv("FUNNEL_NAV_THREADS", "1")
-        assert _max_workers() == 1
-        scn = self._scenario(runs=2, noise={"dropout_prob": 0.1, "pixel_sigma": 1.0})
-        a = run_scenario(scn, controller="sloped")
-        monkeypatch.setenv("FUNNEL_NAV_THREADS", "4")
-        b = run_scenario(scn, controller="sloped")
-        assert a.to_dict() == b.to_dict()
+    def test_runs_equal_standalone_navigation(self):
+        # how the runs are scheduled must not show: run i is exactly a lone
+        # navigate() call with noise seed scenario.seed + i
+        scn = self._scenario(runs=3, noise={"dropout_prob": 0.1, "pixel_sigma": 1.0})
+        rep = run_scenario(scn)
+        path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
+        for i, trace in enumerate(rep.traces):
+            alone = navigate(
+                scn.repeat_world(),
+                scn.camera,
+                path,
+                scn.repeat_start,
+                scn.navigator,
+                replace(scn.noise, seed=scn.seed + i),
+            )
+            assert trace.jsonl_lines() == alone.jsonl_lines()
 
     def test_report_dict_shape(self):
         rep = run_scenario(self._scenario(), controller="standard")
