@@ -57,7 +57,7 @@ from .geometry import (
     step,
     visible_set,
 )
-from .navigate import NavigatorConfig, RunTrace, navigate, should_switch
+from .navigate import NavigatorConfig, RunTrace, TickStats, navigate, should_switch, tick_stats
 from .teach import TeachScript, record
 
 __version__ = "0.1.0"

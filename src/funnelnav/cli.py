@@ -36,6 +36,7 @@ from .evaluate import (
     run_scenario,
 )
 from .features import save_visual_path
+from .navigate import read_run_summary
 from .teach import record
 
 __all__ = ["main"]
@@ -163,15 +164,6 @@ def cmd_oracle_check(scn: Scenario, out: Path) -> int:
     return 0
 
 
-def _run_summary(f: Path) -> tuple[tuple[float, float], str]:
-    """Final position and outcome from the summary record that ends a run trace."""
-    try:
-        last = json.loads(f.read_text().strip().splitlines()[-1])
-        return (float(last["final_x"]), float(last["final_y"])), str(last["outcome"])
-    except (IndexError, KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"{f}: does not end in a run-summary record") from e
-
-
 def cmd_metrics(scn: Scenario, out: Path) -> int:
     """Recompute endpoint metrics from previously written run traces."""
     path = _teach_path(scn)
@@ -184,7 +176,7 @@ def cmd_metrics(scn: Scenario, out: Path) -> int:
         if not runs:
             continue
         found = True
-        summaries = [_run_summary(f) for f in runs]
+        summaries = [read_run_summary(f) for f in runs]
         points = [p for p, _ in summaries]
         outcomes = Counter(o for _, o in summaries)
         print(

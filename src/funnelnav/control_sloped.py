@@ -9,10 +9,9 @@ offsets, summed over sides) that steers inside the lane.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import median
 
-import numpy as np
-
-from .errors import DegenerateSpreadError, EmptyMatchError
+from .errors import EmptyMatchError
 from .features import MatchSet, split_sides, std_ratio
 from .geometry import MotionCommand
 
@@ -68,9 +67,18 @@ def compute_s_y(m: MatchSet) -> float:
 def _medians(pairs):
     if not pairs:
         return None, None
-    mu_c = float(np.median([p[1] for p in pairs]))
-    mu_j = float(np.median([p[2] for p in pairs]))
+    mu_c = float(median([p[1] for p in pairs]))
+    mu_j = float(median([p[2] for p in pairs]))
     return mu_c, mu_j
+
+
+def _roll_slope(sides, p: SlopedParams) -> float:
+    s = 0.0
+    for mu_c, mu_j in sides:
+        if mu_c is None:
+            continue
+        s += (mu_c - mu_j) / max(abs(mu_j), p.norm_floor)
+    return s
 
 
 def compute_s_x(m: MatchSet, p: SlopedParams) -> float:
@@ -83,13 +91,7 @@ def compute_s_x(m: MatchSet, p: SlopedParams) -> float:
     if len(m) == 0:
         raise EmptyMatchError("compute_s_x on empty match set")
     left, right = split_sides(m)
-    s = 0.0
-    for pairs in (left, right):
-        mu_c, mu_j = _medians(pairs)
-        if mu_c is None:
-            continue
-        s += (mu_c - mu_j) / max(abs(mu_j), p.norm_floor)
-    return s
+    return _roll_slope((_medians(left), _medians(right)), p)
 
 
 def radius_policy(s_y: float, p: SlopedParams) -> tuple[float, float]:
@@ -104,9 +106,11 @@ def radius_policy(s_y: float, p: SlopedParams) -> tuple[float, float]:
     return v, p.omega_max
 
 
-def evaluate_state(m: MatchSet, p: SlopedParams) -> SlopedState:
+def evaluate_state(m: MatchSet, p: SlopedParams, ratio: float | None) -> SlopedState:
     """Slopes, side medians and the four lane constraints for one match set.
 
+    ratio is the match set's spread ratio, std_ratio(m), or None where that is
+    undefined; the navigator passes the one it already computed for the tick.
     Constraint order: right magnitude, left magnitude, right sign, left sign.
     A missing side leaves its two constraints satisfied; a zero coordinate
     matches either sign.
@@ -125,14 +129,9 @@ def evaluate_state(m: MatchSet, p: SlopedParams) -> SlopedState:
     c3 = mu_r_c is None or mu_r_c * mu_r_j >= 0
     c4 = mu_l_c is None or mu_l_c * mu_l_j >= 0
 
-    try:
-        s_y = compute_s_y(m)
-    except DegenerateSpreadError:
-        s_y = None
-
     return SlopedState(
-        s_x=compute_s_x(m, p),
-        s_y=s_y,
+        s_x=_roll_slope(((mu_l_c, mu_l_j), (mu_r_c, mu_r_j)), p),
+        s_y=None if ratio is None else 1.0 - ratio,  # the pitch slope, compute_s_y(m)
         mu_l_c=mu_l_c,
         mu_l_j=mu_l_j,
         mu_r_c=mu_r_c,
@@ -149,15 +148,19 @@ def _turn(direction: int, s_y: float | None, p: SlopedParams) -> MotionCommand:
     return MotionCommand(v, direction * omega_mag)
 
 
-def sloped_command(m: MatchSet, p: SlopedParams) -> tuple[MotionCommand, SlopedState]:
+def sloped_command(
+    m: MatchSet, p: SlopedParams, ratio: float | None
+) -> tuple[MotionCommand, SlopedState]:
     """One control tick: command plus the controller state used to produce it.
+
+    ratio is the spread ratio of m, as for evaluate_state.
 
     Inside the lane the roll slope steers (dead-band -> forward at full speed);
     outside, a violated right-side constraint means the robot left the lane on
     its left, so it turns right, and vice versa.  All turns use the pitch-slope
     radius policy.
     """
-    st = evaluate_state(m, p)
+    st = evaluate_state(m, p, ratio)
     c1, c2, c3, c4 = st.constraints
     if st.inside:
         # without a usable spread ratio there is no radius to modulate;
@@ -180,4 +183,5 @@ def sloped_command(m: MatchSet, p: SlopedParams) -> tuple[MotionCommand, SlopedS
 
 def inside_sloped(m: MatchSet, p: SlopedParams) -> bool:
     """True when all four median constraints hold."""
-    return evaluate_state(m, p).inside
+    # the constraints read the side medians only, never the spread ratio
+    return evaluate_state(m, p, None).inside

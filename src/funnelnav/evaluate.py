@@ -246,14 +246,47 @@ def _require(d: dict, key: str, ctx: str):
     return d[key]
 
 
+# keys a scenario file may use, per section; the other sections are checked
+# by the constructors they are passed to as keyword arguments
+_KNOWN_KEYS = {
+    "scenario": ("name", "world", "camera", "teach", "repeat", "noise", "navigator",
+                 "controllers", "oracle"),
+    "world": ("bounds", "landmarks", "generated", "obstacles"),
+    "teach": ("start", "steps", "dt", "min_features"),
+    "repeat": ("start", "runs", "seed", "tolerance", "remove_landmarks"),
+    "controllers": ("standard", "sloped"),
+    "oracle": ("keyframe", "grid"),
+    "oracle.grid": ("x0", "x1", "nx", "y0", "y1", "ny"),
+}
+
+
+def _section(value, ctx: str) -> dict:
+    """A config block as a mapping; an absent or empty block reads as {}.
+
+    Raises ConfigError for a block that is not a mapping, or one holding a
+    key that _KNOWN_KEYS does not list for it.
+    """
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{ctx}: must be a mapping, not {type(value).__name__}")
+    known = _KNOWN_KEYS.get(ctx)
+    if known is not None:
+        for key in value:
+            if key not in known:
+                raise ConfigError(f"{ctx}: unknown key {key!r}")
+    return value
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     """Build a Scenario from its YAML file representation."""
     try:
+        d = _section(d, "scenario")
         name = str(_require(d, "name", "scenario"))
-        world = world_from_dict(_require(d, "world", "scenario"))
-        camera = CameraModel(**d.get("camera", {}))
+        world = world_from_dict(_section(_require(d, "world", "scenario"), "world"))
+        camera = CameraModel(**_section(d.get("camera"), "camera"))
 
-        t = _require(d, "teach", "scenario")
+        t = _section(_require(d, "teach", "scenario"), "teach")
         start = Pose(*_require(t, "start", "teach"))
         steps = tuple(
             (MotionCommand(float(s["v"]), float(s["omega"])), float(s["duration"]))
@@ -261,22 +294,20 @@ def scenario_from_dict(d: dict) -> Scenario:
         )
         script = TeachScript(steps=steps, start_pose=start, dt=float(t.get("dt", 0.1)))
 
-        r = d.get("repeat", {})
-        repeat_start = Pose(*r.get("start", _require(t, "start", "teach")))
-        noise = NoiseModel(**d.get("noise", {}))
+        r = _section(d.get("repeat"), "repeat")
+        repeat_start = Pose(*r["start"]) if "start" in r else start
+        noise = NoiseModel(**_section(d.get("noise"), "noise"))
 
-        nav = dict(d.get("navigator", {}))
-        ctrl = d.get("controllers", {})
+        nav = dict(_section(d.get("navigator"), "navigator"))
+        ctrl = _section(d.get("controllers"), "controllers")
         if "standard" in ctrl:
-            nav["standard"] = StandardParams(**ctrl["standard"])
+            nav["standard"] = StandardParams(**_section(ctrl["standard"], "controllers.standard"))
         if "sloped" in ctrl:
-            nav["sloped"] = SlopedParams(**ctrl["sloped"])
+            nav["sloped"] = SlopedParams(**_section(ctrl["sloped"], "controllers.sloped"))
         navigator = NavigatorConfig(**nav)
 
-        o = d.get("oracle") or {}
-        g = (o.get("grid") or {}) if isinstance(o, dict) else None
-        if not isinstance(g, dict):
-            raise ConfigError("oracle: the block and its grid must be mappings")
+        o = _section(d.get("oracle"), "oracle")
+        g = _section(o.get("grid"), "oracle.grid")
         xmin, ymin, xmax, ymax = world.bounds
         grid = GridSpec(
             float(g.get("x0", xmin)), float(g.get("x1", xmax)), int(g.get("nx", 200)),

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import statistics
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,13 +102,21 @@ class MatchSet:
     def ids(self) -> tuple[int, ...]:
         return tuple(p[0] for p in self.pairs)
 
-    @property
+    # built on first use and kept: the statistics of one tick read each array
+    # more than once; read-only because every reader shares it
+    @cached_property
     def u_current(self) -> np.ndarray:
-        return np.array([p[1] for p in self.pairs], dtype=float)
+        return _read_only([p[1] for p in self.pairs])
 
-    @property
+    @cached_property
     def u_keyframe(self) -> np.ndarray:
-        return np.array([p[2] for p in self.pairs], dtype=float)
+        return _read_only([p[2] for p in self.pairs])
+
+
+def _read_only(values: list[float]) -> np.ndarray:
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 def perturb(u: float, noise: NoiseModel, rng: np.random.Generator) -> float:
@@ -115,7 +125,7 @@ def perturb(u: float, noise: NoiseModel, rng: np.random.Generator) -> float:
         return u
     d = rng.normal(0.0, noise.pixel_sigma)
     lim = 3.0 * noise.pixel_sigma
-    return u + float(np.clip(d, -lim, lim))
+    return u + min(max(d, -lim), lim)
 
 
 def match(
@@ -158,7 +168,11 @@ def median_distance(m: MatchSet) -> float:
     """Absolute difference between the coordinate medians of the two images."""
     if len(m) == 0:
         raise EmptyMatchError("median_distance on empty match set")
-    return abs(float(np.median(m.u_current)) - float(np.median(m.u_keyframe)))
+    # statistics.median returns numpy's median bit for bit (the middle value,
+    # or the two middle values summed and halved) without its per-call cost
+    mu_c = statistics.median(p[1] for p in m.pairs)
+    mu_j = statistics.median(p[2] for p in m.pairs)
+    return abs(float(mu_c) - float(mu_j))
 
 
 def mse(m: MatchSet) -> float:

@@ -141,12 +141,26 @@ def project(landmark: Landmark, pose: Pose, cam: CameraModel):
 
 
 def visible_set(world: World, pose: Pose, cam: CameraModel) -> dict[int, float]:
-    """Map of landmark id -> image coordinate for all currently visible landmarks."""
+    """Map of landmark id -> image coordinate for all currently visible landmarks.
+
+    Equal, float for float, to calling project() on each landmark: the
+    arithmetic is project's, in the same order, with the heading's cos/sin
+    taken once per call.
+    """
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    x, y = pose.x, pose.y
+    f, half_width, min_depth = cam.focal_length, cam.half_width, cam.min_depth
     out = {}
     for lm in world.landmarks:
-        u = project(lm, pose, cam)
-        if u is not None:
-            out[lm.id] = u
+        dx = lm.x - x
+        dy = lm.y - y
+        depth = dx * c + dy * s
+        if depth < min_depth:
+            continue
+        u = f * -(-dx * s + dy * c) / depth
+        if abs(u) > half_width:
+            continue
+        out[lm.id] = u
     return out
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .control_sloped import SlopedParams, sloped_command
 from .control_standard import StandardParams, inside_funnel, standard_command
-from .errors import DegenerateSpreadError, EmptyMatchError, InvalidPathError
+from .errors import ConfigError, DegenerateSpreadError, EmptyMatchError, InvalidPathError
 from .features import (
     MatchSet,
     NoiseModel,
@@ -36,7 +37,8 @@ from .geometry import (
     visible_set,
 )
 
-__all__ = ["NavigatorConfig", "TickRecord", "RunTrace", "should_switch", "navigate"]
+__all__ = ["NavigatorConfig", "TickRecord", "RunTrace", "read_run_summary", "TickStats",
+           "tick_stats", "should_switch", "navigate"]
 
 STOP = MotionCommand(0.0, 0.0)
 
@@ -92,7 +94,15 @@ class RunTrace:
     seed: int
 
     def jsonl_lines(self) -> list[str]:
-        """One JSON record per tick plus a trailing run-summary record."""
+        """One JSON record per trace record plus a trailing run-summary record.
+
+        The summary's "ticks" counts records, not loop ticks.  The last record
+        is the terminal one (done, lost, timeout or collision), and two cases
+        add a record beyond the loop's ticks: a timeout appends its record
+        after the last tick, so max_ticks 1 gives 2 records; a collision
+        follows the command record of the tick that hit the obstacle and
+        repeats its tick number.
+        """
         lines = [json.dumps(r.__dict__, sort_keys=True) for r in self.records]
         lines.append(
             json.dumps(
@@ -115,24 +125,31 @@ class RunTrace:
             fh.write("\n".join(self.jsonl_lines()) + "\n")
 
 
-def should_switch(m: MatchSet, cfg: NavigatorConfig) -> bool:
-    """Keyframe switching criterion.
-
-    Fires when the spread ratio exceeds 1 (the robot has passed the keyframe
-    plane) and the median distance is under threshold1.  When the ratio is
-    unavailable, falls back to a tighter median-distance-only test.
-    """
-    if len(m) == 0:
-        return False
-    ed = median_distance(m)
+def read_run_summary(file: Path) -> tuple[tuple[float, float], str]:
+    """Final position and outcome from the summary record that ends a run trace."""
     try:
-        ratio = std_ratio(m)
-    except DegenerateSpreadError:
-        return ed < cfg.threshold1_ed / 2.0
-    return ratio > 1.0 and ed < cfg.threshold1_ed
+        last = json.loads(file.read_text().strip().splitlines()[-1])
+        return (float(last["final_x"]), float(last["final_y"])), str(last["outcome"])
+    except (IndexError, KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"{file}: does not end in a run-summary record") from e
 
 
-def _stats(m: MatchSet):
+@dataclass(frozen=True)
+class TickStats:
+    """The image statistics of one tick's match set, each computed once.
+
+    ratio is None when the spread ratio is undefined (fewer than 2 pairs or
+    no keyframe spread); ed and mse are None on an empty match set.
+    """
+
+    nmf: int  # number of matched features
+    ratio: float | None
+    ed: float | None
+    mse: float | None
+
+
+def tick_stats(m: MatchSet) -> TickStats:
+    """Spread ratio, median distance and MSE of a match set."""
     try:
         ratio = std_ratio(m)
     except DegenerateSpreadError:
@@ -142,7 +159,21 @@ def _stats(m: MatchSet):
         err = mse(m)
     except EmptyMatchError:
         ed = err = None
-    return ratio, ed, err
+    return TickStats(nmf=len(m), ratio=ratio, ed=ed, mse=err)
+
+
+def should_switch(stats: TickStats, cfg: NavigatorConfig) -> bool:
+    """Keyframe switching criterion.
+
+    Fires when the spread ratio exceeds 1 (the robot has passed the keyframe
+    plane) and the median distance is under threshold1.  When the ratio is
+    unavailable, falls back to a tighter median-distance-only test.
+    """
+    if stats.nmf == 0:
+        return False
+    if stats.ratio is None:
+        return stats.ed < cfg.threshold1_ed / 2.0
+    return stats.ratio > 1.0 and stats.ed < cfg.threshold1_ed
 
 
 def navigate(
@@ -171,8 +202,7 @@ def navigate(
     outcome = "timeout"
     final_event_logged = False
 
-    def rec(tick, cmd, m, seg, event, state=None, inside=None):
-        ratio, ed, err = _stats(m)
+    def rec(tick, cmd, stats, seg, event, state=None, inside=None):
         records.append(
             TickRecord(
                 tick=tick,
@@ -182,10 +212,10 @@ def navigate(
                 segment=seg,
                 v=cmd.v,
                 omega=cmd.omega,
-                nmf=len(m),
-                std_ratio=ratio,
-                ed=ed,
-                mse=err,
+                nmf=stats.nmf,
+                std_ratio=stats.ratio,
+                ed=stats.ed,
+                mse=stats.mse,
                 s_x=None if state is None else state.s_x,
                 s_y=None if state is None else state.s_y,
                 inside=inside if state is None else state.inside,
@@ -209,11 +239,12 @@ def navigate(
                 )
             )
 
+        stats = tick_stats(m)
         # a starving match set goes to recovery below; switching on it would
         # let the degenerate median-only fallback fire spuriously
-        if len(m) >= cfg.threshold2_features and should_switch(m, cfg):
+        if stats.nmf >= cfg.threshold2_features and should_switch(stats, cfg):
             if dest == last:
-                rec(tick, STOP, m, dest, "done")
+                rec(tick, STOP, stats, dest, "done")
                 outcome = "done"
                 final_event_logged = True
                 break
@@ -221,10 +252,10 @@ def navigate(
             tracked = None
             stopped = 0
             recovering = False
-            rec(tick, STOP, m, dest, "switch")
+            rec(tick, STOP, stats, dest, "switch")
             continue
 
-        if len(m) >= cfg.threshold2_features:
+        if stats.nmf >= cfg.threshold2_features:
             event = "recovered" if recovering else ""
             recovering = False
             stopped = 0
@@ -234,11 +265,11 @@ def navigate(
                 cmd = standard_command(m, cfg.standard)
                 inside = inside_funnel(m)
             else:
-                cmd, state = sloped_command(m, cfg.sloped)
-            rec(tick, cmd, m, dest, event, state=state, inside=inside)
+                cmd, state = sloped_command(m, cfg.sloped, stats.ratio)
+            rec(tick, cmd, stats, dest, event, state=state, inside=inside)
             pose = step(pose, cmd, cfg.dt)
             if in_collision(world, pose):
-                rec(tick, STOP, m, dest, "collision")
+                rec(tick, STOP, stats, dest, "collision")
                 outcome = "collision"
                 final_event_logged = True
                 break
@@ -249,15 +280,15 @@ def navigate(
             stopped += 1
             recovering = True
             if stopped >= cfg.threshold3_time:
-                rec(tick, STOP, m, dest, "lost")
+                rec(tick, STOP, stats, dest, "lost")
                 outcome = "lost"
                 final_event_logged = True
                 break
-            rec(tick, STOP, m, dest, "stopped")
+            rec(tick, STOP, stats, dest, "stopped")
             tracked = None  # full re-match next tick
 
     if not final_event_logged:
-        rec(len(records), STOP, MatchSet(), dest, "timeout")
+        rec(len(records), STOP, tick_stats(MatchSet()), dest, "timeout")
         outcome = "timeout"
 
     return RunTrace(

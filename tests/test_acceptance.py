@@ -40,7 +40,7 @@ from funnelnav.geometry import (
     step,
     visible_set,
 )
-from funnelnav.navigate import NavigatorConfig, should_switch
+from funnelnav.navigate import NavigatorConfig, should_switch, tick_stats
 from funnelnav.teach import TeachScript, record
 
 from conftest import SCENARIO_DIR, ms
@@ -158,7 +158,7 @@ class TestAmbiguityResolution:
             obs = visible_set(scn.world, scn.repeat_start, scn.camera)
             m = match(obs, kf, NoiseModel())
             std_cmd = standard_command(m, scn.navigator.standard)
-            slo_cmd, state = sloped_command(m, scn.navigator.sloped)
+            slo_cmd, state = sloped_command(m, scn.navigator.sloped, tick_stats(m).ratio)
             commands[name] = (std_cmd, slo_cmd, state)
 
         std_rot, slo_rot, _ = commands["ambiguity_rotation"]
@@ -272,7 +272,7 @@ class TestSwitchingCorrectness:
             fired_at = None
             for f, pose in enumerate(extended):
                 m = match(visible_set(world, pose, CAM), kf, quiet)
-                if should_switch(m, cfg):
+                if should_switch(tick_stats(m), cfg):
                     fired_at = f
                     break
             assert fired_at is not None, "switch never fired"

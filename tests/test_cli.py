@@ -72,6 +72,21 @@ class TestExitCodes:
         assert main(["teach", "--config", str(cfg), "--out", str(out)]) == 2
         assert main(["teach", "--config", str(cfg), "--out", str(out), "--force"]) == 0
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"repeat": [1]}, "repeat"),
+            ({"controllers": [1]}, "controllers"),
+            ({"navigatr": {"max_ticks": 5}}, "navigatr"),
+        ],
+        ids=["repeat-list", "controllers-list", "misspelled-navigator"],
+    )
+    def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, named):
+        cfg = small_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["repeat", "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+
     def test_empty_landmark_world_oracle_check_exits_3(self, tmp_path):
         cfg = small_config(tmp_path, world={"bounds": [-5, -5, 20, 5], "landmarks": []})
         out = tmp_path / "out"

@@ -16,10 +16,21 @@ from funnelnav.control_sloped import (
 from funnelnav.errors import DegenerateSpreadError, EmptyMatchError
 from funnelnav.features import MatchSet
 from funnelnav.geometry import MotionCommand
+from funnelnav.navigate import tick_stats
 
 from conftest import ms
 
 P = SlopedParams(v_max=0.5, omega_max=0.5)
+
+
+def state(m):
+    """evaluate_state with the spread ratio the navigator passes for m."""
+    return evaluate_state(m, P, tick_stats(m).ratio)
+
+
+def command(m):
+    """sloped_command with the spread ratio the navigator passes for m."""
+    return sloped_command(m, P, tick_stats(m).ratio)
 
 
 class TestPitchSlope:
@@ -85,49 +96,54 @@ class TestRadiusPolicy:
 class TestConstraints:
     def test_on_keyframe_boundary_counts_as_inside(self):
         m = ms((1, -10.0, -10.0), (2, 20.0, 20.0))
-        st_ = evaluate_state(m, P)
+        st_ = state(m)
         assert st_.constraints == (True, True, True, True)
         assert st_.inside
         assert inside_sloped(m, P)
 
     def test_magnitude_violations(self):
         # right median grew: c1 false; left median grew: c2 false
-        right_bad = evaluate_state(ms((1, -5.0, -10.0), (2, 25.0, 20.0)), P)
+        right_bad = state(ms((1, -5.0, -10.0), (2, 25.0, 20.0)))
         assert right_bad.constraints == (False, True, True, True)
-        left_bad = evaluate_state(ms((1, -15.0, -10.0), (2, 15.0, 20.0)), P)
+        left_bad = state(ms((1, -15.0, -10.0), (2, 15.0, 20.0)))
         assert left_bad.constraints == (True, False, True, True)
 
     def test_sign_violations(self):
-        right_flip = evaluate_state(ms((1, -5.0, -10.0), (2, -1.0, 20.0)), P)
+        right_flip = state(ms((1, -5.0, -10.0), (2, -1.0, 20.0)))
         assert right_flip.constraints[2] is False
-        left_flip = evaluate_state(ms((1, 1.0, -10.0), (2, 15.0, 20.0)), P)
+        left_flip = state(ms((1, 1.0, -10.0), (2, 15.0, 20.0)))
         assert left_flip.constraints[3] is False
 
     def test_missing_side_leaves_constraints_satisfied(self):
-        st_ = evaluate_state(ms((1, 15.0, 20.0), (2, 18.0, 22.0)), P)
+        st_ = state(ms((1, 15.0, 20.0), (2, 18.0, 22.0)))
         assert st_.mu_l_c is None
         assert st_.constraints[1] and st_.constraints[3]
 
     def test_zero_coordinate_matches_either_sign(self):
-        st_ = evaluate_state(ms((1, 0.0, 20.0), (2, -5.0, -10.0)), P)
+        st_ = state(ms((1, 0.0, 20.0), (2, -5.0, -10.0)))
         assert st_.constraints[2] is True
 
+    def test_s_y_is_one_minus_the_ratio_passed_in(self):
+        m = ms((1, -20.0, -40.0), (2, 20.0, 40.0))
+        assert state(m).s_y == compute_s_y(m) == 0.5
+        assert evaluate_state(m, P, 0.25).s_y == 0.75
+
     def test_s_y_none_when_spread_degenerate(self):
-        st_ = evaluate_state(ms((1, 5.0, 10.0)), P)
+        st_ = state(ms((1, 5.0, 10.0)))
         assert st_.s_y is None
 
 
 class TestSlopedCommand:
     def test_inside_with_small_roll_goes_straight(self):
         m = ms((1, -10.0, -10.0), (2, 20.0, 20.0))
-        cmd, st_ = sloped_command(m, P)
+        cmd, st_ = command(m)
         assert cmd == MotionCommand(P.v_max, 0.0)
         assert st_.inside
 
     def test_inside_negative_roll_turns_left(self):
         # right median shrank toward center: still inside, net roll negative
         m = ms((1, -10.0, -10.0), (2, 14.0, 20.0))
-        cmd, st_ = sloped_command(m, P)
+        cmd, st_ = command(m)
         assert st_.inside
         assert st_.s_x < -P.sx_epsilon
         assert cmd.omega > 0
@@ -135,60 +151,60 @@ class TestSlopedCommand:
     def test_inside_positive_roll_turns_right(self):
         # left median shrank toward center: still inside, net roll positive
         m = ms((1, -4.0, -10.0), (2, 20.0, 20.0))
-        cmd, st_ = sloped_command(m, P)
+        cmd, st_ = command(m)
         assert st_.inside
         assert st_.s_x > P.sx_epsilon
         assert cmd.omega < 0
 
     def test_right_magnitude_violation_turns_right(self):
         m = ms((1, -5.0, -10.0), (2, 25.0, 20.0))
-        cmd, st_ = sloped_command(m, P)
+        cmd, st_ = command(m)
         assert not st_.inside
         assert cmd.omega < 0
 
     def test_left_magnitude_violation_turns_left(self):
         m = ms((1, -15.0, -10.0), (2, 15.0, 20.0))
-        cmd, st_ = sloped_command(m, P)
+        cmd, st_ = command(m)
         assert not st_.inside
         assert cmd.omega > 0
 
     def test_conflict_resolved_by_roll_sign(self):
         # both sides violated, net roll negative: turn left
         m = ms((1, -40.0, -20.0), (2, 25.0, 20.0))
-        cmd, st_ = sloped_command(m, P)
+        cmd, st_ = command(m)
         assert not st_.constraints[0] and not st_.constraints[1]
         assert st_.s_x < 0
         assert cmd.omega > 0
         # both sides violated, net roll positive: turn right
         m = ms((1, -25.0, -20.0), (2, 40.0, 20.0))
-        cmd, st_ = sloped_command(m, P)
+        cmd, st_ = command(m)
         assert not st_.constraints[0] and not st_.constraints[1]
         assert st_.s_x > 0
         assert cmd.omega < 0
 
     def test_turns_use_radius_policy(self):
         m = ms((1, -5.0, -10.0), (2, 25.0, 20.0))
-        cmd, st_ = sloped_command(m, P)
+        cmd, st_ = command(m)
         v, omega = radius_policy(st_.s_y, P)
         assert cmd.v == pytest.approx(v)
         assert abs(cmd.omega) == pytest.approx(omega)
 
     def test_degenerate_spread_outside_rotates_in_place(self):
         m = ms((1, 25.0, 20.0))  # one pair: no spread, c1 violated
-        cmd, st_ = sloped_command(m, P)
+        cmd, st_ = command(m)
         assert st_.s_y is None
         assert cmd.v == 0.0
         assert abs(cmd.omega) == pytest.approx(P.omega_max)
 
     def test_degenerate_spread_inside_goes_straight(self):
         m = ms((1, 15.0, 20.0))
-        cmd, st_ = sloped_command(m, P)
+        cmd, st_ = command(m)
         assert st_.inside and st_.s_y is None
         assert cmd == MotionCommand(P.v_max, 0.0)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMatchError):
-            sloped_command(MatchSet(), P)
+            command(MatchSet())
 
     @settings(max_examples=100)
     @given(
@@ -209,8 +225,8 @@ class TestSlopedCommand:
             sy = None
         if sy is not None:
             assert compute_s_y(mirrored) == pytest.approx(sy, abs=1e-9)
-        st_a = evaluate_state(m, P)
-        st_b = evaluate_state(mirrored, P)
+        st_a = state(m)
+        st_b = state(mirrored)
         c1, c2, c3, c4 = st_a.constraints
         assert st_b.constraints == (c2, c1, c4, c3)
 

@@ -184,6 +184,34 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="oracle|keyframe|last"):
             scenario_from_dict(minimal_scenario_dict(oracle=oracle))
 
+    @pytest.mark.parametrize(
+        "section", ["world", "camera", "teach", "repeat", "noise", "navigator", "controllers"]
+    )
+    def test_non_mapping_section_is_config_error(self, section):
+        with pytest.raises(ConfigError, match=section):
+            scenario_from_dict(minimal_scenario_dict(**{section: [1]}))
+
+    @pytest.mark.parametrize(
+        "path",
+        [("navigatr",), ("world", "obstacle"), ("teach", "min_feature"), ("repeat", "seeds"),
+         ("controllers", "slopped"), ("oracle", "keyfrmae"), ("oracle", "grid", "nz")],
+        ids=lambda p: ".".join(p),
+    )
+    def test_unknown_key_is_config_error_naming_it(self, path):
+        d = minimal_scenario_dict(oracle={"grid": {}})
+        block = d
+        for key in path[:-1]:
+            block = block.setdefault(key, {})
+        block[path[-1]] = 1
+        with pytest.raises(ConfigError, match=repr(path[-1])):
+            scenario_from_dict(d)
+
+    def test_empty_optional_blocks_read_as_defaults(self):
+        d = minimal_scenario_dict(camera=None, navigator=None, controllers=None, oracle=None)
+        scn = scenario_from_dict(d)
+        assert scn.camera == CameraModel()
+        assert scn.oracle.keyframe == -1
+
     def test_yaml_parse_error_carries_line_number(self, tmp_path):
         f = tmp_path / "bad.yaml"
         f.write_text("name: x\nworld: [unclosed\n")

@@ -1,5 +1,8 @@
 """Match statistics and noise-model unit tests."""
 
+import statistics
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,15 @@ class TestMatch:
         assert m.ids == (1, 2, 3)
         assert list(m.u_current) == list(m.u_keyframe)
 
+    def test_coordinate_arrays_are_built_once_and_read_only(self):
+        m = match(dict(KF.observations), KF, NoiseModel())
+        assert m.u_current is m.u_current
+        assert m.u_keyframe is m.u_keyframe
+        with pytest.raises(ValueError):
+            m.u_current[0] = 0.0
+        with pytest.raises(ValueError):
+            m.u_keyframe[0] = 0.0
+
     def test_partial_overlap(self):
         m = match({1: 9.0, 9: 3.0}, KF, NoiseModel())
         assert m.pairs == ((1, 9.0, 10.0),)
@@ -55,11 +67,14 @@ class TestMatch:
         assert a != b
 
 
-class _BigNormalRng:
-    """Stub generator whose normal() always lands outside the clip bound."""
+class _FixedNormalRng:
+    """Stub generator whose normal() always returns the same draw."""
+
+    def __init__(self, draw: float = 1000.0):  # default: outside the clip bound
+        self.draw = draw
 
     def normal(self, loc, scale):
-        return 1000.0
+        return self.draw
 
 
 class TestPerturb:
@@ -69,7 +84,17 @@ class TestPerturb:
 
     def test_clipped_at_three_sigma(self):
         noise = NoiseModel(pixel_sigma=2.0)
-        assert perturb(5.0, noise, _BigNormalRng()) == pytest.approx(5.0 + 6.0)
+        assert perturb(5.0, noise, _FixedNormalRng()) == pytest.approx(5.0 + 6.0)
+
+    @given(
+        u=st.floats(-200.0, 200.0),
+        sigma=st.floats(0.01, 5.0),
+        draw=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_clip_equals_numpy_clip(self, u, sigma, draw):
+        lim = 3.0 * sigma
+        expected = u + float(np.clip(draw, -lim, lim))
+        assert perturb(u, NoiseModel(pixel_sigma=sigma), _FixedNormalRng(draw)) == expected
 
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
@@ -128,6 +153,37 @@ class TestMedianDistanceAndMse:
             median_distance(MatchSet())
         with pytest.raises(EmptyMatchError):
             mse(MatchSet())
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# finite doubles of any magnitude; x + 0.0 turns -0.0 into 0.0 (see below)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0)
+
+
+class TestPythonMedian:
+    """median_distance and the sloped controller use statistics.median in place
+    of np.median; the two must agree to the bit."""
+
+    @pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
+    @settings(max_examples=300)
+    @given(xs=st.lists(_FINITE, min_size=2, max_size=25))
+    def test_equals_numpy_median_bit_for_bit(self, parity, xs):
+        if len(xs) % 2 != parity:
+            xs = xs[1:]
+        with np.errstate(over="ignore"):  # two huge middle values sum to inf in both
+            theirs = float(np.median(np.array(xs, dtype=float)))
+        assert _bits(statistics.median(xs)) == _bits(theirs)
+
+    def test_signed_zero_tie_differs_only_in_sign(self):
+        # sorted() keeps -0.0 and 0.0 in input order, np.median's partition does
+        # not, so a tie of the two zeros may return either sign; no caller's
+        # result depends on the sign of a zero median (each takes abs() of it,
+        # of a difference, or tests a product >= 0)
+        xs = [0.0, -0.0, 0.0]
+        assert statistics.median(xs) == float(np.median(xs)) == 0.0
 
 
 class TestSplitSides:

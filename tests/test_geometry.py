@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funnelnav.errors import ConfigError
@@ -95,6 +95,34 @@ class TestVisibleSet:
         out = visible_set(w, Pose(0, 0, 0), CAM)
         assert set(out) == {1}
         assert out[1] == pytest.approx(277.0 / 4.0)
+
+    # From the pose (0, 0, 0) these coordinates put landmarks exactly at
+    # min_depth (x = 0.5), exactly on the image border (|y| = x / 2, so
+    # |u| = 200 * |y| / x = 100), behind the camera and on the optical axis.
+    @settings(max_examples=200)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.5, 1.0, 2.0, -1.0, 0.0])),
+                st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.25, -0.25, 0.5, -1.0, 0.0])),
+            ),
+            max_size=30,
+        ),
+        pose=st.one_of(
+            st.just(Pose(0.0, 0.0, 0.0)),
+            st.builds(Pose, st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(-4.0, 4.0)),
+        ),
+    )
+    @example(points=[(0.5, 0.0), (0.5, 0.25), (1.0, -0.5), (2.0, 1.0), (-1.0, 0.0)],
+             pose=Pose(0.0, 0.0, 0.0))
+    def test_equals_project_on_every_landmark(self, points, pose):
+        cam = CameraModel(focal_length=200.0, half_width=100.0, min_depth=0.5)
+        lms = tuple(Landmark(i, x, y) for i, (x, y) in enumerate(points))
+        world = World(landmarks=lms, bounds=(-20, -20, 20, 20))
+        expected = [(lm.id, project(lm, pose, cam)) for lm in lms]
+        expected = [(i, u) for i, u in expected if u is not None]
+        # repr compares ids, order and every float to the bit, signed zeros included
+        assert repr(list(visible_set(world, pose, cam).items())) == repr(expected)
 
 
 class TestStep:

@@ -1,17 +1,33 @@
 """Repeat-phase navigator tests: switching, recovery, outcomes, determinism."""
 
+import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from funnelnav.errors import InvalidPathError
-from funnelnav.evaluate import load_scenario
-from funnelnav.features import Keyframe, MatchSet, NoiseModel, VisualPath
+from funnelnav.errors import DegenerateSpreadError, EmptyMatchError, InvalidPathError
+from funnelnav.evaluate import load_scenario, run_scenario
+from funnelnav.features import (
+    Keyframe,
+    MatchSet,
+    NoiseModel,
+    VisualPath,
+    median_distance,
+    mse,
+    std_ratio,
+)
 from funnelnav.geometry import CameraModel, Landmark, MotionCommand, Pose, World
-from funnelnav.navigate import TERMINAL_EVENTS, NavigatorConfig, navigate, should_switch
+from funnelnav.navigate import (
+    TERMINAL_EVENTS,
+    NavigatorConfig,
+    navigate,
+    should_switch,
+    tick_stats,
+)
 from funnelnav.teach import TeachScript, record
 
-from conftest import ALL_SCENARIOS, ms
+from conftest import ALL_SCENARIOS, SCENARIO_DIR, ms
 
 CAM = CameraModel()
 CFG = NavigatorConfig()
@@ -35,27 +51,53 @@ def straight_path(world, duration=10.0):
     return record(world, CAM, script, min_features=4)
 
 
+def _or_none(stat, m):
+    try:
+        return stat(m)
+    except (DegenerateSpreadError, EmptyMatchError):
+        return None
+
+
+class TestTickStats:
+    @pytest.mark.parametrize(
+        "m",
+        [
+            MatchSet(),
+            ms((1, 22.0, 20.0)),  # one pair: no spread ratio
+            ms((1, 3.0, 5.0), (2, -4.0, 5.0), (3, 9.0, 5.0)),  # no keyframe spread
+            ms((1, -21.0, -20.0), (2, 21.0, 20.0), (3, 4.5, 3.0), (4, 7.25, 9.0)),
+        ],
+        ids=["empty", "one-pair", "zero-keyframe-spread", "four-pairs"],
+    )
+    def test_equals_the_feature_statistics(self, m):
+        stats = tick_stats(m)
+        assert stats.nmf == len(m)
+        assert stats.ratio == _or_none(std_ratio, m)
+        assert stats.ed == _or_none(median_distance, m)
+        assert stats.mse == _or_none(mse, m)
+
+
 class TestShouldSwitch:
     def test_ratio_and_distance_both_met(self):
         cfg = NavigatorConfig(threshold1_ed=5.0)
         m = ms((1, -21.0, -20.0), (2, 21.0, 20.0))  # ratio 1.05, ed 0
-        assert should_switch(m, cfg)
+        assert should_switch(tick_stats(m), cfg)
 
     def test_ratio_not_crossed(self):
         m = ms((1, -18.0, -20.0), (2, 18.0, 20.0))  # ratio 0.9, ed 0
-        assert not should_switch(m, CFG)
+        assert not should_switch(tick_stats(m), CFG)
 
     def test_distance_too_large(self):
         m = ms((1, -21.0 + 40.0, -20.0), (2, 21.0 + 40.0, 20.0))  # ratio 1.05, ed 40
-        assert not should_switch(m, CFG)
+        assert not should_switch(tick_stats(m), CFG)
 
     def test_degenerate_fallback_uses_half_threshold(self):
         cfg = NavigatorConfig(threshold1_ed=10.0)
-        assert should_switch(ms((1, 22.0, 20.0)), cfg)  # ed 2 < 5
-        assert not should_switch(ms((1, 27.0, 20.0)), cfg)  # ed 7 >= 5
+        assert should_switch(tick_stats(ms((1, 22.0, 20.0))), cfg)  # ed 2 < 5
+        assert not should_switch(tick_stats(ms((1, 27.0, 20.0))), cfg)  # ed 7 >= 5
 
     def test_empty_never_switches(self):
-        assert not should_switch(MatchSet(), CFG)
+        assert not should_switch(tick_stats(MatchSet()), CFG)
 
     def test_exact_keyframe_then_one_tick_past(self):
         world = corridor_world()
@@ -66,10 +108,10 @@ class TestShouldSwitch:
         from funnelnav.geometry import step, visible_set
 
         at_kf = match(visible_set(world, kf.pose_truth, CAM), kf, quiet)
-        assert not should_switch(at_kf, CFG)  # ratio exactly 1 is not past
+        assert not should_switch(tick_stats(at_kf), CFG)  # ratio exactly 1 is not past
         past = step(kf.pose_truth, MotionCommand(0.5, 0.0), 0.1)
         past_m = match(visible_set(world, past, CAM), kf, quiet)
-        assert should_switch(past_m, CFG)
+        assert should_switch(tick_stats(past_m), CFG)
 
 
 class TestNavigateOutcomes:
@@ -156,8 +198,6 @@ class TestTraceInvariants:
 
     def test_summary_record_fields(self):
         tr = self._noisy_trace()
-        import json
-
         last = json.loads(tr.jsonl_lines()[-1])
         assert last["summary"] is True
         assert last["outcome"] == tr.outcome
@@ -165,15 +205,32 @@ class TestTraceInvariants:
         assert last["seed"] == 3
 
 
+class TestSummaryCountsRecords:
+    """The summary's "ticks" counts trace records, not loop ticks."""
+
+    def test_timeout_appends_a_record_after_the_last_tick(self):
+        world = corridor_world()
+        tr = navigate(
+            world, CAM, straight_path(world), Pose(0, 0, 0),
+            NavigatorConfig(max_ticks=1), NoiseModel(),
+        )
+        assert [(r.tick, r.event) for r in tr.records] == [(0, ""), (1, "timeout")]
+        assert json.loads(tr.jsonl_lines()[-1])["ticks"] == 2
+
+    def test_collision_repeats_the_tick_of_its_command_record(self):
+        scn = replace(load_scenario(SCENARIO_DIR / "narrow_room.yaml"), seed=0, runs=1)
+        (tr,) = run_scenario(scn, controller="standard").traces
+        assert tr.outcome == "collision"
+        assert [(r.tick, r.event) for r in tr.records[-2:]] == [(225, ""), (225, "collision")]
+        assert json.loads(tr.jsonl_lines()[-1])["ticks"] == len(tr.records) == 227
+
+
 class TestZeroNoiseSuiteInvariant:
     @pytest.mark.parametrize("scenario_file", ALL_SCENARIOS, ids=lambda p: p.stem)
     def test_sloped_completes_every_scenario_without_noise(self, scenario_file):
         scn = load_scenario(scenario_file)
         path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
-        cfg = scn.navigator
-        from dataclasses import replace
-
-        cfg = replace(cfg, controller="sloped")
+        cfg = replace(scn.navigator, controller="sloped")
         tr = navigate(
             scn.repeat_world(), scn.camera, path, scn.repeat_start, cfg, NoiseModel()
         )
