@@ -11,6 +11,7 @@ controller adapts its turning radius and recovers.
 
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from funnelnav.evaluate import load_scenario
@@ -28,8 +29,6 @@ def main() -> int:
     print(f"teach start (0.00, 0.00), repeat start ({scn.repeat_start.x:.2f}, "
           f"{scn.repeat_start.y:.2f}), goal ({goal.x:.2f}, {goal.y:.2f})\n")
     for controller in ("standard", "sloped"):
-        from dataclasses import replace
-
         cfg = replace(scn.navigator, controller=controller)
         tr = navigate(scn.world, scn.camera, path, scn.repeat_start, cfg, NoiseModel())
         print(f"== {controller} ==")

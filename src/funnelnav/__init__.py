@@ -10,12 +10,10 @@ scenario evaluation harness.
 from .control_sloped import (
     SlopedParams,
     SlopedState,
-    compute_s_x,
-    compute_s_y,
     radius_policy,
     sloped_command,
 )
-from .control_standard import StandardParams, SteerDecision, feature_vote, standard_command
+from .control_standard import StandardParams, feature_vote, standard_command
 from .errors import (
     ConfigError,
     DegenerateSpreadError,

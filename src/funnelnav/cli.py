@@ -63,7 +63,10 @@ def _write_meta(out: Path, args, scenario_name: str) -> None:
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
     if args.seed is not None:
-        scn = replace(scn, seed=args.seed)
+        try:
+            scn = replace(scn, seed=args.seed)
+        except ValueError as e:
+            raise ConfigError(f"--seed: {e}") from e
     if args.controller is not None:
         scn = replace(scn, navigator=replace(scn.navigator, controller=args.controller))
     return scn

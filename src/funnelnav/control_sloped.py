@@ -3,7 +3,9 @@
 All matched features are summarized by one lane over side medians plus two
 slopes: a pitch slope (one minus the spread ratio, large when far from the
 keyframe) that sets the turning radius, and a roll slope (normalized median
-offsets, summed over sides) that steers inside the lane.
+offsets, summed over sides) that steers inside the lane.  evaluate_state
+computes both slopes and the lane verdict from one split into sides; the
+pitch slope comes from the spread ratio the navigator computed for the tick.
 """
 
 from __future__ import annotations
@@ -12,18 +14,17 @@ from dataclasses import dataclass
 from statistics import median
 
 from .errors import EmptyMatchError
-from .features import MatchSet, split_sides, std_ratio
+from .features import MatchSet, split_sides
+# read only by perfbench/run.py, whose tracer wraps control_sloped.std_ratio
+from .features import std_ratio  # noqa: F401
 from .geometry import MotionCommand
 
 __all__ = [
     "SlopedParams",
     "SlopedState",
-    "compute_s_y",
-    "compute_s_x",
     "radius_policy",
     "evaluate_state",
     "sloped_command",
-    "inside_sloped",
 ]
 
 
@@ -44,24 +45,16 @@ class SlopedParams:
 
 @dataclass(frozen=True)
 class SlopedState:
-    """Per-tick controller internals, emitted for tracing only."""
+    """Per-tick controller internals: the two slopes, which the trace records,
+    and the four lane constraints, whose conjunction it records as inside."""
 
-    s_x: float
-    s_y: float | None  # None when the spread ratio is unavailable
-    mu_l_c: float | None
-    mu_l_j: float | None
-    mu_r_c: float | None
-    mu_r_j: float | None
+    s_x: float  # roll slope
+    s_y: float | None  # pitch slope; None when the spread ratio is unavailable
     constraints: tuple[bool, bool, bool, bool]
 
     @property
     def inside(self) -> bool:
         return all(self.constraints)
-
-
-def compute_s_y(m: MatchSet) -> float:
-    """Pitch slope: 1 - spread ratio; positive before the keyframe, 0 at it."""
-    return 1.0 - std_ratio(m)
 
 
 def _medians(pairs):
@@ -70,28 +63,6 @@ def _medians(pairs):
     mu_c = float(median([p[1] for p in pairs]))
     mu_j = float(median([p[2] for p in pairs]))
     return mu_c, mu_j
-
-
-def _roll_slope(sides, p: SlopedParams) -> float:
-    s = 0.0
-    for mu_c, mu_j in sides:
-        if mu_c is None:
-            continue
-        s += (mu_c - mu_j) / max(abs(mu_j), p.norm_floor)
-    return s
-
-
-def compute_s_x(m: MatchSet, p: SlopedParams) -> float:
-    """Roll slope: sum over sides of the normalized median offset.
-
-    Each side contributes (median_current - median_keyframe) divided by the
-    keyframe median magnitude (floored at norm_floor); an absent side
-    contributes 0.
-    """
-    if len(m) == 0:
-        raise EmptyMatchError("compute_s_x on empty match set")
-    left, right = split_sides(m)
-    return _roll_slope((_medians(left), _medians(right)), p)
 
 
 def radius_policy(s_y: float, p: SlopedParams) -> tuple[float, float]:
@@ -107,10 +78,13 @@ def radius_policy(s_y: float, p: SlopedParams) -> tuple[float, float]:
 
 
 def evaluate_state(m: MatchSet, p: SlopedParams, ratio: float | None) -> SlopedState:
-    """Slopes, side medians and the four lane constraints for one match set.
+    """Both slopes and the four lane constraints for one match set.
 
     ratio is the match set's spread ratio, std_ratio(m), or None where that is
     undefined; the navigator passes the one it already computed for the tick.
+    The pitch slope is 1 - ratio; the constraints never read it.  The roll
+    slope sums, over sides, (median_current - median_keyframe) divided by the
+    keyframe median magnitude floored at norm_floor; an absent side adds 0.
     Constraint order: right magnitude, left magnitude, right sign, left sign.
     A missing side leaves its two constraints satisfied; a zero coordinate
     matches either sign.
@@ -129,13 +103,14 @@ def evaluate_state(m: MatchSet, p: SlopedParams, ratio: float | None) -> SlopedS
     c3 = mu_r_c is None or mu_r_c * mu_r_j >= 0
     c4 = mu_l_c is None or mu_l_c * mu_l_j >= 0
 
+    s_x = 0.0
+    for mu_c, mu_j in ((mu_l_c, mu_l_j), (mu_r_c, mu_r_j)):
+        if mu_c is not None:
+            s_x += (mu_c - mu_j) / max(abs(mu_j), p.norm_floor)
+
     return SlopedState(
-        s_x=_roll_slope(((mu_l_c, mu_l_j), (mu_r_c, mu_r_j)), p),
-        s_y=None if ratio is None else 1.0 - ratio,  # the pitch slope, compute_s_y(m)
-        mu_l_c=mu_l_c,
-        mu_l_j=mu_l_j,
-        mu_r_c=mu_r_c,
-        mu_r_j=mu_r_j,
+        s_x=s_x,
+        s_y=None if ratio is None else 1.0 - ratio,
         constraints=(c1, c2, c3, c4),
     )
 
@@ -179,9 +154,3 @@ def sloped_command(
     if drifted_left:
         return _turn(-1, st.s_y, p), st
     return _turn(+1, st.s_y, p), st
-
-
-def inside_sloped(m: MatchSet, p: SlopedParams) -> bool:
-    """True when all four median constraints hold."""
-    # the constraints read the side medians only, never the spread ratio
-    return evaluate_state(m, p, None).inside

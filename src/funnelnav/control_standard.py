@@ -3,7 +3,8 @@
 Each matched feature votes forward/left/right from two qualitative
 constraints on its image coordinates; the majority wins and the robot turns
 at a fixed preset radius.  The command's rotational speed is always one of
-{-omega0, 0, +omega0}: the constant-radius limitation is structural.
+{-omega0, 0, +omega0}: the constant-radius limitation is structural.  One
+tally gives both the command and the lane verdict (every vote forward).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .errors import EmptyMatchError
 from .features import MatchSet
 from .geometry import MotionCommand
 
-__all__ = ["StandardParams", "SteerDecision", "feature_vote", "decide", "standard_command", "inside_funnel"]
+__all__ = ["StandardParams", "feature_vote", "standard_command", "inside_funnel"]
 
 FORWARD = "forward"
 LEFT = "left"
@@ -32,12 +33,6 @@ class StandardParams:
     def __post_init__(self):
         if self.v0 <= 0 or self.omega0 <= 0:
             raise ValueError("v0 and omega0 must be strictly positive")
-
-
-@dataclass(frozen=True)
-class SteerDecision:
-    direction: str
-    votes: tuple[int, int, int]  # (forward, left, right)
 
 
 def feature_vote(u_c: float, u_j: float) -> str:
@@ -61,27 +56,23 @@ def feature_vote(u_c: float, u_j: float) -> str:
     return FORWARD
 
 
-def decide(m: MatchSet) -> SteerDecision:
-    """Majority vote over all matched features; ties break forward, then left."""
+def standard_command(m: MatchSet, p: StandardParams) -> tuple[MotionCommand, bool]:
+    """Command for the majority direction at the preset speeds, and whether
+    m lies inside the funnel lane (every feature votes forward).
+
+    Ties break forward, then left.
+    """
     if len(m) == 0:
         raise EmptyMatchError("standard controller needs at least one match")
     tally = Counter(feature_vote(ua, ub) for _, ua, ub in m.pairs)
-    votes = (tally[FORWARD], tally[LEFT], tally[RIGHT])
-    best = max(votes)
-    for direction, n in zip((FORWARD, LEFT, RIGHT), votes):
-        if n == best:
-            return SteerDecision(direction, votes)
-    raise AssertionError("unreachable")
-
-
-def standard_command(m: MatchSet, p: StandardParams) -> MotionCommand:
-    """MotionCommand for the majority direction at the preset speeds."""
-    d = decide(m)
-    if d.direction == FORWARD:
-        return MotionCommand(p.v0, 0.0)
-    if d.direction == LEFT:
-        return MotionCommand(p.v0, p.omega0)
-    return MotionCommand(p.v0, -p.omega0)
+    forward, left, right = tally[FORWARD], tally[LEFT], tally[RIGHT]
+    if forward >= max(left, right):
+        omega = 0.0
+    elif left >= right:
+        omega = p.omega0
+    else:
+        omega = -p.omega0
+    return MotionCommand(p.v0, omega), forward == len(m)
 
 
 def inside_funnel(m: MatchSet) -> bool:

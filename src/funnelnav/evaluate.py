@@ -121,10 +121,11 @@ def controller_inside_grid(
 ) -> list[bool]:
     """The controller's own "inside combined funnel lane" verdict on each grid pose."""
     quiet = NoiseModel()
+    rng = quiet.make_rng()  # one generator for the grid; the quiet model never draws
     out = []
     for pose in grid_poses(grid, kf.pose_truth.theta):
         obs = visible_set(world, pose, cam)
-        m = match(obs, kf, quiet)
+        m = match(obs, kf, quiet, rng)
         if len(m) < len(kf.observations):
             out.append(False)
             continue
@@ -156,6 +157,8 @@ class Scenario:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def repeat_world(self) -> World:
         """The world as seen in the repeat phase (dynamic scenarios drop landmarks)."""
@@ -253,6 +256,7 @@ _KNOWN_KEYS = {
                  "controllers", "oracle"),
     "world": ("bounds", "landmarks", "generated", "obstacles"),
     "teach": ("start", "steps", "dt", "min_features"),
+    "teach.steps": ("v", "omega", "duration"),
     "repeat": ("start", "runs", "seed", "tolerance", "remove_landmarks"),
     "controllers": ("standard", "sloped"),
     "oracle": ("keyframe", "grid"),
@@ -288,9 +292,10 @@ def scenario_from_dict(d: dict) -> Scenario:
 
         t = _section(_require(d, "teach", "scenario"), "teach")
         start = Pose(*_require(t, "start", "teach"))
+        raw_steps = [_section(s, "teach.steps") for s in _require(t, "steps", "teach")]
         steps = tuple(
             (MotionCommand(float(s["v"]), float(s["omega"])), float(s["duration"]))
-            for s in _require(t, "steps", "teach")
+            for s in raw_steps
         )
         script = TeachScript(steps=steps, start_pose=start, dt=float(t.get("dt", 0.1)))
 

@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .control_sloped import SlopedParams, sloped_command
-from .control_standard import StandardParams, inside_funnel, standard_command
+from .control_standard import StandardParams, standard_command
+# read only by perfbench/run.py, whose tracer wraps navigate.inside_funnel
+from .control_standard import inside_funnel  # noqa: F401
 from .errors import ConfigError, DegenerateSpreadError, EmptyMatchError, InvalidPathError
 from .features import (
     MatchSet,
@@ -199,8 +201,6 @@ def navigate(
     stopped = 0
     recovering = False
     records: list[TickRecord] = []
-    outcome = "timeout"
-    final_event_logged = False
 
     def rec(tick, cmd, stats, seg, event, state=None, inside=None):
         records.append(
@@ -246,7 +246,6 @@ def navigate(
             if dest == last:
                 rec(tick, STOP, stats, dest, "done")
                 outcome = "done"
-                final_event_logged = True
                 break
             dest += 1
             tracked = None
@@ -262,8 +261,7 @@ def navigate(
             state = None
             inside = None
             if cfg.controller == "standard":
-                cmd = standard_command(m, cfg.standard)
-                inside = inside_funnel(m)
+                cmd, inside = standard_command(m, cfg.standard)
             else:
                 cmd, state = sloped_command(m, cfg.sloped, stats.ratio)
             rec(tick, cmd, stats, dest, event, state=state, inside=inside)
@@ -271,7 +269,6 @@ def navigate(
             if in_collision(world, pose):
                 rec(tick, STOP, stats, dest, "collision")
                 outcome = "collision"
-                final_event_logged = True
                 break
             # per-tick tracking attrition
             if noise.dropout_prob > 0.0:
@@ -282,12 +279,10 @@ def navigate(
             if stopped >= cfg.threshold3_time:
                 rec(tick, STOP, stats, dest, "lost")
                 outcome = "lost"
-                final_event_logged = True
                 break
             rec(tick, STOP, stats, dest, "stopped")
             tracked = None  # full re-match next tick
-
-    if not final_event_logged:
+    else:  # no terminal event within max_ticks
         rec(len(records), STOP, tick_stats(MatchSet()), dest, "timeout")
         outcome = "timeout"
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from funnelnav.cli import main
-from funnelnav.control_sloped import SlopedParams, compute_s_x, compute_s_y, radius_policy, sloped_command
+from funnelnav.control_sloped import SlopedParams, evaluate_state, radius_policy, sloped_command
 from funnelnav.control_standard import standard_command
 from funnelnav.errors import TeachDegenerateError
 from funnelnav.evaluate import (
@@ -108,17 +108,21 @@ class TestOracleEquivalence:
         assert combined == intersection
 
 
+def slopes(m):
+    """The sloped controller's state for m, with the navigator's spread ratio."""
+    return evaluate_state(m, SlopedParams(0.5, 0.5), tick_stats(m).ratio)
+
+
 class TestSlopeArithmetic:
     """The two slope statistics and the radius policy match hand values."""
 
     def test_pitch_slope_values(self):
-        assert compute_s_y(ms((1, -20.0, -20.0), (2, 20.0, 20.0))) == 0.0
-        assert compute_s_y(ms((1, -20.0, -40.0), (2, 20.0, 40.0))) == 0.5
+        assert slopes(ms((1, -20.0, -20.0), (2, 20.0, 20.0))).s_y == 0.0
+        assert slopes(ms((1, -20.0, -40.0), (2, 20.0, 40.0))).s_y == 0.5
 
     def test_roll_slope_values(self):
-        p = SlopedParams(0.5, 0.5)
-        assert compute_s_x(ms((1, -10.0, -10.0), (2, 20.0, 20.0)), p) == 0.0
-        assert compute_s_x(ms((1, -5.0, -10.0), (2, 25.0, 20.0)), p) == 0.75
+        assert slopes(ms((1, -10.0, -10.0), (2, 20.0, 20.0))).s_x == 0.0
+        assert slopes(ms((1, -5.0, -10.0), (2, 25.0, 20.0))).s_x == 0.75
 
     def test_radius_policy_values(self):
         p = SlopedParams(0.5, 0.5)
@@ -140,7 +144,7 @@ class TestSlopeArithmetic:
         values = []
         for x in np.linspace(0.0, 4.9, 100):
             m = match(visible_set(world, Pose(float(x), 0.0, 0.0), CAM), kf, quiet)
-            values.append(compute_s_y(m))
+            values.append(slopes(m).s_y)
         assert all(b - a < -1e-9 for a, b in zip(values, values[1:]))
 
 
@@ -157,7 +161,7 @@ class TestAmbiguityResolution:
             kf = path.keyframes[-1]
             obs = visible_set(scn.world, scn.repeat_start, scn.camera)
             m = match(obs, kf, NoiseModel())
-            std_cmd = standard_command(m, scn.navigator.standard)
+            std_cmd, _ = standard_command(m, scn.navigator.standard)
             slo_cmd, state = sloped_command(m, scn.navigator.sloped, tick_stats(m).ratio)
             commands[name] = (std_cmd, slo_cmd, state)
 

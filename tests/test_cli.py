@@ -87,6 +87,17 @@ class TestExitCodes:
         assert main(["repeat", "--config", str(cfg), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, extra",
+        [({}, ["--seed", "-1"]), ({"repeat": {"start": [0.0, 0.0, 0.0], "seed": -2}}, [])],
+        ids=["option", "config"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, overrides, extra):
+        cfg = small_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["repeat", "--config", str(cfg), "--out", str(out), *extra]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_empty_landmark_world_oracle_check_exits_3(self, tmp_path):
         cfg = small_config(tmp_path, world={"bounds": [-5, -5, 20, 5], "landmarks": []})
         out = tmp_path / "out"

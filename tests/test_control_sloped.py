@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 
 from funnelnav.control_sloped import (
     SlopedParams,
-    compute_s_x,
-    compute_s_y,
     evaluate_state,
-    inside_sloped,
     radius_policy,
     sloped_command,
 )
 from funnelnav.errors import DegenerateSpreadError, EmptyMatchError
-from funnelnav.features import MatchSet
+from funnelnav.features import MatchSet, split_sides, std_ratio
 from funnelnav.geometry import MotionCommand
 from funnelnav.navigate import tick_stats
 
@@ -35,41 +32,45 @@ def command(m):
 
 class TestPitchSlope:
     def test_zero_at_keyframe(self):
-        assert compute_s_y(ms((1, -20.0, -20.0), (2, 20.0, 20.0))) == pytest.approx(0.0)
+        assert state(ms((1, -20.0, -20.0), (2, 20.0, 20.0))).s_y == pytest.approx(0.0)
 
     def test_half_when_spread_halves(self):
-        assert compute_s_y(ms((1, -20.0, -40.0), (2, 20.0, 40.0))) == pytest.approx(0.5)
+        assert state(ms((1, -20.0, -40.0), (2, 20.0, 40.0))).s_y == pytest.approx(0.5)
 
     def test_degenerate_spread_propagates(self):
+        # the spread ratio raises; the navigator's tick stats carry that as None
+        m = ms((1, 1.0, 5.0))
         with pytest.raises(DegenerateSpreadError):
-            compute_s_y(ms((1, 1.0, 5.0)))
+            std_ratio(m)
+        assert tick_stats(m).ratio is None
+        assert state(m).s_y is None
 
 
 class TestRollSlope:
     def test_zero_on_path(self):
         m = ms((1, -10.0, -10.0), (2, 20.0, 20.0))
-        assert compute_s_x(m, P) == pytest.approx(0.0)
+        assert state(m).s_x == pytest.approx(0.0)
 
     def test_two_side_hand_value(self):
         # left: (-5 - -10)/10 = 0.5; right: (25 - 20)/20 = 0.25
         m = ms((1, -5.0, -10.0), (2, 25.0, 20.0))
-        assert compute_s_x(m, P) == pytest.approx(0.75)
+        assert state(m).s_x == pytest.approx(0.75)
 
     def test_norm_floor_applies_near_center(self):
         m = ms((1, 3.0, 2.0))
-        assert compute_s_x(m, P) == pytest.approx((3.0 - 2.0) / 5.0)
+        assert state(m).s_x == pytest.approx((3.0 - 2.0) / 5.0)
 
     def test_absent_side_contributes_zero(self):
         m = ms((1, 25.0, 20.0))
-        assert compute_s_x(m, P) == pytest.approx(0.25)
+        assert state(m).s_x == pytest.approx(0.25)
 
     def test_median_per_side(self):
         m = ms((1, 10.0, 10.0), (2, 20.0, 10.0), (3, 30.0, 10.0))
-        assert compute_s_x(m, P) == pytest.approx((20.0 - 10.0) / 10.0)
+        assert state(m).s_x == pytest.approx((20.0 - 10.0) / 10.0)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMatchError):
-            compute_s_x(MatchSet(), P)
+            state(MatchSet())
 
 
 class TestRadiusPolicy:
@@ -99,7 +100,8 @@ class TestConstraints:
         st_ = state(m)
         assert st_.constraints == (True, True, True, True)
         assert st_.inside
-        assert inside_sloped(m, P)
+        # the constraints never read the spread ratio
+        assert evaluate_state(m, P, None).inside
 
     def test_magnitude_violations(self):
         # right median grew: c1 false; left median grew: c2 false
@@ -115,8 +117,9 @@ class TestConstraints:
         assert left_flip.constraints[3] is False
 
     def test_missing_side_leaves_constraints_satisfied(self):
-        st_ = state(ms((1, 15.0, 20.0), (2, 18.0, 22.0)))
-        assert st_.mu_l_c is None
+        m = ms((1, 15.0, 20.0), (2, 18.0, 22.0))
+        st_ = state(m)
+        assert split_sides(m)[0] == ()
         assert st_.constraints[1] and st_.constraints[3]
 
     def test_zero_coordinate_matches_either_sign(self):
@@ -125,7 +128,7 @@ class TestConstraints:
 
     def test_s_y_is_one_minus_the_ratio_passed_in(self):
         m = ms((1, -20.0, -40.0), (2, 20.0, 40.0))
-        assert state(m).s_y == compute_s_y(m) == 0.5
+        assert state(m).s_y == 1.0 - std_ratio(m) == 0.5
         assert evaluate_state(m, P, 0.25).s_y == 0.75
 
     def test_s_y_none_when_spread_degenerate(self):
@@ -218,15 +221,11 @@ class TestSlopedCommand:
         assume(all(b != 0.0 for _, b in coords))
         m = MatchSet(tuple((i, a, b) for i, (a, b) in enumerate(coords)))
         mirrored = MatchSet(tuple((i, -a, -b) for i, (a, b) in enumerate(coords)))
-        assert compute_s_x(mirrored, P) == pytest.approx(-compute_s_x(m, P), abs=1e-9)
-        try:
-            sy = compute_s_y(m)
-        except DegenerateSpreadError:
-            sy = None
-        if sy is not None:
-            assert compute_s_y(mirrored) == pytest.approx(sy, abs=1e-9)
         st_a = state(m)
         st_b = state(mirrored)
+        assert st_b.s_x == pytest.approx(-st_a.s_x, abs=1e-9)
+        if st_a.s_y is not None:
+            assert st_b.s_y == pytest.approx(st_a.s_y, abs=1e-9)
         c1, c2, c3, c4 = st_a.constraints
         assert st_b.constraints == (c2, c1, c4, c3)
 

@@ -206,6 +206,24 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=repr(path[-1])):
             scenario_from_dict(d)
 
+    def test_unknown_key_in_teach_step_is_config_error_naming_it(self):
+        d = minimal_scenario_dict()
+        d["teach"]["steps"][0]["durration"] = 9
+        with pytest.raises(ConfigError, match="teach.steps.*'durration'"):
+            scenario_from_dict(d)
+
+    def test_non_mapping_teach_step_is_config_error(self):
+        d = minimal_scenario_dict()
+        d["teach"]["steps"].append([0.5, 0.0, 1.0])
+        with pytest.raises(ConfigError, match="teach.steps"):
+            scenario_from_dict(d)
+
+    def test_negative_seed_is_config_error(self):
+        d = minimal_scenario_dict()
+        d["repeat"]["seed"] = -2
+        with pytest.raises(ConfigError, match="seed"):
+            scenario_from_dict(d)
+
     def test_empty_optional_blocks_read_as_defaults(self):
         d = minimal_scenario_dict(camera=None, navigator=None, controllers=None, oracle=None)
         scn = scenario_from_dict(d)
