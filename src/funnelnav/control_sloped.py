@@ -10,6 +10,7 @@ pitch slope comes from the spread ratio the navigator computed for the tick.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import median
 
@@ -37,8 +38,9 @@ class SlopedParams:
     v_floor_frac: float = 0.05  # fraction of v_max kept while turning, for liveness
 
     def __post_init__(self):
-        if min(self.v_max, self.omega_max, self.sx_epsilon, self.norm_floor) <= 0:
-            raise ValueError("all sloped parameters must be strictly positive")
+        positive = (self.v_max, self.omega_max, self.sx_epsilon, self.norm_floor)
+        if not all(0 < x < math.inf for x in positive):
+            raise ValueError("all sloped parameters must be strictly positive and finite")
         if not 0.0 <= self.v_floor_frac < 1.0:
             raise ValueError("v_floor_frac must lie in [0, 1)")
 

@@ -9,6 +9,7 @@ tally gives both the command and the lane verdict (every vote forward).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -31,8 +32,8 @@ class StandardParams:
     omega0: float
 
     def __post_init__(self):
-        if self.v0 <= 0 or self.omega0 <= 0:
-            raise ValueError("v0 and omega0 must be strictly positive")
+        if not (0 < self.v0 < math.inf and 0 < self.omega0 < math.inf):
+            raise ValueError("v0 and omega0 must be strictly positive and finite")
 
 
 def feature_vote(u_c: float, u_j: float) -> str:

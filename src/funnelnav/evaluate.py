@@ -1,20 +1,20 @@
-"""Scenario harness: endpoint metrics, the brute-force funnel-lane oracle and
-batch execution of teach/repeat scenarios."""
+"""Scenario harness: endpoint metrics, the brute-force funnel-lane oracle,
+batch execution of teach/repeat scenarios and the scenario file format."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
 
 from .control_sloped import SlopedParams
 from .control_standard import StandardParams, inside_funnel
-from .errors import ConfigError, EmptyMatchError
+from .errors import ConfigError
 from .features import Keyframe, NoiseModel, VisualPath, match
-from .geometry import CameraModel, MotionCommand, Pose, World, visible_set, world_from_dict
+from .geometry import CameraModel, Landmark, MotionCommand, Pose, World, visible_set
 from .navigate import NavigatorConfig, RunTrace, navigate
 from .teach import TeachScript, record
 
@@ -31,6 +31,7 @@ __all__ = [
     "run_scenario",
     "load_scenario",
     "scenario_from_dict",
+    "world_from_dict",
 ]
 
 
@@ -129,10 +130,7 @@ def controller_inside_grid(
         if len(m) < len(kf.observations):
             out.append(False)
             continue
-        try:
-            out.append(inside_funnel(m))
-        except EmptyMatchError:
-            out.append(False)
+        out.append(inside_funnel(m))
     return out
 
 
@@ -148,11 +146,11 @@ class Scenario:
     noise: NoiseModel
     navigator: NavigatorConfig
     oracle: OracleSpec
-    runs: int = 1
-    seed: int = 0
-    tolerance: float = 0.3  # meters, per-run success bound on final error
-    remove_landmarks: tuple[int, ...] = field(default=())
-    min_teach_features: int = 4
+    runs: int
+    seed: int
+    tolerance: float  # meters, per-run success bound on final error
+    remove_landmarks: tuple[int, ...]
+    min_teach_features: int
 
     def __post_init__(self):
         if self.runs < 1:
@@ -249,16 +247,25 @@ def _require(d: dict, key: str, ctx: str):
     return d[key]
 
 
-# keys a scenario file may use, per section; the other sections are checked
-# by the constructors they are passed to as keyword arguments
+# keys a scenario file may use, per block; _section checks every block
 _KNOWN_KEYS = {
     "scenario": ("name", "world", "camera", "teach", "repeat", "noise", "navigator",
                  "controllers", "oracle"),
     "world": ("bounds", "landmarks", "generated", "obstacles"),
+    "world.generated": ("grid", "ring", "line"),
+    "world.generated.grid": ("x0", "x1", "nx", "y0", "y1", "ny"),
+    "world.generated.ring": ("cx", "cy", "radius", "n", "phase"),
+    "world.generated.line": ("x0", "y0", "x1", "y1", "n"),
+    "camera": ("focal_length", "half_width", "min_depth"),
     "teach": ("start", "steps", "dt", "min_features"),
     "teach.steps": ("v", "omega", "duration"),
     "repeat": ("start", "runs", "seed", "tolerance", "remove_landmarks"),
+    "noise": ("dropout_prob", "pixel_sigma"),  # the run seed comes from repeat.seed
+    "navigator": ("threshold1_ed", "threshold2_features", "threshold3_time", "dt",
+                  "controller", "max_ticks"),
     "controllers": ("standard", "sloped"),
+    "controllers.standard": ("v0", "omega0"),
+    "controllers.sloped": ("v_max", "omega_max", "sx_epsilon", "norm_floor", "v_floor_frac"),
     "oracle": ("keyframe", "grid"),
     "oracle.grid": ("x0", "x1", "nx", "y0", "y1", "ny"),
 }
@@ -274,12 +281,78 @@ def _section(value, ctx: str) -> dict:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(f"{ctx}: must be a mapping, not {type(value).__name__}")
-    known = _KNOWN_KEYS.get(ctx)
-    if known is not None:
-        for key in value:
-            if key not in known:
-                raise ConfigError(f"{ctx}: unknown key {key!r}")
+    for key in value:
+        if key not in _KNOWN_KEYS[ctx]:
+            raise ConfigError(f"{ctx}: unknown key {key!r}")
     return value
+
+
+def _grid_points(g):
+    nx, ny = int(g["nx"]), int(g["ny"])
+    for iy in range(ny):
+        for ix in range(nx):
+            x = g["x0"] + (g["x1"] - g["x0"]) * (ix / (nx - 1) if nx > 1 else 0.0)
+            y = g["y0"] + (g["y1"] - g["y0"]) * (iy / (ny - 1) if ny > 1 else 0.0)
+            yield x, y
+
+
+def _ring_points(g):
+    n, phase = int(g["n"]), float(g.get("phase", 0.0))
+    for k in range(n):
+        a = 2.0 * math.pi * k / n + phase
+        yield g["cx"] + g["radius"] * math.cos(a), g["cy"] + g["radius"] * math.sin(a)
+
+
+def _line_points(g):
+    n = int(g["n"])
+    for k in range(n):
+        t = k / (n - 1) if n > 1 else 0.0
+        yield g["x0"] + (g["x1"] - g["x0"]) * t, g["y0"] + (g["y1"] - g["y0"]) * t
+
+
+_GENERATORS = {"grid": _grid_points, "ring": _ring_points, "line": _line_points}
+
+
+def _rect(value, ctx: str) -> tuple[float, float, float, float]:
+    r = tuple(float(v) for v in value)
+    if len(r) != 4:
+        raise ConfigError(f"{ctx}: must have 4 entries xmin, ymin, xmax, ymax, not {len(r)}")
+    return r
+
+
+def world_from_dict(d: dict) -> World:
+    """Build a World from the `world` block of a scenario file.
+
+    Schema::
+
+        bounds: [xmin, ymin, xmax, ymax]
+        landmarks: [[id, x, y], ...]            # optional
+        generated:                              # optional, ids auto-assigned
+          - grid: {x0, x1, nx, y0, y1, ny}
+          - ring: {cx, cy, radius, n, phase}    # phase optional, radians
+          - line: {x0, y0, x1, y1, n}           # n points, endpoints included
+        obstacles: [[xmin, ymin, xmax, ymax], ...]   # optional
+
+    Each `generated` entry names one generator; generated ids count up from
+    the largest explicit id.
+    """
+    d = _section(d, "world")
+    try:
+        bounds = _rect(_require(d, "bounds", "world"), "world.bounds")
+        landmarks = [Landmark(int(i), float(x), float(y)) for i, x, y in d.get("landmarks", [])]
+        next_id = max((lm.id for lm in landmarks), default=0) + 1
+        for entry in d.get("generated", []):
+            entry = _section(entry, "world.generated")
+            if len(entry) != 1:
+                raise ConfigError(f"world.generated: an entry names one generator: {sorted(entry)}")
+            ((kind, params),) = entry.items()
+            for x, y in _GENERATORS[kind](_section(params, f"world.generated.{kind}")):
+                landmarks.append(Landmark(next_id, float(x), float(y)))
+                next_id += 1
+        obstacles = tuple(_rect(r, "world.obstacles") for r in d.get("obstacles", []))
+        return World(landmarks=tuple(landmarks), bounds=bounds, obstacles=obstacles)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"world: {e}") from e
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -287,11 +360,11 @@ def scenario_from_dict(d: dict) -> Scenario:
     try:
         d = _section(d, "scenario")
         name = str(_require(d, "name", "scenario"))
-        world = world_from_dict(_section(_require(d, "world", "scenario"), "world"))
+        world = world_from_dict(_require(d, "world", "scenario"))
         camera = CameraModel(**_section(d.get("camera"), "camera"))
 
         t = _section(_require(d, "teach", "scenario"), "teach")
-        start = Pose(*_require(t, "start", "teach"))
+        start = Pose(*map(float, _require(t, "start", "teach")))
         raw_steps = [_section(s, "teach.steps") for s in _require(t, "steps", "teach")]
         steps = tuple(
             (MotionCommand(float(s["v"]), float(s["omega"])), float(s["duration"]))
@@ -300,7 +373,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         script = TeachScript(steps=steps, start_pose=start, dt=float(t.get("dt", 0.1)))
 
         r = _section(d.get("repeat"), "repeat")
-        repeat_start = Pose(*r["start"]) if "start" in r else start
+        repeat_start = Pose(*map(float, r["start"])) if "start" in r else start
         noise = NoiseModel(**_section(d.get("noise"), "noise"))
 
         nav = dict(_section(d.get("navigator"), "navigator"))
@@ -331,12 +404,10 @@ def scenario_from_dict(d: dict) -> Scenario:
             runs=int(r.get("runs", 1)),
             seed=int(r.get("seed", 0)),
             tolerance=float(r.get("tolerance", 0.3)),
-            remove_landmarks=tuple(r.get("remove_landmarks", [])),
+            remove_landmarks=tuple(int(i) for i in r.get("remove_landmarks", [])),
             min_teach_features=int(t.get("min_features", 4)),
         )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"scenario: {e}") from e
 
 

@@ -132,7 +132,7 @@ def match(
     current_obs: dict[int, float],
     kf: Keyframe,
     noise: NoiseModel,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> MatchSet:
     """Simulated feature matching of the current image against a keyframe.
 
@@ -140,8 +140,6 @@ def match(
     coordinates get pixel noise, keyframe coordinates are taken verbatim.
     An empty result is a legal value (consumed as "lost" upstream).
     """
-    if rng is None:
-        rng = noise.make_rng()
     common = sorted(set(current_obs) & set(kf.observations))
     pairs = []
     for i in common:

@@ -22,8 +22,6 @@ __all__ = [
     "visible_set",
     "step",
     "in_collision",
-    "world_from_dict",
-    "world_to_dict",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -190,85 +188,3 @@ def in_collision(world: World, pose: Pose) -> bool:
             return True
     return False
 
-
-def world_from_dict(d: dict) -> World:
-    """Build a World from its file representation.
-
-    Schema::
-
-        bounds: [xmin, ymin, xmax, ymax]
-        landmarks: [[id, x, y], ...]            # optional
-        generated:                              # optional, ids auto-assigned
-          - grid: {x0, x1, nx, y0, y1, ny}
-          - ring: {cx, cy, radius, n, phase}    # phase optional, radians
-          - line: {x0, y0, x1, y1, n}           # n points, endpoints included
-        obstacles: [[xmin, ymin, xmax, ymax], ...]   # optional
-    """
-    from .errors import ConfigError
-
-    try:
-        bounds = tuple(float(v) for v in d["bounds"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"world: bad or missing bounds: {e}") from e
-    if len(bounds) != 4:
-        raise ConfigError("world: bounds must have 4 entries")
-
-    landmarks = []
-    for entry in d.get("landmarks", []):
-        i, x, y = entry
-        landmarks.append(Landmark(int(i), float(x), float(y)))
-    next_id = max((lm.id for lm in landmarks), default=0) + 1
-    for gen in d.get("generated", []):
-        if "grid" in gen:
-            g = gen["grid"]
-            nx, ny = int(g["nx"]), int(g["ny"])
-            for iy in range(ny):
-                for ix in range(nx):
-                    x = g["x0"] + (g["x1"] - g["x0"]) * (ix / (nx - 1) if nx > 1 else 0.0)
-                    y = g["y0"] + (g["y1"] - g["y0"]) * (iy / (ny - 1) if ny > 1 else 0.0)
-                    landmarks.append(Landmark(next_id, float(x), float(y)))
-                    next_id += 1
-        elif "ring" in gen:
-            g = gen["ring"]
-            n = int(g["n"])
-            phase = float(g.get("phase", 0.0))
-            for k in range(n):
-                a = _TWO_PI * k / n + phase
-                landmarks.append(
-                    Landmark(
-                        next_id,
-                        float(g["cx"] + g["radius"] * math.cos(a)),
-                        float(g["cy"] + g["radius"] * math.sin(a)),
-                    )
-                )
-                next_id += 1
-        elif "line" in gen:
-            g = gen["line"]
-            n = int(g["n"])
-            for k in range(n):
-                t = k / (n - 1) if n > 1 else 0.0
-                landmarks.append(
-                    Landmark(
-                        next_id,
-                        float(g["x0"] + (g["x1"] - g["x0"]) * t),
-                        float(g["y0"] + (g["y1"] - g["y0"]) * t),
-                    )
-                )
-                next_id += 1
-        else:
-            raise ConfigError(f"world: unknown generator {sorted(gen)}")
-
-    obstacles = tuple(tuple(float(v) for v in r) for r in d.get("obstacles", []))
-    try:
-        return World(landmarks=tuple(landmarks), bounds=bounds, obstacles=obstacles)
-    except ValueError as e:
-        raise ConfigError(f"world: {e}") from e
-
-
-def world_to_dict(world: World) -> dict:
-    """Inverse of world_from_dict (generators are expanded to explicit landmarks)."""
-    return {
-        "bounds": list(world.bounds),
-        "landmarks": [[lm.id, lm.x, lm.y] for lm in world.landmarks],
-        "obstacles": [list(r) for r in world.obstacles],
-    }

@@ -11,6 +11,7 @@ switch or during recovery.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,14 +60,14 @@ class NavigatorConfig:
     sloped: SlopedParams = field(default_factory=lambda: SlopedParams(0.5, 0.5))
 
     def __post_init__(self):
-        if self.threshold1_ed <= 0 or self.threshold3_time <= 0 or self.dt <= 0:
-            raise ValueError("thresholds and dt must be positive")
+        if self.threshold1_ed <= 0 or self.threshold3_time <= 0 or not 0 < self.dt < math.inf:
+            raise ValueError("thresholds must be positive, and dt positive and finite")
         if self.threshold2_features < 2:
             raise ValueError("threshold2_features must be at least 2")
         if self.controller not in ("standard", "sloped"):
             raise ValueError(f"unknown controller {self.controller!r}")
-        if self.max_ticks <= 0:
-            raise ValueError("max_ticks must be positive")
+        if not isinstance(self.max_ticks, int) or self.max_ticks <= 0:
+            raise ValueError(f"max_ticks must be a positive integer, not {self.max_ticks!r}")
 
 
 @dataclass(frozen=True)

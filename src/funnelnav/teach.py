@@ -9,6 +9,7 @@ as it stays inside the image.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import TeachDegenerateError
@@ -27,11 +28,13 @@ class TeachScript:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        for _, duration in self.steps:
-            if duration <= 0:
-                raise ValueError("step durations must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        for cmd, duration in self.steps:
+            if not 0 < duration < math.inf:
+                raise ValueError("step durations must be positive and finite")
+            if not (math.isfinite(cmd.v) and math.isfinite(cmd.omega)):
+                raise ValueError("step speeds v and omega must be finite")
 
     def poses(self) -> list[Pose]:
         """The full frame-by-frame pose sequence, starting at start_pose."""

@@ -142,8 +142,9 @@ class TestSlopeArithmetic:
         kf = Keyframe(1, kf_pose, visible_set(world, kf_pose, CAM))
         quiet = NoiseModel()
         values = []
+        rng = quiet.make_rng()
         for x in np.linspace(0.0, 4.9, 100):
-            m = match(visible_set(world, Pose(float(x), 0.0, 0.0), CAM), kf, quiet)
+            m = match(visible_set(world, Pose(float(x), 0.0, 0.0), CAM), kf, quiet, rng)
             values.append(slopes(m).s_y)
         assert all(b - a < -1e-9 for a, b in zip(values, values[1:]))
 
@@ -160,7 +161,7 @@ class TestAmbiguityResolution:
             path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
             kf = path.keyframes[-1]
             obs = visible_set(scn.world, scn.repeat_start, scn.camera)
-            m = match(obs, kf, NoiseModel())
+            m = match(obs, kf, NoiseModel(), NoiseModel().make_rng())
             std_cmd, _ = standard_command(m, scn.navigator.standard)
             slo_cmd, state = sloped_command(m, scn.navigator.sloped, tick_stats(m).ratio)
             commands[name] = (std_cmd, slo_cmd, state)
@@ -275,7 +276,7 @@ class TestSwitchingCorrectness:
             ]
             fired_at = None
             for f, pose in enumerate(extended):
-                m = match(visible_set(world, pose, CAM), kf, quiet)
+                m = match(visible_set(world, pose, CAM), kf, quiet, quiet.make_rng())
                 if should_switch(tick_stats(m), cfg):
                     fired_at = f
                     break

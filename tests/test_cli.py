@@ -1,13 +1,19 @@
 """Command-line interface tests: subcommands, exit codes, output artifacts."""
 
+import copy
 import json
+import math
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from funnelnav.cli import main
 
 from conftest import SCENARIO_DIR
+
+LINE = {"x0": 0.5, "y0": -2.0, "x1": 12.0, "y1": -2.0, "n": 12}
 
 
 def small_config(tmp_path, **overrides):
@@ -78,8 +84,16 @@ class TestExitCodes:
             ({"repeat": [1]}, "repeat"),
             ({"controllers": [1]}, "controllers"),
             ({"navigatr": {"max_ticks": 5}}, "navigatr"),
+            ({"noise": {"seed": 7}}, "noise: unknown key 'seed'"),
+            ({"navigator": {"sloped": {"v_max": 0.5, "omega_max": 0.5}}}, "'sloped'"),
+            ({"world": {"bounds": [-5, -5, 20, 5], "generated": [{"line": {**LINE, "m": 3}}]}},
+             "'m'"),
+            ({"world": {"bounds": [-5, -5, 20, 5], "generated": [{"line": LINE, "ring": {}}]}},
+             "'line', 'ring'"),
+            ({"navigator": {"max_ticks": 1.5}}, "max_ticks"),
         ],
-        ids=["repeat-list", "controllers-list", "misspelled-navigator"],
+        ids=["repeat-list", "controllers-list", "misspelled-navigator", "noise-seed",
+             "navigator-sloped", "generator-unknown-key", "two-generators", "max-ticks-1.5"],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, named):
         cfg = small_config(tmp_path, **overrides)
@@ -102,6 +116,58 @@ class TestExitCodes:
         cfg = small_config(tmp_path, world={"bounds": [-5, -5, 20, 5], "landmarks": []})
         out = tmp_path / "out"
         assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 3
+
+
+def contract_base() -> dict:
+    """funnel_two_features plus one generator of each kind, an obstacle and a camera."""
+    d = yaml.safe_load((SCENARIO_DIR / "funnel_two_features.yaml").read_text())
+    d["world"]["generated"] = [
+        {"line": {"x0": 7.0, "y0": 3.0, "x1": 7.5, "y1": 3.0, "n": 2}},
+        {"ring": {"cx": 7.0, "cy": -3.0, "radius": 0.5, "n": 3, "phase": 0.1}},
+        {"grid": {"x0": -1.5, "x1": -1.0, "nx": 2, "y0": 3.0, "y1": 3.5, "ny": 2}},
+    ]
+    d["world"]["obstacles"] = [[3.0, 2.5, 3.5, 3.0]]  # beside the taught path
+    d["camera"] = {"focal_length": 277.0, "half_width": 160.0, "min_depth": 0.1}
+    return d
+
+
+def leaves(node, prefix=()):
+    """The path of every dict value and list element, at any depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from leaves(value, prefix + (key,))
+
+
+CONTRACT_BASE = contract_base()
+# sampled, not arbitrary floats: a valid but tiny teach dt such as 1e-300
+# would make the teach drive loop about 1e301 times
+ODD_VALUES = [None, True, -1, 0, 1, 2, 1.5, -0.5, math.nan, math.inf, "x", [], {}, [1, 2, 3]]
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None)
+    @given(leaf=st.sampled_from(list(leaves(CONTRACT_BASE))), value=st.sampled_from(ODD_VALUES))
+    @example(leaf=("repeat", "runs"), value=math.inf)  # int() overflow
+    @example(leaf=("teach", "start", 0), value="x")  # non-numeric start
+    @example(leaf=("teach", "dt"), value=math.nan)  # round() of NaN in the teach drive
+    @example(leaf=("navigator", "max_ticks"), value=1.5)  # range() of a float
+    @example(leaf=("world", "obstacles", 0), value=[1, 2, 3])  # unpacked on each tick
+    def test_one_replaced_leaf_exits_0_2_3_or_4(self, tmp_path_factory, leaf, value):
+        d = copy.deepcopy(CONTRACT_BASE)
+        node = d
+        for key in leaf[:-1]:
+            node = node[key]
+        node[leaf[-1]] = value
+        tmp = tmp_path_factory.mktemp("leaf")
+        cfg = tmp / "scenario.yaml"
+        cfg.write_text(yaml.safe_dump(d))
+        assert main(["repeat", "--config", str(cfg), "--out", str(tmp / "out")]) in (0, 2, 3, 4)
 
 
 class TestRepeatAndCompare:

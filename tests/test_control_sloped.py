@@ -1,5 +1,7 @@
 """Sloped-lane controller unit tests: slopes, constraints and commands."""
 
+import math
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -238,3 +240,7 @@ class TestParams:
             SlopedParams(v_max=0.5, omega_max=0.5, norm_floor=0.0)
         with pytest.raises(ValueError):
             SlopedParams(v_max=0.5, omega_max=0.5, v_floor_frac=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            SlopedParams(v_max=0.5, omega_max=math.inf)
+        with pytest.raises(ValueError):
+            SlopedParams(v_max=math.nan, omega_max=0.5)

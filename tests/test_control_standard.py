@@ -1,5 +1,6 @@
 """Majority-vote controller unit tests."""
 
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -163,3 +164,7 @@ class TestParams:
             StandardParams(v0=0.0, omega0=0.5)
         with pytest.raises(ValueError):
             StandardParams(v0=0.5, omega0=-0.1)
+        with pytest.raises(ValueError, match="finite"):
+            StandardParams(v0=0.5, omega0=math.inf)
+        with pytest.raises(ValueError):
+            StandardParams(v0=math.nan, omega0=0.5)

@@ -1,13 +1,16 @@
 """Metrics, funnel-lane oracle and scenario-harness tests."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from funnelnav.control_sloped import SlopedParams
+from funnelnav.control_standard import StandardParams
 from funnelnav.errors import ConfigError
 from funnelnav.evaluate import (
+    _KNOWN_KEYS,
     GridSpec,
     Scenario,
     accuracy,
@@ -18,6 +21,7 @@ from funnelnav.evaluate import (
     repeatability,
     run_scenario,
     scenario_from_dict,
+    world_from_dict,
 )
 from funnelnav.features import NoiseModel
 from funnelnav.geometry import CameraModel, Landmark, MotionCommand, Pose, World
@@ -113,6 +117,105 @@ class TestFunnelOracle:
         )
 
 
+class TestWorldFromDict:
+    def test_explicit_landmarks(self):
+        w = world_from_dict(
+            {"bounds": [-5, -5, 5, 5], "landmarks": [[7, 1.0, 2.0]]}
+        )
+        assert w.landmarks == (Landmark(7, 1.0, 2.0),)
+
+    def test_grid_generator_count(self):
+        w = world_from_dict(
+            {
+                "bounds": [-5, -5, 5, 5],
+                "generated": [{"grid": {"x0": 0, "x1": 2, "nx": 3, "y0": 0, "y1": 1, "ny": 2}}],
+            }
+        )
+        assert len(w.landmarks) == 6
+        xs = sorted({lm.x for lm in w.landmarks})
+        assert xs == pytest.approx([0.0, 1.0, 2.0])
+
+    def test_ring_generator_with_phase(self):
+        w = world_from_dict(
+            {
+                "bounds": [-5, -5, 5, 5],
+                "generated": [{"ring": {"cx": 0, "cy": 0, "radius": 2.0, "n": 4, "phase": 0.5}}],
+            }
+        )
+        assert len(w.landmarks) == 4
+        first = w.landmarks[0]
+        assert first.x == pytest.approx(2.0 * math.cos(0.5))
+        assert first.y == pytest.approx(2.0 * math.sin(0.5))
+
+    def test_line_generator_includes_endpoints(self):
+        w = world_from_dict(
+            {
+                "bounds": [-5, -5, 5, 5],
+                "generated": [{"line": {"x0": 0, "y0": 0, "x1": 3, "y1": 0, "n": 4}}],
+            }
+        )
+        xs = [lm.x for lm in w.landmarks]
+        assert xs == pytest.approx([0.0, 1.0, 2.0, 3.0])
+
+    def test_generated_ids_count_up_from_largest_explicit_id(self):
+        w = world_from_dict(
+            {
+                "bounds": [-5, -5, 5, 5],
+                "landmarks": [[7, 0.0, 0.0], [3, 1.0, 0.0]],
+                "generated": [
+                    {"line": {"x0": 0, "y0": 1, "x1": 1, "y1": 1, "n": 2}},
+                    {"ring": {"cx": 0, "cy": 0, "radius": 2.0, "n": 2}},
+                ],
+            }
+        )
+        assert [lm.id for lm in w.landmarks] == [7, 3, 8, 9, 10, 11]
+
+    def test_unknown_generator_rejected(self):
+        with pytest.raises(ConfigError, match="'spiral'"):
+            world_from_dict({"bounds": [-5, -5, 5, 5], "generated": [{"spiral": {}}]})
+
+    LINE = {"x0": 0, "y0": 0, "x1": 1, "y1": 0, "n": 2}
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ({"line": {**LINE, "m": 3}}, "line: unknown key 'm'"),
+            ({"line": LINE, "ring": {}}, "'line', 'ring'"),
+            ({}, "one generator"),
+            ([1], "world.generated: must be a mapping"),
+        ],
+        ids=["unknown-key", "two-generators", "no-generator", "not-a-mapping"],
+    )
+    def test_malformed_generated_entry_rejected(self, entry, named):
+        with pytest.raises(ConfigError, match=named):
+            world_from_dict({"bounds": [-5, -5, 5, 5], "generated": [entry]})
+
+    @pytest.mark.parametrize("obstacle", [[0, 0, 1], []])
+    def test_obstacle_must_be_four_numbers(self, obstacle):
+        with pytest.raises(ConfigError, match="world.obstacles"):
+            world_from_dict({"bounds": [-5, -5, 5, 5], "obstacles": [obstacle]})
+
+    def test_missing_bounds_rejected(self):
+        with pytest.raises(ConfigError):
+            world_from_dict({"landmarks": []})
+
+
+class TestKnownKeys:
+    @pytest.mark.parametrize(
+        "block, cls, not_in_files",
+        [
+            ("camera", CameraModel, set()),
+            ("noise", NoiseModel, {"seed"}),
+            ("navigator", NavigatorConfig, {"standard", "sloped"}),
+            ("controllers.standard", StandardParams, set()),
+            ("controllers.sloped", SlopedParams, set()),
+        ],
+    )
+    def test_constructor_blocks_list_every_settable_field(self, block, cls, not_in_files):
+        # a dataclass field missing from the table could not be set from a file
+        assert set(_KNOWN_KEYS[block]) == {f.name for f in fields(cls)} - not_in_files
+
+
 def minimal_scenario_dict(**overrides):
     d = {
         "name": "unit",
@@ -168,6 +271,12 @@ class TestScenarioConfig:
         removed = scn.repeat_world()
         assert {lm.id for lm in scn.world.landmarks} - {lm.id for lm in removed.landmarks} == {3, 4}
 
+    def test_remove_landmarks_entries_must_be_ids(self):
+        d = minimal_scenario_dict()
+        d["repeat"]["remove_landmarks"] = [[3]]
+        with pytest.raises(ConfigError, match="list"):
+            scenario_from_dict(d)
+
     def test_oracle_block_defaults(self):
         scn = scenario_from_dict(minimal_scenario_dict())
         assert scn.oracle.keyframe == -1
@@ -194,7 +303,9 @@ class TestScenarioConfig:
     @pytest.mark.parametrize(
         "path",
         [("navigatr",), ("world", "obstacle"), ("teach", "min_feature"), ("repeat", "seeds"),
-         ("controllers", "slopped"), ("oracle", "keyfrmae"), ("oracle", "grid", "nz")],
+         ("controllers", "slopped"), ("oracle", "keyfrmae"), ("oracle", "grid", "nz"),
+         ("camera", "focal"), ("noise", "seed"), ("navigator", "sloped"),
+         ("controllers", "sloped", "vmax")],
         ids=lambda p: ".".join(p),
     )
     def test_unknown_key_is_config_error_naming_it(self, path):
@@ -225,10 +336,15 @@ class TestScenarioConfig:
             scenario_from_dict(d)
 
     def test_empty_optional_blocks_read_as_defaults(self):
-        d = minimal_scenario_dict(camera=None, navigator=None, controllers=None, oracle=None)
+        d = minimal_scenario_dict(
+            camera=None, repeat=None, noise=None, navigator=None, controllers=None, oracle=None
+        )
         scn = scenario_from_dict(d)
         assert scn.camera == CameraModel()
         assert scn.oracle.keyframe == -1
+        assert scn.repeat_start == scn.script.start_pose
+        assert (scn.runs, scn.seed, scn.tolerance) == (1, 0, 0.3)
+        assert (scn.remove_landmarks, scn.min_teach_features) == ((), 4)
 
     def test_yaml_parse_error_carries_line_number(self, tmp_path):
         f = tmp_path / "bad.yaml"

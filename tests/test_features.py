@@ -32,16 +32,16 @@ KF = Keyframe(index=0, pose_truth=Pose(0, 0, 0), observations={1: 10.0, 2: -5.0,
 
 class TestMatch:
     def test_disjoint_ids_give_empty_set(self):
-        m = match({7: 1.0, 8: 2.0}, KF, NoiseModel())
+        m = match({7: 1.0, 8: 2.0}, KF, NoiseModel(), NoiseModel().make_rng())
         assert len(m) == 0
 
     def test_identity_with_zero_noise(self):
-        m = match(dict(KF.observations), KF, NoiseModel())
+        m = match(dict(KF.observations), KF, NoiseModel(), NoiseModel().make_rng())
         assert m.ids == (1, 2, 3)
         assert list(m.u_current) == list(m.u_keyframe)
 
     def test_coordinate_arrays_are_built_once_and_read_only(self):
-        m = match(dict(KF.observations), KF, NoiseModel())
+        m = match(dict(KF.observations), KF, NoiseModel(), NoiseModel().make_rng())
         assert m.u_current is m.u_current
         assert m.u_keyframe is m.u_keyframe
         with pytest.raises(ValueError):
@@ -50,21 +50,20 @@ class TestMatch:
             m.u_keyframe[0] = 0.0
 
     def test_partial_overlap(self):
-        m = match({1: 9.0, 9: 3.0}, KF, NoiseModel())
+        m = match({1: 9.0, 9: 3.0}, KF, NoiseModel(), NoiseModel().make_rng())
         assert m.pairs == ((1, 9.0, 10.0),)
 
     def test_seeded_determinism(self):
         noise = NoiseModel(dropout_prob=0.3, pixel_sigma=2.0, seed=42)
-        a = match(dict(KF.observations), KF, noise)
-        b = match(dict(KF.observations), KF, noise)
+        a = match(dict(KF.observations), KF, noise, noise.make_rng())
+        b = match(dict(KF.observations), KF, noise, noise.make_rng())
         assert a == b
 
     def test_different_seeds_differ(self):
         obs = {i: float(i) for i in range(1, 50)}
         kf = Keyframe(0, Pose(0, 0, 0), dict(obs))
-        a = match(obs, kf, NoiseModel(dropout_prob=0.5, seed=1))
-        b = match(obs, kf, NoiseModel(dropout_prob=0.5, seed=2))
-        assert a != b
+        one, two = NoiseModel(dropout_prob=0.5, seed=1), NoiseModel(dropout_prob=0.5, seed=2)
+        assert match(obs, kf, one, one.make_rng()) != match(obs, kf, two, two.make_rng())
 
 
 class _FixedNormalRng:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from funnelnav.errors import ConfigError
 from funnelnav.geometry import (
     CameraModel,
     Landmark,
@@ -18,8 +17,6 @@ from funnelnav.geometry import (
     project,
     step,
     visible_set,
-    world_from_dict,
-    world_to_dict,
 )
 
 CAM = CameraModel()
@@ -212,61 +209,3 @@ class TestWorld:
         assert in_collision(w, Pose(0.5, 0.5, 0.0))
         assert not in_collision(w, Pose(2.0, 0.5, 0.0))
 
-
-class TestWorldFromDict:
-    def test_explicit_landmarks(self):
-        w = world_from_dict(
-            {"bounds": [-5, -5, 5, 5], "landmarks": [[7, 1.0, 2.0]]}
-        )
-        assert w.landmarks == (Landmark(7, 1.0, 2.0),)
-
-    def test_grid_generator_count(self):
-        w = world_from_dict(
-            {
-                "bounds": [-5, -5, 5, 5],
-                "generated": [{"grid": {"x0": 0, "x1": 2, "nx": 3, "y0": 0, "y1": 1, "ny": 2}}],
-            }
-        )
-        assert len(w.landmarks) == 6
-        xs = sorted({lm.x for lm in w.landmarks})
-        assert xs == pytest.approx([0.0, 1.0, 2.0])
-
-    def test_ring_generator_with_phase(self):
-        w = world_from_dict(
-            {
-                "bounds": [-5, -5, 5, 5],
-                "generated": [{"ring": {"cx": 0, "cy": 0, "radius": 2.0, "n": 4, "phase": 0.5}}],
-            }
-        )
-        assert len(w.landmarks) == 4
-        first = w.landmarks[0]
-        assert first.x == pytest.approx(2.0 * math.cos(0.5))
-        assert first.y == pytest.approx(2.0 * math.sin(0.5))
-
-    def test_line_generator_includes_endpoints(self):
-        w = world_from_dict(
-            {
-                "bounds": [-5, -5, 5, 5],
-                "generated": [{"line": {"x0": 0, "y0": 0, "x1": 3, "y1": 0, "n": 4}}],
-            }
-        )
-        xs = [lm.x for lm in w.landmarks]
-        assert xs == pytest.approx([0.0, 1.0, 2.0, 3.0])
-
-    def test_unknown_generator_rejected(self):
-        with pytest.raises(ConfigError):
-            world_from_dict({"bounds": [-5, -5, 5, 5], "generated": [{"spiral": {}}]})
-
-    def test_missing_bounds_rejected(self):
-        with pytest.raises(ConfigError):
-            world_from_dict({"landmarks": []})
-
-    def test_round_trip(self):
-        w = world_from_dict(
-            {
-                "bounds": [-5, -5, 5, 5],
-                "landmarks": [[1, 0.5, -0.5]],
-                "obstacles": [[0, 0, 1, 1]],
-            }
-        )
-        assert world_from_dict(world_to_dict(w)) == w

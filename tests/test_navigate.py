@@ -107,10 +107,10 @@ class TestShouldSwitch:
         from funnelnav.features import match
         from funnelnav.geometry import step, visible_set
 
-        at_kf = match(visible_set(world, kf.pose_truth, CAM), kf, quiet)
+        at_kf = match(visible_set(world, kf.pose_truth, CAM), kf, quiet, quiet.make_rng())
         assert not should_switch(tick_stats(at_kf), CFG)  # ratio exactly 1 is not past
         past = step(kf.pose_truth, MotionCommand(0.5, 0.0), 0.1)
-        past_m = match(visible_set(world, past, CAM), kf, quiet)
+        past_m = match(visible_set(world, past, CAM), kf, quiet, quiet.make_rng())
         assert should_switch(tick_stats(past_m), CFG)
 
 
@@ -247,3 +247,13 @@ class TestConfigValidation:
             NavigatorConfig(controller="magic")
         with pytest.raises(ValueError):
             NavigatorConfig(max_ticks=0)
+
+    @pytest.mark.parametrize("max_ticks", [1.5, 5.0, "5", math.inf])
+    def test_max_ticks_must_be_an_integer(self, max_ticks):
+        with pytest.raises(ValueError, match="max_ticks"):
+            NavigatorConfig(max_ticks=max_ticks)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_dt_must_be_finite(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            NavigatorConfig(dt=dt)

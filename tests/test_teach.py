@@ -1,5 +1,7 @@
 """Teach-phase keyframe selection tests."""
 
+import math
+
 import pytest
 
 from funnelnav.errors import TeachDegenerateError
@@ -35,6 +37,18 @@ class TestTeachScript:
         with pytest.raises(ValueError):
             TeachScript(
                 steps=((MotionCommand(0.5, 0.0), -1.0),), start_pose=Pose(0, 0, 0), dt=0.1
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["dt", "duration", "v", "omega"])
+    def test_rejects_non_finite_values(self, field, bad):
+        # each would end in round() or math.sin() on the first teach step
+        values = {"dt": 0.1, "duration": 1.0, "v": 0.5, "omega": 0.1, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            TeachScript(
+                steps=((MotionCommand(values["v"], values["omega"]), values["duration"]),),
+                start_pose=Pose(0, 0, 0),
+                dt=values["dt"],
             )
 
 
