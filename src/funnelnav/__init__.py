@@ -5,57 +5,21 @@ constraints, fixed turning radius) and the sloped funnel-lane controller
 (median-based lane with pitch/roll slopes and an adaptive turning radius),
 plus the teach-phase keyframe extractor, the repeat-phase navigator and a
 scenario evaluation harness.
+
+Import names from their modules, for example
+``from funnelnav.evaluate import load_scenario, run_scenario``.
+Importing the package loads every module below.
 """
 
-from .control_sloped import (
-    SlopedParams,
-    SlopedState,
-    radius_policy,
-    sloped_command,
+from . import (  # noqa: F401
+    control_sloped,
+    control_standard,
+    errors,
+    evaluate,
+    features,
+    geometry,
+    navigate,
+    teach,
 )
-from .control_standard import StandardParams, feature_vote, standard_command
-from .errors import (
-    ConfigError,
-    DegenerateSpreadError,
-    EmptyMatchError,
-    FunnelNavError,
-    InvalidPathError,
-    TeachDegenerateError,
-)
-from .evaluate import (
-    GridSpec,
-    MetricsReport,
-    Scenario,
-    accuracy,
-    funnel_oracle,
-    load_scenario,
-    repeatability,
-    run_scenario,
-)
-from .features import (
-    Keyframe,
-    MatchSet,
-    NoiseModel,
-    VisualPath,
-    load_visual_path,
-    match,
-    median_distance,
-    mse,
-    save_visual_path,
-    split_sides,
-    std_ratio,
-)
-from .geometry import (
-    CameraModel,
-    Landmark,
-    MotionCommand,
-    Pose,
-    World,
-    project,
-    step,
-    visible_set,
-)
-from .navigate import NavigatorConfig, RunTrace, TickStats, navigate, should_switch, tick_stats
-from .teach import TeachScript, record
 
 __version__ = "0.1.0"

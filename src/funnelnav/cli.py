@@ -1,16 +1,23 @@
 """Command-line entry point.
 
-Subcommands::
+Subcommands and the flags each one reads::
 
-    funnelnav teach        --config S.yaml --out DIR        # build a visual path
-    funnelnav repeat       --config S.yaml --out DIR        # run one controller
-    funnelnav compare      --config S.yaml --out DIR        # both controllers, same seeds
-    funnelnav oracle-check --config S.yaml --out DIR        # controller vs brute-force lane
-    funnelnav metrics      --config S.yaml --out DIR        # recompute metrics from traces
+    funnelnav teach        --config S.yaml --out DIR [--force]
+        build a visual path
+    funnelnav repeat       --config S.yaml --out DIR [--seed N] [--controller C] [--force]
+        run one controller (C: standard or sloped; default the scenario's)
+    funnelnav compare      --config S.yaml --out DIR [--seed N] [--force]
+        run both controllers on the same seeds
+    funnelnav oracle-check --config S.yaml --out DIR [--force]
+        controller vs brute-force lane
+    funnelnav metrics      --config S.yaml --out DIR
+        recompute metrics from the traces in DIR (writes nothing)
 
-Exit codes: 0 success, 2 config error, 3 degenerate domain input, 4 internal
-invariant breach.  Outputs are byte-reproducible for a fixed config and seed;
-wall-clock metadata lives only in meta.json.
+--seed overrides the scenario seed; --force allows writing into a non-empty
+output directory.  A flag a subcommand does not read is a usage error (exit
+2).  Exit codes: 0 success, 2 config or usage error, 3 degenerate domain
+input, 4 internal invariant breach.  Outputs are byte-reproducible for a
+fixed config and seed; wall-clock metadata lives only in meta.json.
 """
 
 from __future__ import annotations
@@ -61,17 +68,6 @@ def _write_meta(out: Path, args, scenario_name: str) -> None:
     (out / "meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
 
 
-def _apply_overrides(scn: Scenario, args) -> Scenario:
-    if args.seed is not None:
-        try:
-            scn = replace(scn, seed=args.seed)
-        except ValueError as e:
-            raise ConfigError(f"--seed: {e}") from e
-    if args.controller is not None:
-        scn = replace(scn, navigator=replace(scn.navigator, controller=args.controller))
-    return scn
-
-
 def _teach_path(scn: Scenario):
     return record(scn.world, scn.camera, scn.script, scn.min_teach_features)
 
@@ -116,21 +112,17 @@ def _report_row(rep: MetricsReport) -> str:
     )
 
 
-def cmd_repeat(scn: Scenario, out: Path) -> int:
+def cmd_repeat(scn: Scenario, out: Path, controllers) -> int:
+    """Teach once, then run and report each controller on the scenario's seeds.
+
+    A controller of None is the scenario's own.
+    """
     path = _teach_path(scn)
     save_visual_path(path, out / "visual_path.json")
-    rep = run_scenario(scn, path=path)
-    _write_report(rep, out, path)
-    print(_report_row(rep))
-    return 0
-
-
-def cmd_compare(scn: Scenario, out: Path) -> int:
-    path = _teach_path(scn)
-    save_visual_path(path, out / "visual_path.json")
-    print(f"scenario: {scn.name} ({scn.runs} runs per controller, seed {scn.seed})")
-    print(f"{'controller':>10}  {'accuracy / repeatability':^34}  outcome")
-    for controller in ("standard", "sloped"):
+    if len(controllers) > 1:
+        print(f"scenario: {scn.name} ({scn.runs} runs per controller, seed {scn.seed})")
+        print(f"{'controller':>10}  {'accuracy / repeatability':^34}  outcome")
+    for controller in controllers:
         rep = run_scenario(scn, controller=controller, path=path)
         _write_report(rep, out, path)
         print(_report_row(rep))
@@ -192,15 +184,28 @@ def cmd_metrics(scn: Scenario, out: Path) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="funnelnav", description=__doc__)
+    ap = argparse.ArgumentParser(
+        prog="funnelnav", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    # a subcommand without --seed or --controller reads None: no override
+    ap.set_defaults(seed=None, controller=None)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("teach", "repeat", "compare", "oracle-check", "metrics"):
-        p = sub.add_parser(name)
+    parsers = {
+        name: sub.add_parser(name)
+        for name in ("teach", "repeat", "compare", "oracle-check", "metrics")
+    }
+    for p in parsers.values():
         p.add_argument("--config", required=True, help="scenario YAML file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--controller", choices=("standard", "sloped"), default=None)
-        p.add_argument("--force", action="store_true", help="allow writing into a non-empty directory")
+    for name in ("repeat", "compare"):
+        parsers[name].add_argument(
+            "--seed", type=int, default=None, help="override the scenario seed"
+        )
+    parsers["repeat"].add_argument("--controller", choices=("standard", "sloped"), default=None)
+    for name in ("teach", "repeat", "compare", "oracle-check"):
+        parsers[name].add_argument(
+            "--force", action="store_true", help="allow writing into a non-empty directory"
+        )
     return ap
 
 
@@ -208,7 +213,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scn = load_scenario(args.config)
-        scn = _apply_overrides(scn, args)
+        if args.seed is not None:
+            try:
+                scn = replace(scn, seed=args.seed)
+            except ValueError as e:
+                raise ConfigError(f"--seed: {e}") from e
         if args.command == "metrics":
             out = Path(args.out)
             if not out.is_dir():
@@ -219,9 +228,9 @@ def main(argv=None) -> int:
         if args.command == "teach":
             return cmd_teach(scn, out)
         if args.command == "repeat":
-            return cmd_repeat(scn, out)
+            return cmd_repeat(scn, out, (args.controller,))
         if args.command == "compare":
-            return cmd_compare(scn, out)
+            return cmd_repeat(scn, out, ("standard", "sloped"))
         if args.command == "oracle-check":
             return cmd_oracle_check(scn, out)
         return cmd_metrics(scn, out)

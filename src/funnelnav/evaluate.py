@@ -65,6 +65,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x0, self.x1, self.y0, self.y1))):
+            raise ValueError("grid bounds must be finite")
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"grid needs at least 1 x 1 poses, got {self.nx} x {self.ny}")
 
@@ -313,8 +315,15 @@ def _line_points(g):
 _GENERATORS = {"grid": _grid_points, "ring": _ring_points, "line": _line_points}
 
 
+def _finite(value, ctx: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{ctx}: must be finite, not {x}")
+    return x
+
+
 def _rect(value, ctx: str) -> tuple[float, float, float, float]:
-    r = tuple(float(v) for v in value)
+    r = tuple(_finite(v, ctx) for v in value)
     if len(r) != 4:
         raise ConfigError(f"{ctx}: must have 4 entries xmin, ymin, xmax, ymax, not {len(r)}")
     return r
@@ -364,7 +373,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         camera = CameraModel(**_section(d.get("camera"), "camera"))
 
         t = _section(_require(d, "teach", "scenario"), "teach")
-        start = Pose(*map(float, _require(t, "start", "teach")))
+        start = Pose(*(_finite(v, "teach.start") for v in _require(t, "start", "teach")))
         raw_steps = [_section(s, "teach.steps") for s in _require(t, "steps", "teach")]
         steps = tuple(
             (MotionCommand(float(s["v"]), float(s["omega"])), float(s["duration"]))
@@ -373,7 +382,9 @@ def scenario_from_dict(d: dict) -> Scenario:
         script = TeachScript(steps=steps, start_pose=start, dt=float(t.get("dt", 0.1)))
 
         r = _section(d.get("repeat"), "repeat")
-        repeat_start = Pose(*map(float, r["start"])) if "start" in r else start
+        repeat_start = (
+            Pose(*(_finite(v, "repeat.start") for v in r["start"])) if "start" in r else start
+        )
         noise = NoiseModel(**_section(d.get("noise"), "noise"))
 
         nav = dict(_section(d.get("navigator"), "navigator"))
@@ -403,7 +414,7 @@ def scenario_from_dict(d: dict) -> Scenario:
             oracle=OracleSpec(keyframe=int(o.get("keyframe", -1)), grid=grid),
             runs=int(r.get("runs", 1)),
             seed=int(r.get("seed", 0)),
-            tolerance=float(r.get("tolerance", 0.3)),
+            tolerance=_finite(r.get("tolerance", 0.3), "repeat.tolerance"),
             remove_landmarks=tuple(int(i) for i in r.get("remove_landmarks", [])),
             min_teach_features=int(t.get("min_features", 4)),
         )

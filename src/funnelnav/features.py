@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,7 +24,6 @@ __all__ = [
     "mse",
     "split_sides",
     "save_visual_path",
-    "load_visual_path",
 ]
 
 
@@ -45,20 +45,13 @@ class Keyframe:
 
 @dataclass(frozen=True)
 class VisualPath:
-    """Ordered keyframes plus the features tracked across each segment.
-
-    segment_features[k] maps a landmark id to its coordinates at the start and
-    end keyframes of segment k.
-    """
+    """Ordered keyframes; consecutive keyframes share at least one observation."""
 
     keyframes: tuple[Keyframe, ...]
-    segment_features: tuple[dict[int, tuple[float, float]], ...]
 
     def __post_init__(self):
         if len(self.keyframes) < 2:
             raise InvalidPathError("a visual path needs at least 2 keyframes")
-        if len(self.segment_features) != len(self.keyframes) - 1:
-            raise InvalidPathError("segment_features must have one entry per segment")
         for a, b in zip(self.keyframes, self.keyframes[1:]):
             if not set(a.observations) & set(b.observations):
                 raise InvalidPathError(
@@ -81,8 +74,8 @@ class NoiseModel:
     def __post_init__(self):
         if not (0.0 <= self.dropout_prob < 1.0):
             raise ValueError("dropout_prob must be in [0, 1)")
-        if self.pixel_sigma < 0:
-            raise ValueError("pixel_sigma must be non-negative")
+        if not 0 <= self.pixel_sigma < math.inf:
+            raise ValueError("pixel_sigma must be non-negative and finite")
 
     def make_rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -192,10 +185,11 @@ def split_sides(m: MatchSet):
     return left, right
 
 
-# --- visual-path file round-trip (JSON) -------------------------------------
+# --- visual-path file (JSON) ------------------------------------------------
 
-def _path_to_dict(path: VisualPath) -> dict:
-    return {
+def save_visual_path(path: VisualPath, file) -> None:
+    """Write a visual path's keyframes as JSON, byte-stable for a given path."""
+    d = {
         "keyframes": [
             {
                 "index": kf.index,
@@ -204,36 +198,7 @@ def _path_to_dict(path: VisualPath) -> dict:
             }
             for kf in path.keyframes
         ],
-        "segment_features": [
-            {str(i): [ua, ub] for i, (ua, ub) in seg.items()}
-            for seg in path.segment_features
-        ],
     }
-
-
-def _path_from_dict(d: dict) -> VisualPath:
-    kfs = tuple(
-        Keyframe(
-            index=int(k["index"]),
-            pose_truth=Pose(*k["pose_truth"]),
-            observations={int(i): float(u) for i, u in k["observations"].items()},
-        )
-        for k in d["keyframes"]
-    )
-    segs = tuple(
-        {int(i): (float(v[0]), float(v[1])) for i, v in seg.items()}
-        for seg in d["segment_features"]
-    )
-    return VisualPath(keyframes=kfs, segment_features=segs)
-
-
-def save_visual_path(path: VisualPath, file) -> None:
-    """Write a visual path as JSON; round-trips losslessly through load_visual_path."""
     with open(file, "w") as fh:
-        json.dump(_path_to_dict(path), fh, indent=1, sort_keys=True)
+        json.dump(d, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def load_visual_path(file) -> VisualPath:
-    with open(file) as fh:
-        return _path_from_dict(json.load(fh))

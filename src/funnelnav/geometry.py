@@ -69,8 +69,9 @@ class CameraModel:
     min_depth: float = 0.1
 
     def __post_init__(self):
-        if self.focal_length <= 0 or self.half_width <= 0 or self.min_depth <= 0:
-            raise ValueError("camera parameters must be strictly positive")
+        for v in (self.focal_length, self.half_width, self.min_depth):
+            if not 0 < v < math.inf:
+                raise ValueError("camera parameters must be positive and finite")
 
 
 @dataclass(frozen=True)

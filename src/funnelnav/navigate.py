@@ -60,10 +60,11 @@ class NavigatorConfig:
     sloped: SlopedParams = field(default_factory=lambda: SlopedParams(0.5, 0.5))
 
     def __post_init__(self):
-        if self.threshold1_ed <= 0 or self.threshold3_time <= 0 or not 0 < self.dt < math.inf:
-            raise ValueError("thresholds must be positive, and dt positive and finite")
-        if self.threshold2_features < 2:
-            raise ValueError("threshold2_features must be at least 2")
+        for v in (self.threshold1_ed, self.threshold3_time, self.dt):
+            if not 0 < v < math.inf:
+                raise ValueError("thresholds and dt must be positive and finite")
+        if not 2 <= self.threshold2_features < math.inf:
+            raise ValueError("threshold2_features must be at least 2 and finite")
         if self.controller not in ("standard", "sloped"):
             raise ValueError(f"unknown controller {self.controller!r}")
         if not isinstance(self.max_ticks, int) or self.max_ticks <= 0:

@@ -93,14 +93,4 @@ def record(
         Keyframe(index=j, pose_truth=poses[fr], observations=dict(frames[fr]))
         for j, fr in enumerate(kf_frames)
     )
-
-    segment_features = []
-    for (fa, fb) in zip(kf_frames, kf_frames[1:]):
-        surviving = set(frames[fa])
-        for f in range(fa + 1, fb + 1):
-            surviving &= set(frames[f])
-        segment_features.append(
-            {i: (frames[fa][i], frames[fb][i]) for i in sorted(surviving)}
-        )
-
-    return VisualPath(keyframes=keyframes, segment_features=tuple(segment_features))
+    return VisualPath(keyframes=keyframes)

@@ -112,6 +112,21 @@ class TestExitCodes:
         assert main(["repeat", "--config", str(cfg), "--out", str(out), *extra]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("teach", ["--seed", "1"]),
+            ("compare", ["--controller", "sloped"]),
+            ("oracle-check", ["--controller", "sloped"]),
+            ("metrics", ["--force"]),
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_2(self, tmp_path, command, flag):
+        cfg = small_config(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flag])
+        assert e.value.code == 2
+
     def test_empty_landmark_world_oracle_check_exits_3(self, tmp_path):
         cfg = small_config(tmp_path, world={"bounds": [-5, -5, 20, 5], "landmarks": []})
         out = tmp_path / "out"
@@ -170,6 +185,35 @@ class TestExitCodeContract:
         assert main(["repeat", "--config", str(cfg), "--out", str(tmp / "out")]) in (0, 2, 3, 4)
 
 
+# leaves whose range checks a NaN must trip (a comparison such as x <= 0 is false for NaN)
+NAN_LEAVES = [
+    *[(block, "start", k) for block in ("teach", "repeat") for k in range(3)],
+    ("repeat", "tolerance"),
+    ("noise", "pixel_sigma"),
+    ("navigator", "threshold1_ed"),
+    ("navigator", "threshold2_features"),
+    ("navigator", "threshold3_time"),
+    ("camera", "focal_length"),
+    ("camera", "half_width"),
+    ("camera", "min_depth"),
+    *[("oracle", "grid", key) for key in ("x0", "x1", "y0", "y1")],
+    *[("world", "obstacles", 0, k) for k in range(4)],
+]
+
+
+@pytest.mark.parametrize("leaf", NAN_LEAVES, ids=lambda leaf: ".".join(map(str, leaf)))
+def test_nan_value_exits_2(tmp_path, capsys, leaf):
+    d = copy.deepcopy(CONTRACT_BASE)
+    node = d
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = math.nan
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(yaml.safe_dump(d))
+    assert main(["repeat", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 class TestRepeatAndCompare:
     def test_repeat_writes_traces_and_metrics(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -196,6 +240,7 @@ class TestRepeatAndCompare:
         assert (out / "standard" / "metrics.json").exists()
         meta = json.loads((out / "meta.json").read_text())
         assert meta["controller_override"] == "standard"
+        assert meta["seed_override"] is None
 
     def test_compare_writes_both_controllers(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -204,6 +249,8 @@ class TestRepeatAndCompare:
         for sub in ("standard", "sloped"):
             assert (out / sub / "metrics.json").exists()
             assert len(list((out / sub).glob("run_*.jsonl"))) == 2
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["controller_override"] is None
 
     def test_seed_override_recorded_and_applied(self, tmp_path):
         cfg = small_config(tmp_path)

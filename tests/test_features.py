@@ -1,5 +1,6 @@
 """Match statistics and noise-model unit tests."""
 
+import json
 import statistics
 import struct
 
@@ -14,7 +15,6 @@ from funnelnav.features import (
     MatchSet,
     NoiseModel,
     VisualPath,
-    load_visual_path,
     match,
     median_distance,
     mse,
@@ -209,33 +209,31 @@ class TestVisualPathValidation:
 
     def test_needs_two_keyframes(self):
         with pytest.raises(InvalidPathError):
-            VisualPath(keyframes=(KF,), segment_features=())
-
-    def test_segment_count_must_match(self):
-        kf2 = Keyframe(1, Pose(1, 0, 0), {1: 5.0})
-        with pytest.raises(InvalidPathError):
-            VisualPath(keyframes=(KF, kf2), segment_features=())
+            VisualPath(keyframes=(KF,))
 
     def test_consecutive_keyframes_must_overlap(self):
         kf2 = Keyframe(1, Pose(1, 0, 0), {99: 5.0})
         with pytest.raises(InvalidPathError):
-            VisualPath(keyframes=(KF, kf2), segment_features=({},))
+            VisualPath(keyframes=(KF, kf2))
 
 
-class TestPathRoundTrip:
-    def test_save_load_round_trip(self, tmp_path):
+class TestSavePath:
+    def test_writes_each_keyframe(self, tmp_path):
         kf2 = Keyframe(1, Pose(1.0, 0.5, 0.25), {1: 5.0, 3: -2.5})
-        path = VisualPath(
-            keyframes=(KF, kf2),
-            segment_features=({1: (10.0, 5.0), 3: (40.0, -2.5)},),
-        )
         f = tmp_path / "path.json"
-        save_visual_path(path, f)
-        assert load_visual_path(f) == path
+        save_visual_path(VisualPath(keyframes=(KF, kf2)), f)
+        assert json.loads(f.read_text()) == {
+            "keyframes": [
+                {"index": 0, "pose_truth": [0.0, 0.0, 0.0],
+                 "observations": {"1": 10.0, "2": -5.0, "3": 40.0}},
+                {"index": 1, "pose_truth": [1.0, 0.5, 0.25],
+                 "observations": {"1": 5.0, "3": -2.5}},
+            ]
+        }
 
     def test_save_is_byte_stable(self, tmp_path):
         kf2 = Keyframe(1, Pose(1.0, 0.0, 0.0), {1: 5.0})
-        path = VisualPath(keyframes=(KF, kf2), segment_features=({1: (10.0, 5.0)},))
+        path = VisualPath(keyframes=(KF, kf2))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_visual_path(path, a)
         save_visual_path(path, b)

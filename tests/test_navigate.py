@@ -2,10 +2,12 @@
 
 import json
 import math
+import types
 from dataclasses import replace
 
 import pytest
 
+import funnelnav
 from funnelnav.errors import DegenerateSpreadError, EmptyMatchError, InvalidPathError
 from funnelnav.evaluate import load_scenario, run_scenario
 from funnelnav.features import (
@@ -31,6 +33,11 @@ from conftest import ALL_SCENARIOS, SCENARIO_DIR, ms
 
 CAM = CameraModel()
 CFG = NavigatorConfig()
+
+
+def test_package_attribute_is_the_module():
+    # the package re-exports nothing, so the submodule is not shadowed by navigate()
+    assert isinstance(funnelnav.navigate, types.ModuleType)
 
 
 def corridor_world():
@@ -133,7 +140,7 @@ class TestNavigateOutcomes:
             Keyframe(0, Pose(0, 0, 0), {900: 10.0, 901: -10.0}),
             Keyframe(1, Pose(1, 0, 0), {900: 5.0, 901: -5.0}),
         )
-        path = VisualPath(keyframes=kfs, segment_features=({900: (10.0, 5.0), 901: (-10.0, -5.0)},))
+        path = VisualPath(keyframes=kfs)
         cfg = NavigatorConfig(threshold3_time=7)
         tr = navigate(world, CAM, path, Pose(0, 0, 0), cfg, NoiseModel())
         assert tr.outcome == "lost"
