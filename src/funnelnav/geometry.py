@@ -167,11 +167,16 @@ def step(pose: Pose, cmd: MotionCommand, dt: float) -> Pose:
     """Advance a pose by one command interval using exact unicycle integration."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if abs(cmd.omega) < 1e-9:
+    if abs(cmd.omega) < 1e-3:
+        # Chord form: v*dt*sinc(h) along the mid heading, h = omega*dt/2.
+        # The radius form below loses about eps*v/|omega| to cancellation,
+        # which is no longer small as omega -> 0; this form stays exact.
+        h = 0.5 * cmd.omega * dt
+        chord = cmd.v * dt * (math.sin(h) / h if h else 1.0)
         return Pose(
-            pose.x + cmd.v * dt * math.cos(pose.theta),
-            pose.y + cmd.v * dt * math.sin(pose.theta),
-            pose.theta,
+            pose.x + chord * math.cos(pose.theta + h),
+            pose.y + chord * math.sin(pose.theta + h),
+            pose.theta + cmd.omega * dt if h else pose.theta,
         )
     r = cmd.v / cmd.omega
     th1 = pose.theta + cmd.omega * dt
