@@ -6,7 +6,6 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -83,8 +82,8 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class MatchSet:
-    """Feature correspondences between a current image (u_current) and a keyframe
-    image (u_keyframe)."""
+    """Feature correspondences between a current image and a keyframe image,
+    as (id, u_current, u_keyframe) pairs in ascending id order."""
 
     pairs: tuple[tuple[int, float, float], ...] = field(default=())
 
@@ -95,22 +94,6 @@ class MatchSet:
     def ids(self) -> tuple[int, ...]:
         return tuple(p[0] for p in self.pairs)
 
-    # built on first use and kept: the statistics of one tick read each array
-    # more than once; read-only because every reader shares it
-    @cached_property
-    def u_current(self) -> np.ndarray:
-        return _read_only([p[1] for p in self.pairs])
-
-    @cached_property
-    def u_keyframe(self) -> np.ndarray:
-        return _read_only([p[2] for p in self.pairs])
-
-
-def _read_only(values: list[float]) -> np.ndarray:
-    a = np.array(values, dtype=float)
-    a.flags.writeable = False
-    return a
-
 
 def perturb(u: float, noise: NoiseModel, rng: np.random.Generator) -> float:
     """Apply truncated Gaussian pixel noise to one coordinate."""
@@ -119,6 +102,30 @@ def perturb(u: float, noise: NoiseModel, rng: np.random.Generator) -> float:
     d = rng.normal(0.0, noise.pixel_sigma)
     lim = 3.0 * noise.pixel_sigma
     return u + min(max(d, -lim), lim)
+
+
+def perturb_all(us: list[float], noise: NoiseModel, rng: np.random.Generator) -> list[float]:
+    """perturb() applied to each coordinate in turn, drawn in one call.
+
+    A Generator yields the same doubles from one size-n draw as from n scalar
+    draws, so the result and the generator's state equal n perturb() calls.
+    """
+    if noise.pixel_sigma == 0.0:
+        return us
+    lim = 3.0 * noise.pixel_sigma
+    draws = rng.normal(0.0, noise.pixel_sigma, len(us)).tolist()
+    return [u + min(max(d, -lim), lim) for u, d in zip(us, draws)]
+
+
+def survivors(ids: list[int], noise: NoiseModel, rng: np.random.Generator) -> list[int]:
+    """The ids that outlive one tick of tracking dropout, one draw per id in order.
+
+    Equal to keeping each id whose scalar rng.random() is at least dropout_prob.
+    """
+    if noise.dropout_prob == 0.0:
+        return ids
+    draws = rng.random(len(ids)).tolist()
+    return [i for i, r in zip(ids, draws) if r >= noise.dropout_prob]
 
 
 def match(
@@ -135,11 +142,52 @@ def match(
     """
     common = sorted(set(current_obs) & set(kf.observations))
     pairs = []
+    # a pair's dropout draw comes before its pixel-noise draw, so these stay
+    # scalar draws, one pair at a time
+    noisy = noise.pixel_sigma != 0.0
     for i in common:
         if noise.dropout_prob > 0.0 and rng.random() < noise.dropout_prob:
             continue
-        pairs.append((i, perturb(current_obs[i], noise, rng), kf.observations[i]))
+        u = perturb(current_obs[i], noise, rng) if noisy else current_obs[i]
+        pairs.append((i, u, kf.observations[i]))
     return MatchSet(tuple(pairs))
+
+
+def _sum(xs: list[float]) -> float:
+    """Sum in numpy's float64 add.reduce order (pairwise over blocks of 8),
+    so the result equals np.sum bit for bit without numpy's per-call cost."""
+    n = len(xs)
+    if n < 8:
+        s = 0.0
+        for x in xs:
+            s += x
+        return s
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = xs[:8]
+        m = n - n % 8
+        for i in range(8, m, 8):
+            r0 += xs[i]
+            r1 += xs[i + 1]
+            r2 += xs[i + 2]
+            r3 += xs[i + 3]
+            r4 += xs[i + 4]
+            r5 += xs[i + 5]
+            r6 += xs[i + 6]
+            r7 += xs[i + 7]
+        s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(m, n):
+            s += xs[i]
+        return s
+    half = n // 2
+    half -= half % 8
+    return _sum(xs[:half]) + _sum(xs[half:])
+
+
+def _pstd(xs: list[float]) -> float:
+    """Population standard deviation, equal to numpy's std() bit for bit."""
+    n = len(xs)
+    mean = _sum(xs) / n
+    return math.sqrt(_sum([(x - mean) * (x - mean) for x in xs]) / n)
 
 
 def std_ratio(m: MatchSet) -> float:
@@ -149,10 +197,10 @@ def std_ratio(m: MatchSet) -> float:
     """
     if len(m) < 2:
         raise DegenerateSpreadError("std_ratio needs at least 2 matched pairs")
-    sb = float(np.std(m.u_keyframe))
+    sb = _pstd([p[2] for p in m.pairs])
     if sb == 0.0:
         raise DegenerateSpreadError("keyframe coordinates have zero spread")
-    return float(np.std(m.u_current)) / sb
+    return _pstd([p[1] for p in m.pairs]) / sb
 
 
 def median_distance(m: MatchSet) -> float:
@@ -170,8 +218,7 @@ def mse(m: MatchSet) -> float:
     """Mean squared coordinate error; diagnostic trace channel only."""
     if len(m) == 0:
         raise EmptyMatchError("mse on empty match set")
-    d = m.u_current - m.u_keyframe
-    return float(np.mean(d * d))
+    return _sum([(p[1] - p[2]) * (p[1] - p[2]) for p in m.pairs]) / len(m)
 
 
 def split_sides(m: MatchSet):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .control_sloped import SlopedParams, sloped_command
@@ -27,9 +27,12 @@ from .features import (
     match,
     median_distance,
     mse,
-    perturb,
+    perturb_all,
     std_ratio,
+    survivors,
 )
+# read only by perfbench/run.py, whose tracer wraps navigate.perturb
+from .features import perturb  # noqa: F401
 from .geometry import (
     CameraModel,
     MotionCommand,
@@ -90,6 +93,9 @@ class TickRecord:
     event: str  # "", switch, recovered, stopped, done, lost, timeout, collision
 
 
+_RECORD_KEYS = tuple(sorted(f.name for f in fields(TickRecord)))
+
+
 @dataclass(frozen=True)
 class RunTrace:
     records: tuple[TickRecord, ...]
@@ -107,7 +113,12 @@ class RunTrace:
         follows the command record of the tick that hit the obstacle and
         repeats its tick number.
         """
-        lines = [json.dumps(r.__dict__, sort_keys=True) for r in self.records]
+        # keys in sorted order, so json.dumps needs no sort_keys and takes its
+        # cached default encoder
+        lines = [
+            json.dumps({k: d[k] for k in _RECORD_KEYS})
+            for d in (r.__dict__ for r in self.records)
+        ]
         lines.append(
             json.dumps(
                 {
@@ -190,7 +201,12 @@ def navigate(
 ) -> RunTrace:
     """Run one repeat-phase episode and return its full trace.
 
-    Deterministic: identical inputs and seed produce an identical trace.
+    Deterministic: identical inputs and seed produce an identical trace.  One
+    generator, seeded from the noise model, feeds every draw.  A full
+    re-match (match) draws per common id in ascending order: the dropout draw,
+    then, if the pair is kept, its pixel-noise draw.  A tracked tick draws the
+    pixel noise of every tracked id in ascending order, and a driving tick then
+    draws the tracking attrition of each of those ids in the same order.
     """
     if len(path.keyframes) < 2:
         raise InvalidPathError("path must hold at least 2 keyframes")
@@ -199,7 +215,7 @@ def navigate(
     pose = start
     dest = 1
     last = len(path.keyframes) - 1
-    tracked: set[int] | None = None  # None forces a full re-match
+    tracked: list[int] | None = None  # ascending ids; None forces a full re-match
     stopped = 0
     recovering = False
     records: list[TickRecord] = []
@@ -231,15 +247,11 @@ def navigate(
 
         if tracked is None:
             m = match(obs, kf, noise, rng)
-            tracked = set(m.ids)
+            tracked = list(m.ids)
         else:
-            tracked &= set(obs)
-            m = MatchSet(
-                tuple(
-                    (i, perturb(obs[i], noise, rng), kf.observations[i])
-                    for i in sorted(tracked)
-                )
-            )
+            tracked = [i for i in tracked if i in obs]
+            us = perturb_all([obs[i] for i in tracked], noise, rng)
+            m = MatchSet(tuple(zip(tracked, us, [kf.observations[i] for i in tracked])))
 
         stats = tick_stats(m)
         # a starving match set goes to recovery below; switching on it would
@@ -273,8 +285,7 @@ def navigate(
                 outcome = "collision"
                 break
             # per-tick tracking attrition
-            if noise.dropout_prob > 0.0:
-                tracked = {i for i in sorted(tracked) if rng.random() >= noise.dropout_prob}
+            tracked = survivors(tracked, noise, rng)
         else:
             stopped += 1
             recovering = True

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from funnelnav import features
 from funnelnav.errors import DegenerateSpreadError, EmptyMatchError, InvalidPathError
 from funnelnav.features import (
     Keyframe,
@@ -19,9 +20,11 @@ from funnelnav.features import (
     median_distance,
     mse,
     perturb,
+    perturb_all,
     save_visual_path,
     split_sides,
     std_ratio,
+    survivors,
 )
 from funnelnav.geometry import Pose
 
@@ -37,17 +40,25 @@ class TestMatch:
 
     def test_identity_with_zero_noise(self):
         m = match(dict(KF.observations), KF, NoiseModel(), NoiseModel().make_rng())
-        assert m.ids == (1, 2, 3)
-        assert list(m.u_current) == list(m.u_keyframe)
+        assert m.pairs == ((1, 10.0, 10.0), (2, -5.0, -5.0), (3, 40.0, 40.0))
 
-    def test_coordinate_arrays_are_built_once_and_read_only(self):
-        m = match(dict(KF.observations), KF, NoiseModel(), NoiseModel().make_rng())
-        assert m.u_current is m.u_current
-        assert m.u_keyframe is m.u_keyframe
-        with pytest.raises(ValueError):
-            m.u_current[0] = 0.0
-        with pytest.raises(ValueError):
-            m.u_keyframe[0] = 0.0
+    def test_noise_free_match_never_calls_perturb(self, monkeypatch):
+        calls = 0
+
+        def counting_perturb(u, noise, rng):
+            nonlocal calls
+            calls += 1
+            return perturb(u, noise, rng)
+
+        monkeypatch.setattr(features, "perturb", counting_perturb)
+        obs = {i: float(i) for i in range(1, 30)}
+        kf = Keyframe(0, Pose(0, 0, 0), dict(obs))
+        for noise in (NoiseModel(), NoiseModel(dropout_prob=0.5, seed=3)):
+            m = match(obs, kf, noise, noise.make_rng())
+            assert all(u_c == u_j for _, u_c, u_j in m.pairs)
+        assert calls == 0
+        noisy = NoiseModel(pixel_sigma=1.0)
+        assert len(match(obs, kf, noisy, noisy.make_rng())) == calls == 29
 
     def test_partial_overlap(self):
         m = match({1: 9.0, 9: 3.0}, KF, NoiseModel(), NoiseModel().make_rng())
@@ -183,6 +194,61 @@ class TestPythonMedian:
         # of a difference, or tests a product >= 0)
         xs = [0.0, -0.0, 0.0]
         assert statistics.median(xs) == float(np.median(xs)) == 0.0
+
+
+def _mixed_pairs(n: int, seed: int) -> MatchSet:
+    """n pairs of finite values of either sign at scales from 1e-4 to 1e5, so
+    squares and their sums stay finite."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-4, 6, size=(n, 2))
+    return MatchSet(tuple((i, u_c, u_j) for i, (u_c, u_j) in enumerate(a.tolist())))
+
+
+class TestPythonSums:
+    """std_ratio and mse sum in numpy's pairwise order in place of np.std and
+    np.mean; the results must agree to the bit.  Lengths reach 300, past the
+    8- and 128-element block boundaries of numpy's summation."""
+
+    @settings(max_examples=300)
+    @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+    def test_std_ratio_equals_numpy(self, n, seed):
+        m = _mixed_pairs(n, seed)
+        u_c = np.array([p[1] for p in m.pairs])
+        u_j = np.array([p[2] for p in m.pairs])
+        assert _bits(std_ratio(m)) == _bits(float(np.std(u_c)) / float(np.std(u_j)))
+
+    @settings(max_examples=300)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_mse_equals_numpy(self, n, seed):
+        m = _mixed_pairs(n, seed)
+        d = np.array([p[1] for p in m.pairs]) - np.array([p[2] for p in m.pairs])
+        assert _bits(mse(m)) == _bits(float(np.mean(d * d)))
+
+
+class TestBatchedDraws:
+    """navigate draws a tick's noise in one call per kind; the results and the
+    generator's state must equal the scalar draws they replace."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 2.0, 7.5])
+    @pytest.mark.parametrize("n", [0, 1, 9, 40])
+    def test_perturb_all_equals_successive_perturb(self, sigma, n):
+        noise = NoiseModel(pixel_sigma=sigma)
+        us = [float(u) for u in np.linspace(-120.0, 120.0, n)]
+        for seed in range(5):
+            one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert perturb_all(us, noise, one) == [perturb(u, noise, each) for u in us]
+            assert one.random() == each.random()
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.5])
+    @pytest.mark.parametrize("n", [0, 1, 9, 40])
+    def test_survivors_equal_scalar_draws(self, p, n):
+        noise = NoiseModel(dropout_prob=p)
+        ids = list(range(3, 3 + 2 * n, 2))
+        for seed in range(5):
+            one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+            kept = [i for i in ids if p == 0.0 or each.random() >= p]
+            assert survivors(ids, noise, one) == kept
+            assert one.random() == each.random()
 
 
 class TestSplitSides:
