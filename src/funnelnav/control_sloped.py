@@ -82,7 +82,7 @@ def radius_policy(s_y: float, p: SlopedParams) -> tuple[float, float]:
 def evaluate_state(m: MatchSet, p: SlopedParams, ratio: float | None) -> SlopedState:
     """Both slopes and the four lane constraints for one match set.
 
-    ratio is the match set's spread ratio, std_ratio(m), or None where that is
+    ratio is the match set's spread ratio, std_ratio(m), which is None where
     undefined; the navigator passes the one it already computed for the tick.
     The pitch slope is 1 - ratio; the constraints never read it.  The roll
     slope sums, over sides, (median_current - median_keyframe) divided by the
@@ -130,7 +130,7 @@ def sloped_command(
 ) -> tuple[MotionCommand, SlopedState]:
     """One control tick: command plus the controller state used to produce it.
 
-    ratio is the spread ratio of m, as for evaluate_state.
+    ratio is std_ratio(m), None where undefined, as for evaluate_state.
 
     Inside the lane the roll slope steers (dead-band -> forward at full speed);
     outside, a violated right-side constraint means the robot left the lane on

@@ -10,11 +10,7 @@ class ConfigError(FunnelNavError):
 
 
 class EmptyMatchError(FunnelNavError):
-    """A statistic was requested on an empty match set."""
-
-
-class DegenerateSpreadError(FunnelNavError):
-    """Standard-deviation ratio undefined: too few pairs or zero keyframe spread."""
+    """A controller was asked to act on an empty match set."""
 
 
 class TeachDegenerateError(FunnelNavError):

@@ -49,8 +49,7 @@ def repeatability(points) -> float:
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise ValueError("repeatability needs at least one point")
-    d = pts - pts.mean(axis=0)
-    return float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
+    return accuracy(pts, pts.mean(axis=0))
 
 
 # --- funnel-lane oracle ------------------------------------------------------

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpreadError, EmptyMatchError, InvalidPathError
+from .errors import InvalidPathError
 from .geometry import Pose
 
 __all__ = [
@@ -190,23 +190,25 @@ def _pstd(xs: list[float]) -> float:
     return math.sqrt(_sum([(x - mean) * (x - mean) for x in xs]) / n)
 
 
-def std_ratio(m: MatchSet) -> float:
+def std_ratio(m: MatchSet) -> float | None:
     """Ratio of current to keyframe population standard deviation of coordinates.
 
-    Crosses 1 when the robot passes the keyframe plane.
+    Crosses 1 when the robot passes the keyframe plane.  None where undefined:
+    fewer than 2 pairs or zero keyframe spread.
     """
     if len(m) < 2:
-        raise DegenerateSpreadError("std_ratio needs at least 2 matched pairs")
+        return None
     sb = _pstd([p[2] for p in m.pairs])
     if sb == 0.0:
-        raise DegenerateSpreadError("keyframe coordinates have zero spread")
+        return None
     return _pstd([p[1] for p in m.pairs]) / sb
 
 
-def median_distance(m: MatchSet) -> float:
-    """Absolute difference between the coordinate medians of the two images."""
+def median_distance(m: MatchSet) -> float | None:
+    """Absolute difference between the coordinate medians of the two images;
+    None on an empty match set."""
     if len(m) == 0:
-        raise EmptyMatchError("median_distance on empty match set")
+        return None
     # statistics.median returns numpy's median bit for bit (the middle value,
     # or the two middle values summed and halved) without its per-call cost
     mu_c = statistics.median(p[1] for p in m.pairs)
@@ -214,10 +216,11 @@ def median_distance(m: MatchSet) -> float:
     return abs(float(mu_c) - float(mu_j))
 
 
-def mse(m: MatchSet) -> float:
-    """Mean squared coordinate error; diagnostic trace channel only."""
+def mse(m: MatchSet) -> float | None:
+    """Mean squared coordinate error, None on an empty match set; diagnostic
+    trace channel only."""
     if len(m) == 0:
-        raise EmptyMatchError("mse on empty match set")
+        return None
     return _sum([(p[1] - p[2]) * (p[1] - p[2]) for p in m.pairs]) / len(m)
 
 

@@ -19,7 +19,7 @@ from .control_sloped import SlopedParams, sloped_command
 from .control_standard import StandardParams, standard_command
 # read only by perfbench/run.py, whose tracer wraps navigate.inside_funnel
 from .control_standard import inside_funnel  # noqa: F401
-from .errors import ConfigError, DegenerateSpreadError, EmptyMatchError, InvalidPathError
+from .errors import ConfigError
 from .features import (
     MatchSet,
     NoiseModel,
@@ -98,15 +98,27 @@ _RECORD_KEYS = tuple(sorted(f.name for f in fields(TickRecord)))
 
 @dataclass(frozen=True)
 class RunTrace:
+    """A run's records, of which the last and only the last is terminal, and
+    its noise seed; the run's outcome and final pose are the terminal record's."""
+
     records: tuple[TickRecord, ...]
-    outcome: str  # done | lost | timeout | collision
-    final_pose: Pose
     seed: int
+
+    @property
+    def outcome(self) -> str:
+        """done | lost | timeout | collision: the terminal record's event."""
+        return self.records[-1].event
+
+    @property
+    def final_pose(self) -> Pose:
+        r = self.records[-1]
+        return Pose(r.x, r.y, r.theta)
 
     def jsonl_lines(self) -> list[str]:
         """One JSON record per trace record plus a trailing run-summary record.
 
-        The summary's "ticks" counts records, not loop ticks.  The last record
+        The summary's outcome and final pose are the terminal record's event
+        and pose.  Its "ticks" counts records, not loop ticks.  The last record
         is the terminal one (done, lost, timeout or collision), and two cases
         add a record beyond the loop's ticks: a timeout appends its record
         after the last tick, so max_ticks 1 gives 2 records; a collision
@@ -119,14 +131,15 @@ class RunTrace:
             json.dumps({k: d[k] for k in _RECORD_KEYS})
             for d in (r.__dict__ for r in self.records)
         ]
+        last = self.records[-1]
         lines.append(
             json.dumps(
                 {
                     "summary": True,
-                    "outcome": self.outcome,
-                    "final_x": self.final_pose.x,
-                    "final_y": self.final_pose.y,
-                    "final_theta": self.final_pose.theta,
+                    "outcome": last.event,
+                    "final_x": last.x,
+                    "final_y": last.y,
+                    "final_theta": last.theta,
                     "ticks": len(self.records),
                     "seed": self.seed,
                 },
@@ -153,8 +166,9 @@ def read_run_summary(file: Path) -> tuple[tuple[float, float], str]:
 class TickStats:
     """The image statistics of one tick's match set, each computed once.
 
-    ratio is None when the spread ratio is undefined (fewer than 2 pairs or
-    no keyframe spread); ed and mse are None on an empty match set.
+    ratio, ed and mse are std_ratio(m), median_distance(m) and mse(m), each
+    None where undefined: the ratio for fewer than 2 pairs or no keyframe
+    spread, the other two on an empty match set.
     """
 
     nmf: int  # number of matched features
@@ -165,16 +179,7 @@ class TickStats:
 
 def tick_stats(m: MatchSet) -> TickStats:
     """Spread ratio, median distance and MSE of a match set."""
-    try:
-        ratio = std_ratio(m)
-    except DegenerateSpreadError:
-        ratio = None
-    try:
-        ed = median_distance(m)
-        err = mse(m)
-    except EmptyMatchError:
-        ed = err = None
-    return TickStats(nmf=len(m), ratio=ratio, ed=ed, mse=err)
+    return TickStats(nmf=len(m), ratio=std_ratio(m), ed=median_distance(m), mse=mse(m))
 
 
 def should_switch(stats: TickStats, cfg: NavigatorConfig) -> bool:
@@ -208,35 +213,31 @@ def navigate(
     pixel noise of every tracked id in ascending order, and a driving tick then
     draws the tracking attrition of each of those ids in the same order.
     """
-    if len(path.keyframes) < 2:
-        raise InvalidPathError("path must hold at least 2 keyframes")
-
     rng = noise.make_rng()
     pose = start
     dest = 1
     last = len(path.keyframes) - 1
     tracked: list[int] | None = None  # ascending ids; None forces a full re-match
     stopped = 0
-    recovering = False
     records: list[TickRecord] = []
 
-    def rec(tick, cmd, stats, seg, event, state=None, inside=None):
+    def rec(tick, cmd, stats, event, s_x=None, s_y=None, inside=None):
         records.append(
             TickRecord(
                 tick=tick,
                 x=pose.x,
                 y=pose.y,
                 theta=pose.theta,
-                segment=seg,
+                segment=dest,
                 v=cmd.v,
                 omega=cmd.omega,
                 nmf=stats.nmf,
                 std_ratio=stats.ratio,
                 ed=stats.ed,
                 mse=stats.mse,
-                s_x=None if state is None else state.s_x,
-                s_y=None if state is None else state.s_y,
-                inside=inside if state is None else state.inside,
+                s_x=s_x,
+                s_y=s_y,
+                inside=inside,
                 event=event,
             )
         )
@@ -254,51 +255,39 @@ def navigate(
             m = MatchSet(tuple(zip(tracked, us, [kf.observations[i] for i in tracked])))
 
         stats = tick_stats(m)
-        # a starving match set goes to recovery below; switching on it would
-        # let the degenerate median-only fallback fire spuriously
-        if stats.nmf >= cfg.threshold2_features and should_switch(stats, cfg):
+        if stats.nmf < cfg.threshold2_features:
+            # a starving match set never switches: the degenerate median-only
+            # fallback of should_switch would fire spuriously on it
+            stopped += 1
+            if stopped >= cfg.threshold3_time:
+                rec(tick, STOP, stats, "lost")
+                break
+            rec(tick, STOP, stats, "stopped")
+            tracked = None  # full re-match next tick
+        elif should_switch(stats, cfg):
             if dest == last:
-                rec(tick, STOP, stats, dest, "done")
-                outcome = "done"
+                rec(tick, STOP, stats, "done")
                 break
             dest += 1
             tracked = None
             stopped = 0
-            recovering = False
-            rec(tick, STOP, stats, dest, "switch")
-            continue
-
-        if stats.nmf >= cfg.threshold2_features:
-            event = "recovered" if recovering else ""
-            recovering = False
+            rec(tick, STOP, stats, "switch")
+        else:
+            event = "recovered" if stopped else ""
             stopped = 0
-            state = None
-            inside = None
             if cfg.controller == "standard":
                 cmd, inside = standard_command(m, cfg.standard)
+                rec(tick, cmd, stats, event, inside=inside)
             else:
-                cmd, state = sloped_command(m, cfg.sloped, stats.ratio)
-            rec(tick, cmd, stats, dest, event, state=state, inside=inside)
+                cmd, st = sloped_command(m, cfg.sloped, stats.ratio)
+                rec(tick, cmd, stats, event, st.s_x, st.s_y, st.inside)
             pose = step(pose, cmd, cfg.dt)
             if in_collision(world, pose):
-                rec(tick, STOP, stats, dest, "collision")
-                outcome = "collision"
+                rec(tick, STOP, stats, "collision")
                 break
             # per-tick tracking attrition
             tracked = survivors(tracked, noise, rng)
-        else:
-            stopped += 1
-            recovering = True
-            if stopped >= cfg.threshold3_time:
-                rec(tick, STOP, stats, dest, "lost")
-                outcome = "lost"
-                break
-            rec(tick, STOP, stats, dest, "stopped")
-            tracked = None  # full re-match next tick
     else:  # no terminal event within max_ticks
-        rec(len(records), STOP, tick_stats(MatchSet()), dest, "timeout")
-        outcome = "timeout"
+        rec(len(records), STOP, tick_stats(MatchSet()), "timeout")
 
-    return RunTrace(
-        records=tuple(records), outcome=outcome, final_pose=pose, seed=noise.seed
-    )
+    return RunTrace(records=tuple(records), seed=noise.seed)

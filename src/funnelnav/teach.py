@@ -52,7 +52,7 @@ def record(
     world: World,
     cam: CameraModel,
     script: TeachScript,
-    min_features: int = 4,
+    min_features: int,
 ) -> VisualPath:
     """Simulate a teach drive and return the resulting visual path.
 

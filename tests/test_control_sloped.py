@@ -12,7 +12,7 @@ from funnelnav.control_sloped import (
     radius_policy,
     sloped_command,
 )
-from funnelnav.errors import DegenerateSpreadError, EmptyMatchError
+from funnelnav.errors import EmptyMatchError
 from funnelnav.features import MatchSet, split_sides, std_ratio
 from funnelnav.geometry import MotionCommand
 from funnelnav.navigate import tick_stats
@@ -40,10 +40,9 @@ class TestPitchSlope:
         assert state(ms((1, -20.0, -40.0), (2, 20.0, 40.0))).s_y == pytest.approx(0.5)
 
     def test_degenerate_spread_propagates(self):
-        # the spread ratio raises; the navigator's tick stats carry that as None
+        # the spread ratio is undefined; the navigator's tick stats carry its None
         m = ms((1, 1.0, 5.0))
-        with pytest.raises(DegenerateSpreadError):
-            std_ratio(m)
+        assert std_ratio(m) is None
         assert tick_stats(m).ratio is None
         assert state(m).s_y is None
 

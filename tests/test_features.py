@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funnelnav import features
-from funnelnav.errors import DegenerateSpreadError, EmptyMatchError, InvalidPathError
+from funnelnav.errors import InvalidPathError
 from funnelnav.features import (
     Keyframe,
     MatchSet,
@@ -122,12 +122,10 @@ class TestStdRatio:
         assert std_ratio(m) == pytest.approx(0.5)
 
     def test_single_pair_is_degenerate(self):
-        with pytest.raises(DegenerateSpreadError):
-            std_ratio(ms((1, 1.0, 2.0)))
+        assert std_ratio(ms((1, 1.0, 2.0))) is None
 
     def test_zero_keyframe_spread_is_degenerate(self):
-        with pytest.raises(DegenerateSpreadError):
-            std_ratio(ms((1, 1.0, 5.0), (2, 2.0, 5.0)))
+        assert std_ratio(ms((1, 1.0, 5.0), (2, 2.0, 5.0))) is None
 
     @settings(max_examples=50)
     @given(st.floats(-50.0, 50.0))
@@ -158,11 +156,9 @@ class TestMedianDistanceAndMse:
         m = ms((1, 0.0, 2.0), (2, 2.0, 0.0))
         assert mse(m) == pytest.approx(4.0)
 
-    def test_empty_set_raises(self):
-        with pytest.raises(EmptyMatchError):
-            median_distance(MatchSet())
-        with pytest.raises(EmptyMatchError):
-            mse(MatchSet())
+    def test_empty_set_is_none(self):
+        assert median_distance(MatchSet()) is None
+        assert mse(MatchSet()) is None
 
 
 def _bits(x: float) -> bytes:

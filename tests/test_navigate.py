@@ -8,7 +8,6 @@ from dataclasses import replace
 import pytest
 
 import funnelnav
-from funnelnav.errors import DegenerateSpreadError, EmptyMatchError, InvalidPathError
 from funnelnav.evaluate import load_scenario, run_scenario
 from funnelnav.features import (
     Keyframe,
@@ -58,13 +57,6 @@ def straight_path(world, duration=10.0):
     return record(world, CAM, script, min_features=4)
 
 
-def _or_none(stat, m):
-    try:
-        return stat(m)
-    except (DegenerateSpreadError, EmptyMatchError):
-        return None
-
-
 class TestTickStats:
     @pytest.mark.parametrize(
         "m",
@@ -79,9 +71,9 @@ class TestTickStats:
     def test_equals_the_feature_statistics(self, m):
         stats = tick_stats(m)
         assert stats.nmf == len(m)
-        assert stats.ratio == _or_none(std_ratio, m)
-        assert stats.ed == _or_none(median_distance, m)
-        assert stats.mse == _or_none(mse, m)
+        assert stats.ratio == std_ratio(m)
+        assert stats.ed == median_distance(m)
+        assert stats.mse == mse(m)
 
 
 class TestShouldSwitch:
@@ -169,13 +161,6 @@ class TestNavigateOutcomes:
         tr = navigate(world, CAM, path, Pose(0, 0, 0), cfg, NoiseModel())
         assert tr.outcome == "timeout"
         assert tr.records[-1].event == "timeout"
-
-    def test_rejects_short_path(self):
-        from types import SimpleNamespace
-
-        stub = SimpleNamespace(keyframes=(Keyframe(0, Pose(0, 0, 0), {1: 1.0}),))
-        with pytest.raises(InvalidPathError):
-            navigate(corridor_world(), CAM, stub, Pose(0, 0, 0), NavigatorConfig(), NoiseModel())
 
 
 class TestTraceInvariants:
