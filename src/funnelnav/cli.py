@@ -51,9 +51,12 @@ __all__ = ["main"]
 
 def _prepare_out(out: str, force: bool) -> Path:
     p = Path(out)
-    if p.exists() and any(p.iterdir()) and not force:
-        raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        if p.exists() and any(p.iterdir()) and not force:
+            raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"output directory {out}: {e}") from e
     return p
 
 

@@ -65,7 +65,7 @@ def standard_command(m: MatchSet, p: StandardParams) -> tuple[MotionCommand, boo
     """
     if len(m) == 0:
         raise EmptyMatchError("standard controller needs at least one match")
-    tally = Counter(feature_vote(ua, ub) for _, ua, ub in m.pairs)
+    tally = Counter(feature_vote(ua, ub) for _, ua, ub in m)
     forward, left, right = tally[FORWARD], tally[LEFT], tally[RIGHT]
     if forward >= max(left, right):
         omega = 0.0
@@ -80,4 +80,4 @@ def inside_funnel(m: MatchSet) -> bool:
     """True when every feature satisfies both of its funnel constraints."""
     if len(m) == 0:
         raise EmptyMatchError("inside_funnel on empty match set")
-    return all(feature_vote(ua, ub) == FORWARD for _, ua, ub in m.pairs)
+    return all(feature_vote(ua, ub) == FORWARD for _, ua, ub in m)

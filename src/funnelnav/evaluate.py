@@ -150,7 +150,7 @@ class Scenario:
     runs: int
     seed: int
     tolerance: float  # meters, per-run success bound on final error
-    remove_landmarks: tuple[int, ...]
+    repeat_world: World  # world less repeat.remove_landmarks (dynamic scenarios)
     min_teach_features: int
 
     def __post_init__(self):
@@ -158,12 +158,6 @@ class Scenario:
             raise ValueError("runs must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-    def repeat_world(self) -> World:
-        """The world as seen in the repeat phase (dynamic scenarios drop landmarks)."""
-        if self.remove_landmarks:
-            return self.world.without(self.remove_landmarks)
-        return self.world
 
 
 @dataclass(frozen=True)
@@ -209,7 +203,7 @@ def run_scenario(
         path = record(
             scenario.world, scenario.camera, scenario.script, scenario.min_teach_features
         )
-    world = scenario.repeat_world()
+    world = scenario.repeat_world
     goal_pose = path.keyframes[-1].pose_truth
     goal = (goal_pose.x, goal_pose.y)
 
@@ -289,7 +283,7 @@ def _section(value, ctx: str) -> dict:
 
 
 def _grid_points(g):
-    nx, ny = int(g["nx"]), int(g["ny"])
+    nx, ny = _int(g["nx"], "world.generated.grid.nx"), _int(g["ny"], "world.generated.grid.ny")
     for iy in range(ny):
         for ix in range(nx):
             x = g["x0"] + (g["x1"] - g["x0"]) * (ix / (nx - 1) if nx > 1 else 0.0)
@@ -298,20 +292,27 @@ def _grid_points(g):
 
 
 def _ring_points(g):
-    n, phase = int(g["n"]), float(g.get("phase", 0.0))
+    n, phase = _int(g["n"], "world.generated.ring.n"), float(g.get("phase", 0.0))
     for k in range(n):
         a = 2.0 * math.pi * k / n + phase
         yield g["cx"] + g["radius"] * math.cos(a), g["cy"] + g["radius"] * math.sin(a)
 
 
 def _line_points(g):
-    n = int(g["n"])
+    n = _int(g["n"], "world.generated.line.n")
     for k in range(n):
         t = k / (n - 1) if n > 1 else 0.0
         yield g["x0"] + (g["x1"] - g["x0"]) * t, g["y0"] + (g["y1"] - g["y0"]) * t
 
 
 _GENERATORS = {"grid": _grid_points, "ring": _ring_points, "line": _line_points}
+
+
+def _int(value, ctx: str) -> int:
+    # a bool is an int to Python, and int() would truncate a fraction
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{ctx}: must be an integer, not {type(value).__name__} {value!r}")
+    return value
 
 
 def _finite(value, ctx: str) -> float:
@@ -347,7 +348,8 @@ def world_from_dict(d: dict) -> World:
     d = _section(d, "world")
     try:
         bounds = _rect(_require(d, "bounds", "world"), "world.bounds")
-        landmarks = [Landmark(int(i), float(x), float(y)) for i, x, y in d.get("landmarks", [])]
+        landmarks = [Landmark(_int(i, "world.landmarks"), float(x), float(y))
+                     for i, x, y in d.get("landmarks", [])]
         next_id = max((lm.id for lm in landmarks), default=0) + 1
         for entry in d.get("generated", []):
             entry = _section(entry, "world.generated")
@@ -387,6 +389,9 @@ def scenario_from_dict(d: dict) -> Scenario:
         noise = NoiseModel(**_section(d.get("noise"), "noise"))
 
         nav = dict(_section(d.get("navigator"), "navigator"))
+        for key in ("threshold2_features", "threshold3_time", "max_ticks"):
+            if key in nav:
+                nav[key] = _int(nav[key], f"navigator.{key}")
         ctrl = _section(d.get("controllers"), "controllers")
         if "standard" in ctrl:
             nav["standard"] = StandardParams(**_section(ctrl["standard"], "controllers.standard"))
@@ -398,9 +403,17 @@ def scenario_from_dict(d: dict) -> Scenario:
         g = _section(o.get("grid"), "oracle.grid")
         xmin, ymin, xmax, ymax = world.bounds
         grid = GridSpec(
-            float(g.get("x0", xmin)), float(g.get("x1", xmax)), int(g.get("nx", 200)),
-            float(g.get("y0", ymin)), float(g.get("y1", ymax)), int(g.get("ny", 200)),
+            float(g.get("x0", xmin)), float(g.get("x1", xmax)),
+            _int(g.get("nx", 200), "oracle.grid.nx"),
+            float(g.get("y0", ymin)), float(g.get("y1", ymax)),
+            _int(g.get("ny", 200), "oracle.grid.ny"),
         )
+
+        drop = {_int(i, "repeat.remove_landmarks") for i in r.get("remove_landmarks", [])}
+        missing = drop - {lm.id for lm in world.landmarks}
+        if missing:
+            raise ConfigError(f"repeat.remove_landmarks: no landmark has id {sorted(missing)}")
+        kept = tuple(lm for lm in world.landmarks if lm.id not in drop)
 
         return Scenario(
             name=name,
@@ -410,26 +423,26 @@ def scenario_from_dict(d: dict) -> Scenario:
             repeat_start=repeat_start,
             noise=noise,
             navigator=navigator,
-            oracle=OracleSpec(keyframe=int(o.get("keyframe", -1)), grid=grid),
-            runs=int(r.get("runs", 1)),
-            seed=int(r.get("seed", 0)),
+            oracle=OracleSpec(keyframe=_int(o.get("keyframe", -1), "oracle.keyframe"), grid=grid),
+            runs=_int(r.get("runs", 1), "repeat.runs"),
+            seed=_int(r.get("seed", 0), "repeat.seed"),
             tolerance=_finite(r.get("tolerance", 0.3), "repeat.tolerance"),
-            remove_landmarks=tuple(int(i) for i in r.get("remove_landmarks", [])),
-            min_teach_features=int(t.get("min_features", 4)),
+            repeat_world=replace(world, landmarks=kept),
+            min_teach_features=_int(t.get("min_features", 4), "teach.min_features"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"scenario: {e}") from e
 
 
 def load_scenario(path) -> Scenario:
-    """Parse a scenario YAML file; parse errors carry the offending line."""
-    with open(path) as fh:
-        try:
+    """Parse a scenario YAML file; an unreadable file or a parse error is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             d = yaml.safe_load(fh)
-        except yaml.YAMLError as e:
-            mark = getattr(e, "problem_mark", None)
-            where = f" at line {mark.line + 1}" if mark else ""
-            raise ConfigError(f"{path}: YAML parse error{where}: {e}") from e
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
+    except yaml.YAMLError as e:
+        mark = getattr(e, "problem_mark", None)
+        where = f" at line {mark.line + 1}" if mark else ""
+        raise ConfigError(f"{path}: YAML parse error{where}: {e}") from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: cannot read: {e}") from e
     return scenario_from_dict(d)

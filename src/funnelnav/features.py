@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,19 +80,9 @@ class NoiseModel:
         return np.random.default_rng(self.seed)
 
 
-@dataclass(frozen=True)
-class MatchSet:
-    """Feature correspondences between a current image and a keyframe image,
-    as (id, u_current, u_keyframe) pairs in ascending id order."""
-
-    pairs: tuple[tuple[int, float, float], ...] = field(default=())
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(p[0] for p in self.pairs)
+# Feature correspondences between a current image and a keyframe image, as
+# (id, u_current, u_keyframe) pairs in ascending id order.
+MatchSet = tuple[tuple[int, float, float], ...]
 
 
 def perturb(u: float, noise: NoiseModel, rng: np.random.Generator) -> float:
@@ -150,7 +140,7 @@ def match(
             continue
         u = perturb(current_obs[i], noise, rng) if noisy else current_obs[i]
         pairs.append((i, u, kf.observations[i]))
-    return MatchSet(tuple(pairs))
+    return tuple(pairs)
 
 
 def _sum(xs: list[float]) -> float:
@@ -198,10 +188,10 @@ def std_ratio(m: MatchSet) -> float | None:
     """
     if len(m) < 2:
         return None
-    sb = _pstd([p[2] for p in m.pairs])
+    sb = _pstd([p[2] for p in m])
     if sb == 0.0:
         return None
-    return _pstd([p[1] for p in m.pairs]) / sb
+    return _pstd([p[1] for p in m]) / sb
 
 
 def median_distance(m: MatchSet) -> float | None:
@@ -211,8 +201,8 @@ def median_distance(m: MatchSet) -> float | None:
         return None
     # statistics.median returns numpy's median bit for bit (the middle value,
     # or the two middle values summed and halved) without its per-call cost
-    mu_c = statistics.median(p[1] for p in m.pairs)
-    mu_j = statistics.median(p[2] for p in m.pairs)
+    mu_c = statistics.median(p[1] for p in m)
+    mu_j = statistics.median(p[2] for p in m)
     return abs(float(mu_c) - float(mu_j))
 
 
@@ -221,7 +211,7 @@ def mse(m: MatchSet) -> float | None:
     trace channel only."""
     if len(m) == 0:
         return None
-    return _sum([(p[1] - p[2]) * (p[1] - p[2]) for p in m.pairs]) / len(m)
+    return _sum([(p[1] - p[2]) * (p[1] - p[2]) for p in m]) / len(m)
 
 
 def split_sides(m: MatchSet):
@@ -230,8 +220,8 @@ def split_sides(m: MatchSet):
     Returns (left_pairs, right_pairs); a keyframe coordinate of exactly 0
     counts as right-side.
     """
-    left = tuple(p for p in m.pairs if p[2] < 0)
-    right = tuple(p for p in m.pairs if p[2] >= 0)
+    left = tuple(p for p in m if p[2] < 0)
+    right = tuple(p for p in m if p[2] >= 0)
     return left, right
 
 

@@ -109,15 +109,6 @@ class World:
             if not (xmin <= lm.x <= xmax and ymin <= lm.y <= ymax):
                 raise ValueError(f"landmark {lm.id} outside world bounds")
 
-    def without(self, ids) -> "World":
-        """Copy of this world with the given landmark ids removed."""
-        drop = set(ids)
-        return World(
-            landmarks=tuple(lm for lm in self.landmarks if lm.id not in drop),
-            bounds=self.bounds,
-            obstacles=self.obstacles,
-        )
-
 
 def project(landmark: Landmark, pose: Pose, cam: CameraModel):
     """Horizontal image coordinate of a landmark, or None if not visible.

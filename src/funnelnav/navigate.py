@@ -158,8 +158,8 @@ def read_run_summary(file: Path) -> tuple[tuple[float, float], str]:
     try:
         last = json.loads(file.read_text().strip().splitlines()[-1])
         return (float(last["final_x"]), float(last["final_y"])), str(last["outcome"])
-    except (IndexError, KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"{file}: does not end in a run-summary record") from e
+    except (OSError, IndexError, KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"{file}: not a readable run trace ending in a summary record") from e
 
 
 @dataclass(frozen=True)
@@ -248,11 +248,11 @@ def navigate(
 
         if tracked is None:
             m = match(obs, kf, noise, rng)
-            tracked = list(m.ids)
+            tracked = [i for i, _, _ in m]
         else:
             tracked = [i for i in tracked if i in obs]
             us = perturb_all([obs[i] for i in tracked], noise, rng)
-            m = MatchSet(tuple(zip(tracked, us, [kf.observations[i] for i in tracked])))
+            m = tuple(zip(tracked, us, [kf.observations[i] for i in tracked]))
 
         stats = tick_stats(m)
         if stats.nmf < cfg.threshold2_features:
@@ -288,6 +288,6 @@ def navigate(
             # per-tick tracking attrition
             tracked = survivors(tracked, noise, rng)
     else:  # no terminal event within max_ticks
-        rec(len(records), STOP, tick_stats(MatchSet()), "timeout")
+        rec(len(records), STOP, tick_stats(()), "timeout")
 
     return RunTrace(records=tuple(records), seed=noise.seed)

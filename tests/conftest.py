@@ -15,8 +15,8 @@ ALL_SCENARIOS = sorted(SCENARIO_DIR.glob("*.yaml"))
 
 
 def ms(*pairs) -> MatchSet:
-    """Build a MatchSet from (id, u_current, u_keyframe) tuples."""
-    return MatchSet(tuple(pairs))
+    """A match set of the given (id, u_current, u_keyframe) tuples."""
+    return tuple(pairs)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,8 @@ from funnelnav.cli import main
 from conftest import SCENARIO_DIR
 
 LINE = {"x0": 0.5, "y0": -2.0, "x1": 12.0, "y1": -2.0, "n": 12}
+TEACH = {"start": [0.0, 0.0, 0.0], "dt": 0.1, "steps": [{"v": 0.5, "omega": 0.0, "duration": 6.0}]}
+BOUNDS = [-5, -5, 20, 5]
 
 
 def small_config(tmp_path, **overrides):
@@ -27,11 +29,7 @@ def small_config(tmp_path, **overrides):
                 {"line": {"x0": 0.5, "y0": 2.0, "x1": 12.0, "y1": 2.0, "n": 12}},
             ],
         },
-        "teach": {
-            "start": [0.0, 0.0, 0.0],
-            "dt": 0.1,
-            "steps": [{"v": 0.5, "omega": 0.0, "duration": 6.0}],
-        },
+        "teach": TEACH,
         "repeat": {"start": [0.0, 0.0, 0.0], "runs": 2, "seed": 0, "tolerance": 0.3},
         "noise": {"dropout_prob": 0.05, "pixel_sigma": 0.5},
     }
@@ -91,9 +89,26 @@ class TestExitCodes:
             ({"world": {"bounds": [-5, -5, 20, 5], "generated": [{"line": LINE, "ring": {}}]}},
              "'line', 'ring'"),
             ({"navigator": {"max_ticks": 1.5}}, "max_ticks"),
+            ({"navigator": {"max_ticks": True}}, "navigator.max_ticks"),
+            ({"navigator": {"threshold2_features": 2.5}}, "navigator.threshold2_features"),
+            ({"navigator": {"threshold3_time": 0.5}}, "navigator.threshold3_time"),
+            ({"repeat": {"runs": 2.7}}, "repeat.runs"),
+            ({"repeat": {"runs": "2"}}, "repeat.runs"),
+            ({"repeat": {"seed": 1.5}}, "repeat.seed"),
+            ({"repeat": {"seed": True}}, "repeat.seed"),
+            ({"repeat": {"remove_landmarks": [999]}}, "repeat.remove_landmarks"),
+            ({"teach": {**TEACH, "min_features": 2.9}}, "teach.min_features"),
+            ({"oracle": {"keyframe": -1.5}}, "oracle.keyframe"),
+            ({"oracle": {"grid": {"nx": 2.5}}}, "oracle.grid.nx"),
+            ({"world": {"bounds": BOUNDS, "landmarks": [[1.5, 1.0, 2.0]]}}, "world.landmarks"),
+            ({"world": {"bounds": BOUNDS, "generated": [{"line": {**LINE, "n": 12.5}}]}},
+             "world.generated.line.n"),
         ],
         ids=["repeat-list", "controllers-list", "misspelled-navigator", "noise-seed",
-             "navigator-sloped", "generator-unknown-key", "two-generators", "max-ticks-1.5"],
+             "navigator-sloped", "generator-unknown-key", "two-generators", "max-ticks-1.5",
+             "max-ticks-bool", "threshold2-2.5", "threshold3-0.5", "runs-2.7", "runs-string",
+             "seed-1.5", "seed-bool", "remove-unknown-id", "min-features-2.9",
+             "keyframe-minus-1.5", "grid-nx-2.5", "landmark-id-1.5", "line-n-12.5"],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, named):
         cfg = small_config(tmp_path, **overrides)
@@ -126,6 +141,31 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as e:
             main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flag])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize(
+        "case",
+        ["config-missing", "config-is-a-directory", "config-not-utf8", "out-is-a-file",
+         "trace-is-a-directory"],
+    )
+    def test_unreadable_path_exits_2(self, tmp_path, capsys, case):
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        command, named = "teach", cfg
+        if case == "config-missing":
+            cfg = named = tmp_path / "missing.yaml"
+        elif case == "config-is-a-directory":
+            cfg = named = tmp_path
+        elif case == "config-not-utf8":
+            cfg.write_bytes(b"name: caf\xe9\n")
+        elif case == "out-is-a-file":
+            out.write_text("x")
+            named = out
+        else:
+            (out / "sloped" / "run_000.jsonl").mkdir(parents=True)
+            command, named = "metrics", "run_000.jsonl"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(named) in err
 
     def test_empty_landmark_world_oracle_check_exits_3(self, tmp_path):
         cfg = small_config(tmp_path, world={"bounds": [-5, -5, 20, 5], "landmarks": []})

@@ -13,7 +13,7 @@ from funnelnav.control_sloped import (
     sloped_command,
 )
 from funnelnav.errors import EmptyMatchError
-from funnelnav.features import MatchSet, split_sides, std_ratio
+from funnelnav.features import split_sides, std_ratio
 from funnelnav.geometry import MotionCommand
 from funnelnav.navigate import tick_stats
 
@@ -71,7 +71,7 @@ class TestRollSlope:
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMatchError):
-            state(MatchSet())
+            state(())
 
 
 class TestRadiusPolicy:
@@ -208,7 +208,7 @@ class TestSlopedCommand:
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMatchError):
-            command(MatchSet())
+            command(())
 
     @settings(max_examples=100)
     @given(
@@ -220,8 +220,8 @@ class TestSlopedCommand:
     )
     def test_mirror_symmetry_of_slopes(self, coords):
         assume(all(b != 0.0 for _, b in coords))
-        m = MatchSet(tuple((i, a, b) for i, (a, b) in enumerate(coords)))
-        mirrored = MatchSet(tuple((i, -a, -b) for i, (a, b) in enumerate(coords)))
+        m = tuple((i, a, b) for i, (a, b) in enumerate(coords))
+        mirrored = tuple((i, -a, -b) for i, (a, b) in enumerate(coords))
         st_a = state(m)
         st_b = state(mirrored)
         assert st_b.s_x == pytest.approx(-st_a.s_x, abs=1e-9)

@@ -20,7 +20,6 @@ from funnelnav.control_standard import (
 )
 from funnelnav.errors import EmptyMatchError
 from funnelnav.evaluate import load_scenario
-from funnelnav.features import MatchSet
 from funnelnav.geometry import MotionCommand
 from funnelnav.navigate import navigate
 from funnelnav.teach import record
@@ -69,7 +68,7 @@ class TestFeatureVote:
 class TestMajorityVote:
     def test_majority_right(self):
         m = ms((1, 30.0, 20.0), (2, 25.0, 20.0), (3, 22.0, 20.0), (4, -2.0, 10.0), (5, 5.0, 10.0))
-        votes = Counter(feature_vote(ua, ub) for _, ua, ub in m.pairs)
+        votes = Counter(feature_vote(ua, ub) for _, ua, ub in m)
         assert votes == {FORWARD: 1, LEFT: 1, RIGHT: 3}
         assert standard_command(m, P) == (MotionCommand(P.v0, -P.omega0), False)
 
@@ -83,7 +82,7 @@ class TestMajorityVote:
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMatchError):
-            standard_command(MatchSet(), P)
+            standard_command((), P)
 
 
 class TestStandardCommand:
@@ -114,7 +113,7 @@ class TestStandardCommand:
         )
     )
     def test_omega_is_always_preset(self, coords):
-        m = MatchSet(tuple((i, a, b) for i, (a, b) in enumerate(coords)))
+        m = tuple((i, a, b) for i, (a, b) in enumerate(coords))
         cmd, _ = standard_command(m, P)
         assert cmd.v == P.v0
         assert cmd.omega in (-P.omega0, 0.0, P.omega0)
@@ -129,12 +128,12 @@ class TestInsideFunnel:
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMatchError):
-            inside_funnel(MatchSet())
+            inside_funnel(())
 
     @settings(max_examples=300)
     @given(st.lists(PAIR, min_size=1, max_size=8))
     def test_command_verdict_equals_inside_funnel(self, coords):
-        m = MatchSet(tuple((i, a, b) for i, (a, b) in enumerate(coords)))
+        m = tuple((i, a, b) for i, (a, b) in enumerate(coords))
         assert standard_command(m, P)[1] == inside_funnel(m)
 
 

@@ -266,15 +266,20 @@ class TestScenarioConfig:
         d["repeat"]["remove_landmarks"] = [3, 4]
         d["teach"]["min_features"] = 2
         scn = scenario_from_dict(d)
-        assert scn.remove_landmarks == (3, 4)
         assert scn.min_teach_features == 2
-        removed = scn.repeat_world()
-        assert {lm.id for lm in scn.world.landmarks} - {lm.id for lm in removed.landmarks} == {3, 4}
+        kept = {lm.id for lm in scn.repeat_world.landmarks}
+        assert {lm.id for lm in scn.world.landmarks} - kept == {3, 4}
 
     def test_remove_landmarks_entries_must_be_ids(self):
         d = minimal_scenario_dict()
         d["repeat"]["remove_landmarks"] = [[3]]
         with pytest.raises(ConfigError, match="list"):
+            scenario_from_dict(d)
+
+    def test_remove_landmarks_ids_must_exist(self):
+        d = minimal_scenario_dict()
+        d["repeat"]["remove_landmarks"] = [3, 998, 999]
+        with pytest.raises(ConfigError, match=r"\[998, 999\]"):
             scenario_from_dict(d)
 
     def test_oracle_block_defaults(self):
@@ -344,7 +349,7 @@ class TestScenarioConfig:
         assert scn.oracle.keyframe == -1
         assert scn.repeat_start == scn.script.start_pose
         assert (scn.runs, scn.seed, scn.tolerance) == (1, 0, 0.3)
-        assert (scn.remove_landmarks, scn.min_teach_features) == ((), 4)
+        assert (scn.repeat_world, scn.min_teach_features) == (scn.world, 4)
 
     def test_yaml_parse_error_carries_line_number(self, tmp_path):
         f = tmp_path / "bad.yaml"
@@ -393,7 +398,7 @@ class TestRunScenario:
         path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
         for i, trace in enumerate(rep.traces):
             alone = navigate(
-                scn.repeat_world(),
+                scn.repeat_world,
                 scn.camera,
                 path,
                 scn.repeat_start,

@@ -40,7 +40,7 @@ class TestMatch:
 
     def test_identity_with_zero_noise(self):
         m = match(dict(KF.observations), KF, NoiseModel(), NoiseModel().make_rng())
-        assert m.pairs == ((1, 10.0, 10.0), (2, -5.0, -5.0), (3, 40.0, 40.0))
+        assert m == ((1, 10.0, 10.0), (2, -5.0, -5.0), (3, 40.0, 40.0))
 
     def test_noise_free_match_never_calls_perturb(self, monkeypatch):
         calls = 0
@@ -55,14 +55,14 @@ class TestMatch:
         kf = Keyframe(0, Pose(0, 0, 0), dict(obs))
         for noise in (NoiseModel(), NoiseModel(dropout_prob=0.5, seed=3)):
             m = match(obs, kf, noise, noise.make_rng())
-            assert all(u_c == u_j for _, u_c, u_j in m.pairs)
+            assert all(u_c == u_j for _, u_c, u_j in m)
         assert calls == 0
         noisy = NoiseModel(pixel_sigma=1.0)
         assert len(match(obs, kf, noisy, noisy.make_rng())) == calls == 29
 
     def test_partial_overlap(self):
         m = match({1: 9.0, 9: 3.0}, KF, NoiseModel(), NoiseModel().make_rng())
-        assert m.pairs == ((1, 9.0, 10.0),)
+        assert m == ((1, 9.0, 10.0),)
 
     def test_seeded_determinism(self):
         noise = NoiseModel(dropout_prob=0.3, pixel_sigma=2.0, seed=42)
@@ -131,14 +131,14 @@ class TestStdRatio:
     @given(st.floats(-50.0, 50.0))
     def test_invariant_to_current_shift(self, c):
         base = ms((1, -20.0, -40.0), (2, 20.0, 40.0), (3, 5.0, 0.0))
-        shifted = MatchSet(tuple((i, a + c, b) for i, a, b in base.pairs))
+        shifted = tuple((i, a + c, b) for i, a, b in base)
         assert std_ratio(shifted) == pytest.approx(std_ratio(base), abs=1e-9)
 
     @settings(max_examples=50)
     @given(st.floats(0.1, 10.0))
     def test_scales_with_current_spread(self, k):
         base = ms((1, -20.0, -40.0), (2, 20.0, 40.0))
-        scaled = MatchSet(tuple((i, a * k, b) for i, a, b in base.pairs))
+        scaled = tuple((i, a * k, b) for i, a, b in base)
         assert std_ratio(scaled) == pytest.approx(k * std_ratio(base), rel=1e-9)
 
 
@@ -157,8 +157,8 @@ class TestMedianDistanceAndMse:
         assert mse(m) == pytest.approx(4.0)
 
     def test_empty_set_is_none(self):
-        assert median_distance(MatchSet()) is None
-        assert mse(MatchSet()) is None
+        assert median_distance(()) is None
+        assert mse(()) is None
 
 
 def _bits(x: float) -> bytes:
@@ -197,7 +197,7 @@ def _mixed_pairs(n: int, seed: int) -> MatchSet:
     squares and their sums stay finite."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-4, 6, size=(n, 2))
-    return MatchSet(tuple((i, u_c, u_j) for i, (u_c, u_j) in enumerate(a.tolist())))
+    return tuple((i, u_c, u_j) for i, (u_c, u_j) in enumerate(a.tolist()))
 
 
 class TestPythonSums:
@@ -209,15 +209,15 @@ class TestPythonSums:
     @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
     def test_std_ratio_equals_numpy(self, n, seed):
         m = _mixed_pairs(n, seed)
-        u_c = np.array([p[1] for p in m.pairs])
-        u_j = np.array([p[2] for p in m.pairs])
+        u_c = np.array([p[1] for p in m])
+        u_j = np.array([p[2] for p in m])
         assert _bits(std_ratio(m)) == _bits(float(np.std(u_c)) / float(np.std(u_j)))
 
     @settings(max_examples=300)
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
     def test_mse_equals_numpy(self, n, seed):
         m = _mixed_pairs(n, seed)
-        d = np.array([p[1] for p in m.pairs]) - np.array([p[2] for p in m.pairs])
+        d = np.array([p[1] for p in m]) - np.array([p[2] for p in m])
         assert _bits(mse(m)) == _bits(float(np.mean(d * d)))
 
 

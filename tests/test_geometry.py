@@ -199,13 +199,6 @@ class TestWorld:
         with pytest.raises(ValueError):
             World(landmarks=(Landmark(1, 9.0, 0.0),), bounds=(-5, -5, 5, 5))
 
-    def test_without_removes_ids(self):
-        w = World(
-            landmarks=(Landmark(1, 0, 0), Landmark(2, 1, 1)),
-            bounds=(-5, -5, 5, 5),
-        )
-        assert [lm.id for lm in w.without([1]).landmarks] == [2]
-
     def test_in_collision(self):
         w = World(landmarks=(), bounds=(-5, -5, 5, 5), obstacles=((0, 0, 1, 1),))
         assert in_collision(w, Pose(0.5, 0.5, 0.0))

@@ -11,7 +11,6 @@ import funnelnav
 from funnelnav.evaluate import load_scenario, run_scenario
 from funnelnav.features import (
     Keyframe,
-    MatchSet,
     NoiseModel,
     VisualPath,
     median_distance,
@@ -61,7 +60,7 @@ class TestTickStats:
     @pytest.mark.parametrize(
         "m",
         [
-            MatchSet(),
+            (),
             ms((1, 22.0, 20.0)),  # one pair: no spread ratio
             ms((1, 3.0, 5.0), (2, -4.0, 5.0), (3, 9.0, 5.0)),  # no keyframe spread
             ms((1, -21.0, -20.0), (2, 21.0, 20.0), (3, 4.5, 3.0), (4, 7.25, 9.0)),
@@ -96,7 +95,7 @@ class TestShouldSwitch:
         assert not should_switch(tick_stats(ms((1, 27.0, 20.0))), cfg)  # ed 7 >= 5
 
     def test_empty_never_switches(self):
-        assert not should_switch(tick_stats(MatchSet()), CFG)
+        assert not should_switch(tick_stats(()), CFG)
 
     def test_exact_keyframe_then_one_tick_past(self):
         world = corridor_world()
@@ -224,7 +223,7 @@ class TestZeroNoiseSuiteInvariant:
         path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
         cfg = replace(scn.navigator, controller="sloped")
         tr = navigate(
-            scn.repeat_world(), scn.camera, path, scn.repeat_start, cfg, NoiseModel()
+            scn.repeat_world, scn.camera, path, scn.repeat_start, cfg, NoiseModel()
         )
         assert tr.outcome == "done"
 
