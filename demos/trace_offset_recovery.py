@@ -33,10 +33,10 @@ def main() -> int:
         tr = navigate(scn.world, scn.camera, path, scn.repeat_start, cfg, NoiseModel())
         print(f"== {controller} ==")
         for r in tr.records:
-            if r.tick % 40 == 0 or r.event:
+            if r["tick"] % 40 == 0 or r["event"]:
                 print(
-                    f"  tick {r.tick:>4}  ({r.x:6.2f}, {r.y:6.2f})  heading {r.theta:5.2f}"
-                    f"  segment {r.segment}  {r.event}"
+                    f"  tick {r['tick']:>4}  ({r['x']:6.2f}, {r['y']:6.2f})"
+                    f"  heading {r['theta']:5.2f}  segment {r['segment']}  {r['event']}"
                 )
         err = math.hypot(tr.final_pose.x - goal.x, tr.final_pose.y - goal.y)
         print(f"  outcome: {tr.outcome}, final error {err:.3f} m\n")

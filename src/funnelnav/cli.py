@@ -103,7 +103,7 @@ def _write_report(rep: MetricsReport, out: Path, teach_path) -> None:
         rows.append(f"teach,-1,{k},{kf.pose_truth.x!r},{kf.pose_truth.y!r}")
     for i, tr in enumerate(rep.traces):
         for r in tr.records:
-            rows.append(f"repeat,{i},{r.tick},{r.x!r},{r.y!r}")
+            rows.append(f"repeat,{i},{r['tick']},{r['x']!r},{r['y']!r}")
     (sub / "trajectories.csv").write_text("\n".join(rows) + "\n")
 
 
@@ -237,7 +237,8 @@ def main(argv=None) -> int:
         if args.command == "oracle-check":
             return cmd_oracle_check(scn, out)
         return cmd_metrics(scn, out)
-    except ConfigError as e:
+    # an OSError here is an output path that cannot be written; str(e) names it
+    except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (TeachDegenerateError, InvalidPathError) as e:

@@ -67,16 +67,15 @@ def _medians(pairs):
     return mu_c, mu_j
 
 
-def radius_policy(s_y: float, p: SlopedParams) -> tuple[float, float]:
-    """Map the pitch slope to (v, |omega|).
+def radius_policy(s_y: float, p: SlopedParams) -> float:
+    """Map the pitch slope to the forward speed of a turn at |omega| = omega_max.
 
     Linear with clamping: turning radius v/|omega| shrinks with the pitch
     slope, approaching rotation in place at zero.  A small velocity floor
     keeps the robot creeping forward; a pure in-place rotation can otherwise
     lock up when the lateral offset never changes.
     """
-    v = p.v_max * max(min(max(s_y, 0.0), 1.0), p.v_floor_frac)
-    return v, p.omega_max
+    return p.v_max * max(min(max(s_y, 0.0), 1.0), p.v_floor_frac)
 
 
 def evaluate_state(m: MatchSet, p: SlopedParams, ratio: float | None) -> SlopedState:
@@ -117,14 +116,6 @@ def evaluate_state(m: MatchSet, p: SlopedParams, ratio: float | None) -> SlopedS
     )
 
 
-def _turn(direction: int, s_y: float | None, p: SlopedParams) -> MotionCommand:
-    # direction +1 = left (CCW), -1 = right
-    if s_y is None:
-        return MotionCommand(0.0, direction * p.omega_max)
-    v, omega_mag = radius_policy(s_y, p)
-    return MotionCommand(v, direction * omega_mag)
-
-
 def sloped_command(
     m: MatchSet, p: SlopedParams, ratio: float | None
 ) -> tuple[MotionCommand, SlopedState]:
@@ -132,27 +123,25 @@ def sloped_command(
 
     ratio is std_ratio(m), None where undefined, as for evaluate_state.
 
-    Inside the lane the roll slope steers (dead-band -> forward at full speed);
-    outside, a violated right-side constraint means the robot left the lane on
-    its left, so it turns right, and vice versa.  All turns use the pitch-slope
-    radius policy.
+    Inside the lane the roll slope steers (dead-band -> forward at full speed).
+    Outside, a violated right-side constraint means the robot left the lane on
+    its left, so it turns right, and vice versa; when both sides are violated
+    the roll slope decides again.  Every turn is at omega_max, with the
+    forward speed of the pitch-slope radius policy.
     """
     st = evaluate_state(m, p, ratio)
+    # without a usable spread ratio there is no radius to modulate; inside
+    # the lane the conservative fallback is plain forward motion
+    if st.inside and (abs(st.s_x) <= p.sx_epsilon or st.s_y is None):
+        return MotionCommand(p.v_max, 0.0), st
     c1, c2, c3, c4 = st.constraints
-    if st.inside:
-        # without a usable spread ratio there is no radius to modulate;
-        # inside the lane the conservative fallback is plain forward motion
-        if abs(st.s_x) <= p.sx_epsilon or st.s_y is None:
-            return MotionCommand(p.v_max, 0.0), st
-        if st.s_x < 0:
-            return _turn(+1, st.s_y, p), st
-        return _turn(-1, st.s_y, p), st
-    drifted_left = (not c1) or (not c4)
-    drifted_right = (not c2) or (not c3)
-    if drifted_left and drifted_right:
-        # both sides complain (large heading offsets shortly after a keyframe
-        # switch do this); the roll slope is the reliable arbiter then
-        return _turn(+1 if st.s_x < 0 else -1, st.s_y, p), st
-    if drifted_left:
-        return _turn(-1, st.s_y, p), st
-    return _turn(+1, st.s_y, p), st
+    drifted_left, drifted_right = not (c1 and c4), not (c2 and c3)
+    if drifted_left != drifted_right:
+        # direction +1 = left (CCW), -1 = right: turn back toward the lane
+        turn = -1 if drifted_left else 1
+    else:
+        # inside the lane, or both sides complain (large heading offsets
+        # shortly after a keyframe switch do this): the roll slope arbitrates
+        turn = 1 if st.s_x < 0 else -1
+    v = 0.0 if st.s_y is None else radius_policy(st.s_y, p)
+    return MotionCommand(v, turn * p.omega_max), st

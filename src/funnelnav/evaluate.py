@@ -445,4 +445,6 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"{path}: YAML parse error{where}: {e}") from e
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: cannot read: {e}") from e
+    except RecursionError as e:
+        raise ConfigError(f"{path}: nested too deeply to parse") from e
     return scenario_from_dict(d)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .control_sloped import SlopedParams, sloped_command
@@ -43,8 +43,8 @@ from .geometry import (
     visible_set,
 )
 
-__all__ = ["NavigatorConfig", "TickRecord", "RunTrace", "read_run_summary", "TickStats",
-           "tick_stats", "should_switch", "navigate"]
+__all__ = ["NavigatorConfig", "RunTrace", "read_run_summary", "TickStats", "tick_stats",
+           "should_switch", "navigate"]
 
 STOP = MotionCommand(0.0, 0.0)
 
@@ -75,44 +75,29 @@ class NavigatorConfig:
 
 
 @dataclass(frozen=True)
-class TickRecord:
-    tick: int
-    x: float
-    y: float
-    theta: float
-    segment: int  # destination keyframe index of the active segment
-    v: float
-    omega: float
-    nmf: int
-    std_ratio: float | None
-    ed: float | None
-    mse: float | None
-    s_x: float | None
-    s_y: float | None
-    inside: bool | None
-    event: str  # "", switch, recovered, stopped, done, lost, timeout, collision
-
-
-_RECORD_KEYS = tuple(sorted(f.name for f in fields(TickRecord)))
-
-
-@dataclass(frozen=True)
 class RunTrace:
     """A run's records, of which the last and only the last is terminal, and
-    its noise seed; the run's outcome and final pose are the terminal record's."""
+    its noise seed; the run's outcome and final pose are the terminal record's.
 
-    records: tuple[TickRecord, ...]
+    Each record is the dict that jsonl_lines writes as one JSON object, with
+    the keys ed, event, inside, mse, nmf, omega, s_x, s_y, segment, std_ratio,
+    theta, tick, v, x, y in that order.  segment is the destination keyframe
+    index of the active segment; event is "", switch, recovered, stopped,
+    done, lost, timeout or collision.
+    """
+
+    records: tuple[dict, ...]
     seed: int
 
     @property
     def outcome(self) -> str:
         """done | lost | timeout | collision: the terminal record's event."""
-        return self.records[-1].event
+        return self.records[-1]["event"]
 
     @property
     def final_pose(self) -> Pose:
         r = self.records[-1]
-        return Pose(r.x, r.y, r.theta)
+        return Pose(r["x"], r["y"], r["theta"])
 
     def jsonl_lines(self) -> list[str]:
         """One JSON record per trace record plus a trailing run-summary record.
@@ -125,27 +110,15 @@ class RunTrace:
         follows the command record of the tick that hit the obstacle and
         repeats its tick number.
         """
-        # keys in sorted order, so json.dumps needs no sort_keys and takes its
-        # cached default encoder
-        lines = [
-            json.dumps({k: d[k] for k in _RECORD_KEYS})
-            for d in (r.__dict__ for r in self.records)
-        ]
+        # records and summary list their keys in sorted order, so each line
+        # is a plain json.dumps, which takes the cached default encoder
+        lines = [json.dumps(r) for r in self.records]
         last = self.records[-1]
-        lines.append(
-            json.dumps(
-                {
-                    "summary": True,
-                    "outcome": last.event,
-                    "final_x": last.x,
-                    "final_y": last.y,
-                    "final_theta": last.theta,
-                    "ticks": len(self.records),
-                    "seed": self.seed,
-                },
-                sort_keys=True,
-            )
-        )
+        lines.append(json.dumps({
+            "final_theta": last["theta"], "final_x": last["x"], "final_y": last["y"],
+            "outcome": last["event"], "seed": self.seed, "summary": True,
+            "ticks": len(self.records),
+        }))
         return lines
 
     def write(self, file) -> None:
@@ -158,7 +131,7 @@ def read_run_summary(file: Path) -> tuple[tuple[float, float], str]:
     try:
         last = json.loads(file.read_text().strip().splitlines()[-1])
         return (float(last["final_x"]), float(last["final_y"])), str(last["outcome"])
-    except (OSError, IndexError, KeyError, TypeError, ValueError) as e:
+    except (OSError, IndexError, KeyError, RecursionError, TypeError, ValueError) as e:
         raise ConfigError(f"{file}: not a readable run trace ending in a summary record") from e
 
 
@@ -219,28 +192,15 @@ def navigate(
     last = len(path.keyframes) - 1
     tracked: list[int] | None = None  # ascending ids; None forces a full re-match
     stopped = 0
-    records: list[TickRecord] = []
+    records: list[dict] = []
 
     def rec(tick, cmd, stats, event, s_x=None, s_y=None, inside=None):
-        records.append(
-            TickRecord(
-                tick=tick,
-                x=pose.x,
-                y=pose.y,
-                theta=pose.theta,
-                segment=dest,
-                v=cmd.v,
-                omega=cmd.omega,
-                nmf=stats.nmf,
-                std_ratio=stats.ratio,
-                ed=stats.ed,
-                mse=stats.mse,
-                s_x=s_x,
-                s_y=s_y,
-                inside=inside,
-                event=event,
-            )
-        )
+        records.append({
+            "ed": stats.ed, "event": event, "inside": inside, "mse": stats.mse,
+            "nmf": stats.nmf, "omega": cmd.omega, "s_x": s_x, "s_y": s_y, "segment": dest,
+            "std_ratio": stats.ratio, "theta": pose.theta, "tick": tick, "v": cmd.v,
+            "x": pose.x, "y": pose.y,
+        })
 
     for tick in range(cfg.max_ticks):
         obs = visible_set(world, pose, cam)

@@ -126,10 +126,13 @@ class TestSlopeArithmetic:
 
     def test_radius_policy_values(self):
         p = SlopedParams(0.5, 0.5)
-        v1, o1 = radius_policy(1.0, p)
-        assert v1 / o1 == p.v_max / p.omega_max
-        v2, o2 = radius_policy(0.5, p)
-        assert v2 / o2 == 0.5 * (p.v_max / p.omega_max)
+        assert radius_policy(1.0, p) == p.v_max
+        assert radius_policy(0.5, p) == 0.5 * p.v_max
+        # a turn at pitch slope 0.5 has half the radius v_max / omega_max
+        m = ms((1, -10.0, -40.0), (2, 30.0, 40.0))
+        cmd, st_ = sloped_command(m, p, tick_stats(m).ratio)
+        assert st_.s_y == 0.5 and abs(cmd.omega) == p.omega_max
+        assert cmd.v / abs(cmd.omega) == 0.5 * (p.v_max / p.omega_max)
 
     def test_pitch_slope_strictly_decreases_on_straight_approach(self):
         world = World(

@@ -57,6 +57,16 @@ class TestTeach:
         assert main(["teach", "--config", str(cfg), "--out", str(out)]) == 3
 
 
+# an output that a command writes under --force, with something else in its place
+OUTPUT_IN_THE_WAY = {
+    "repeat-sub-is-a-file": ("repeat", "sloped"),
+    "repeat-trace-is-a-directory": ("repeat", "sloped/run_000.jsonl"),
+    "teach-path-is-a-directory": ("teach", "visual_path.json"),
+    "oracle-meta-is-a-directory": ("oracle-check", "meta.json"),
+    "oracle-csv-is-a-directory": ("oracle-check", "disagreements.csv"),
+}
+
+
 class TestExitCodes:
     def test_malformed_yaml_exits_2(self, tmp_path):
         f = tmp_path / "bad.yaml"
@@ -144,26 +154,41 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "case",
-        ["config-missing", "config-is-a-directory", "config-not-utf8", "out-is-a-file",
-         "trace-is-a-directory"],
+        ["config-missing", "config-is-a-directory", "config-not-utf8", "config-nested-too-deep",
+         "out-is-a-file", "trace-is-a-directory", "trace-nested-too-deep", *OUTPUT_IN_THE_WAY],
     )
     def test_unreadable_path_exits_2(self, tmp_path, capsys, case):
         cfg = small_config(tmp_path)
         out = tmp_path / "out"
-        command, named = "teach", cfg
+        command, named, force = "teach", cfg, []
         if case == "config-missing":
             cfg = named = tmp_path / "missing.yaml"
         elif case == "config-is-a-directory":
             cfg = named = tmp_path
         elif case == "config-not-utf8":
             cfg.write_bytes(b"name: caf\xe9\n")
+        elif case == "config-nested-too-deep":
+            cfg.write_text("name: " + "[" * 3000 + "]" * 3000 + "\n")
         elif case == "out-is-a-file":
             out.write_text("x")
             named = out
-        else:
-            (out / "sloped" / "run_000.jsonl").mkdir(parents=True)
+        elif case.startswith("trace-"):
+            trace = out / "sloped" / "run_000.jsonl"
+            if case == "trace-is-a-directory":
+                trace.mkdir(parents=True)
+            else:
+                trace.parent.mkdir(parents=True)
+                trace.write_text("[" * 100_000 + "]" * 100_000 + "\n")
             command, named = "metrics", "run_000.jsonl"
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        else:
+            command, rel = OUTPUT_IN_THE_WAY[case]
+            force, named = ["--force"], out / rel
+            named.parent.mkdir(parents=True, exist_ok=True)
+            if case.endswith("is-a-file"):
+                named.write_text("x")
+            else:
+                named.mkdir()
+        assert main([command, "--config", str(cfg), "--out", str(out), *force]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and str(named) in err
 

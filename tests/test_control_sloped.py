@@ -75,24 +75,18 @@ class TestRollSlope:
 
 
 class TestRadiusPolicy:
-    def test_max_slope_gives_max_radius(self):
-        v, omega = radius_policy(1.0, P)
-        assert v == pytest.approx(P.v_max)
-        assert omega == pytest.approx(P.omega_max)
-        assert v / omega == pytest.approx(P.v_max / P.omega_max)
+    def test_max_slope_gives_max_speed(self):
+        assert radius_policy(1.0, P) == pytest.approx(P.v_max)
 
-    def test_half_slope_gives_half_radius(self):
-        v, omega = radius_policy(0.5, P)
-        assert v / omega == pytest.approx(0.5 * P.v_max / P.omega_max)
+    def test_half_slope_gives_half_speed(self):
+        assert radius_policy(0.5, P) == pytest.approx(0.5 * P.v_max)
 
     def test_zero_slope_keeps_liveness_floor(self):
-        v, omega = radius_policy(0.0, P)
-        assert v == pytest.approx(P.v_floor_frac * P.v_max)
-        assert omega == pytest.approx(P.omega_max)
+        assert radius_policy(0.0, P) == pytest.approx(P.v_floor_frac * P.v_max)
 
     def test_clamped_outside_unit_interval(self):
-        assert radius_policy(3.0, P)[0] == pytest.approx(P.v_max)
-        assert radius_policy(-2.0, P)[0] == pytest.approx(P.v_floor_frac * P.v_max)
+        assert radius_policy(3.0, P) == pytest.approx(P.v_max)
+        assert radius_policy(-2.0, P) == pytest.approx(P.v_floor_frac * P.v_max)
 
 
 class TestConstraints:
@@ -187,11 +181,20 @@ class TestSlopedCommand:
         assert cmd.omega < 0
 
     def test_turns_use_radius_policy(self):
+        # outside the lane (right magnitude violated) at pitch slope 0
         m = ms((1, -5.0, -10.0), (2, 25.0, 20.0))
         cmd, st_ = command(m)
-        v, omega = radius_policy(st_.s_y, P)
-        assert cmd.v == pytest.approx(v)
-        assert abs(cmd.omega) == pytest.approx(omega)
+        assert not st_.inside
+        assert cmd.v == pytest.approx(radius_policy(st_.s_y, P))
+        assert abs(cmd.omega) == pytest.approx(P.omega_max)
+
+    def test_half_slope_turn_has_half_the_max_radius(self):
+        # inside the lane, spread halved, roll slope past the dead-band
+        m = ms((1, -10.0, -40.0), (2, 30.0, 40.0))
+        cmd, st_ = command(m)
+        assert st_.inside and st_.s_y == pytest.approx(0.5)
+        assert cmd.omega == pytest.approx(-P.omega_max)
+        assert cmd.v / abs(cmd.omega) == pytest.approx(0.5 * P.v_max / P.omega_max)
 
     def test_degenerate_spread_outside_rotates_in_place(self):
         m = ms((1, 25.0, 20.0))  # one pair: no spread, c1 violated

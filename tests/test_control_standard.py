@@ -152,9 +152,9 @@ class TestOneVotePerPair:
         cfg = replace(scn.navigator, controller="standard")
         noise = replace(scn.noise, seed=scn.seed)
         tr = navigate(scn.world, scn.camera, path, scn.repeat_start, cfg, noise)
-        driving = [r for r in tr.records if r.event in ("", "recovered")]
+        driving = [r for r in tr.records if r["event"] in ("", "recovered")]
         assert driving
-        assert calls == sum(r.nmf for r in driving)
+        assert calls == sum(r["nmf"] for r in driving)
 
 
 class TestParams:

@@ -5,7 +5,8 @@ The digests in perfbench/golden.json are the sha256 of each run's trace
 seed.  This test only reads that file.  A change that alters a trace byte on
 purpose regenerates it with `python3 perfbench/make_golden.py` and says why.
 
-The invariant test reads the same seed-0 traces, each run once per session.
+The invariant and read-back tests use the same seed-0 traces, each run once
+per session.
 """
 
 import functools
@@ -51,21 +52,30 @@ def test_seed_0_trace_holds_the_trace_invariants(config, controller):
 
     # record i is tick i, except that a collision repeats the tick of the
     # command record that drove into the obstacle
-    ticks = [r.tick for r in records]
-    if last.event == "collision":
+    ticks = [r["tick"] for r in records]
+    if last["event"] == "collision":
         assert ticks == [*range(len(records) - 1), len(records) - 2]
     else:
         assert ticks == list(range(len(records)))
 
-    assert [r.event in TERMINAL_EVENTS for r in records] == [False] * (len(records) - 1) + [True]
+    assert [r["event"] in TERMINAL_EVENTS for r in records] == [False] * (len(records) - 1) + [True]
 
-    segments = [r.segment for r in records]
+    segments = [r["segment"] for r in records]
     assert segments == sorted(segments)
 
     summary = json.loads(lines[-1])
     assert len(lines) == len(records) + 1
     assert summary["ticks"] == len(records)
-    assert summary["outcome"] == last.event == trace.outcome
+    assert summary["outcome"] == last["event"] == trace.outcome
     assert (summary["final_x"], summary["final_y"], summary["final_theta"]) == (
-        last.x, last.y, last.theta,
+        last["x"], last["y"], last["theta"],
     )
+
+
+@CONTROLLERS
+@CONFIGS
+def test_seed_0_trace_records_read_back_from_their_lines(config, controller):
+    # a record held in memory and the same record read back from its JSONL
+    # line are one and the same dict
+    _, trace, lines = seed_0_trace(config, controller)
+    assert [json.loads(line) for line in lines[:-1]] == list(trace.records)

@@ -136,8 +136,8 @@ class TestNavigateOutcomes:
         tr = navigate(world, CAM, path, Pose(0, 0, 0), cfg, NoiseModel())
         assert tr.outcome == "lost"
         assert len(tr.records) == 7
-        assert [r.event for r in tr.records] == ["stopped"] * 6 + ["lost"]
-        assert all(r.v == 0.0 and r.omega == 0.0 for r in tr.records)
+        assert [r["event"] for r in tr.records] == ["stopped"] * 6 + ["lost"]
+        assert all(r["v"] == 0.0 and r["omega"] == 0.0 for r in tr.records)
         assert tr.final_pose == Pose(0, 0, 0)
 
     def test_collision_outcome(self):
@@ -150,7 +150,7 @@ class TestNavigateOutcomes:
         )
         tr = navigate(blocked, CAM, path, Pose(0, 0, 0), NavigatorConfig(), NoiseModel())
         assert tr.outcome == "collision"
-        assert tr.records[-1].event == "collision"
+        assert tr.records[-1]["event"] == "collision"
         assert 2.0 <= tr.final_pose.x <= 2.5
 
     def test_timeout_outcome(self):
@@ -159,7 +159,7 @@ class TestNavigateOutcomes:
         cfg = NavigatorConfig(max_ticks=5)
         tr = navigate(world, CAM, path, Pose(0, 0, 0), cfg, NoiseModel())
         assert tr.outcome == "timeout"
-        assert tr.records[-1].event == "timeout"
+        assert tr.records[-1]["event"] == "timeout"
 
 
 class TestTraceInvariants:
@@ -181,11 +181,11 @@ class TestTraceInvariants:
 
     def test_segment_monotone_and_single_terminal(self):
         tr = self._noisy_trace()
-        segs = [r.segment for r in tr.records]
+        segs = [r["segment"] for r in tr.records]
         assert segs == sorted(segs)
-        terminal = [r for r in tr.records if r.event in TERMINAL_EVENTS]
+        terminal = [r for r in tr.records if r["event"] in TERMINAL_EVENTS]
         assert len(terminal) == 1
-        assert tr.records[-1].event == tr.outcome
+        assert tr.records[-1]["event"] == tr.outcome
 
     def test_summary_record_fields(self):
         tr = self._noisy_trace()
@@ -205,14 +205,14 @@ class TestSummaryCountsRecords:
             world, CAM, straight_path(world), Pose(0, 0, 0),
             NavigatorConfig(max_ticks=1), NoiseModel(),
         )
-        assert [(r.tick, r.event) for r in tr.records] == [(0, ""), (1, "timeout")]
+        assert [(r["tick"], r["event"]) for r in tr.records] == [(0, ""), (1, "timeout")]
         assert json.loads(tr.jsonl_lines()[-1])["ticks"] == 2
 
     def test_collision_repeats_the_tick_of_its_command_record(self):
         scn = replace(load_scenario(SCENARIO_DIR / "narrow_room.yaml"), seed=0, runs=1)
         (tr,) = run_scenario(scn, controller="standard").traces
         assert tr.outcome == "collision"
-        assert [(r.tick, r.event) for r in tr.records[-2:]] == [(225, ""), (225, "collision")]
+        assert [(r["tick"], r["event"]) for r in tr.records[-2:]] == [(225, ""), (225, "collision")]
         assert json.loads(tr.jsonl_lines()[-1])["ticks"] == len(tr.records) == 227
 
 
