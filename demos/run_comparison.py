@@ -28,10 +28,10 @@ def main() -> int:
     for name in names:
         scn = load_scenario(SCENARIO_DIR / f"{name}.yaml")
         for controller in ("standard", "sloped"):
-            rep = run_scenario(scn, controller=controller)
+            m = run_scenario(scn, controller=controller).metrics
             print(
-                f"{name:<22} {controller:<9} {rep.accuracy:>8.3f} "
-                f"{rep.repeatability:>8.3f}  {outcome_str(rep.outcomes)}"
+                f"{name:<22} {controller:<9} {m['accuracy']:>8.3f} "
+                f"{m['repeatability']:>8.3f}  {outcome_str(m['outcomes'])}"
             )
     return 0
 

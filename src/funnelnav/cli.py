@@ -11,13 +11,15 @@ Subcommands and the flags each one reads::
     funnelnav oracle-check --config S.yaml --out DIR [--force]
         controller vs brute-force lane
     funnelnav metrics      --config S.yaml --out DIR
-        recompute metrics from the traces in DIR (writes nothing)
+        recompute each controller's metrics.json from its traces in DIR
+        (writes nothing)
 
 --seed overrides the scenario seed; --force allows writing into a non-empty
-output directory.  A flag a subcommand does not read is a usage error (exit
-2).  Exit codes: 0 success, 2 config or usage error, 3 degenerate domain
-input, 4 internal invariant breach.  Outputs are byte-reproducible for a
-fixed config and seed; wall-clock metadata lives only in meta.json.
+output directory, and replaces the run traces of each controller it runs.  A
+flag a subcommand does not read is a usage error (exit 2).  Exit codes: 0
+success, 2 config or usage error, 3 degenerate domain input, 4 internal
+invariant breach.  Outputs are byte-reproducible for a fixed config and
+seed; wall-clock metadata lives only in meta.json.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import argparse
 import json
 import sys
 import time
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,16 +35,15 @@ from .errors import ConfigError, FunnelNavError, InvalidPathError, TeachDegenera
 from .evaluate import (
     MetricsReport,
     Scenario,
-    accuracy,
     controller_inside_grid,
     funnel_oracle,
     grid_poses,
     load_scenario,
-    repeatability,
+    report,
     run_scenario,
 )
 from .features import save_visual_path
-from .navigate import read_run_summary
+from .navigate import read_run
 from .teach import record
 
 __all__ = ["main"]
@@ -91,13 +91,13 @@ def cmd_teach(scn: Scenario, out: Path) -> int:
 
 
 def _write_report(rep: MetricsReport, out: Path, teach_path) -> None:
-    sub = out / rep.controller
+    sub = out / rep.metrics["controller"]
     sub.mkdir(exist_ok=True)
+    for stale in sub.glob("run_*.jsonl"):  # left by an earlier run under --force
+        stale.unlink()
     for i, tr in enumerate(rep.traces):
         tr.write(sub / f"run_{i:03d}.jsonl")
-    (sub / "metrics.json").write_text(
-        json.dumps(rep.to_dict(), indent=1, sort_keys=True) + "\n"
-    )
+    (sub / "metrics.json").write_text(json.dumps(rep.metrics, indent=1, sort_keys=True) + "\n")
     rows = ["kind,run,step,x,y"]
     for k, kf in enumerate(teach_path.keyframes):
         rows.append(f"teach,-1,{k},{kf.pose_truth.x!r},{kf.pose_truth.y!r}")
@@ -108,10 +108,10 @@ def _write_report(rep: MetricsReport, out: Path, teach_path) -> None:
 
 
 def _report_row(rep: MetricsReport) -> str:
-    done = rep.outcomes.get("done", 0)
+    m = rep.metrics
     return (
-        f"{rep.controller:>10}  acc {rep.accuracy:7.3f} m  rep {rep.repeatability:7.3f} m"
-        f"  done {done}/{len(rep.traces)}"
+        f"{m['controller']:>10}  acc {m['accuracy']:7.3f} m  rep {m['repeatability']:7.3f} m"
+        f"  outcomes {m['outcomes']}"
     )
 
 
@@ -124,7 +124,7 @@ def cmd_repeat(scn: Scenario, out: Path, controllers) -> int:
     save_visual_path(path, out / "visual_path.json")
     if len(controllers) > 1:
         print(f"scenario: {scn.name} ({scn.runs} runs per controller, seed {scn.seed})")
-        print(f"{'controller':>10}  {'accuracy / repeatability':^34}  outcome")
+        print(f"{'controller':>10}  {'accuracy / repeatability':^34}  outcomes")
     for controller in controllers:
         rep = run_scenario(scn, controller=controller, path=path)
         _write_report(rep, out, path)
@@ -163,24 +163,15 @@ def cmd_oracle_check(scn: Scenario, out: Path) -> int:
 
 
 def cmd_metrics(scn: Scenario, out: Path) -> int:
-    """Recompute endpoint metrics from previously written run traces."""
+    """Recompute each controller's metrics.json from the run traces under out,
+    and print the row that repeat and compare print."""
     path = _teach_path(scn)
-    goal = (path.keyframes[-1].pose_truth.x, path.keyframes[-1].pose_truth.y)
     found = False
     for sub in sorted(out.iterdir()):
-        if not sub.is_dir():
-            continue
-        runs = sorted(sub.glob("run_*.jsonl"))
-        if not runs:
-            continue
-        found = True
-        summaries = [read_run_summary(f) for f in runs]
-        points = [p for p, _ in summaries]
-        outcomes = Counter(o for _, o in summaries)
-        print(
-            f"{sub.name:>10}  acc {accuracy(points, goal):7.3f} m"
-            f"  rep {repeatability(points):7.3f} m  outcomes {dict(sorted(outcomes.items()))}"
-        )
+        runs = sorted(sub.glob("run_*.jsonl")) if sub.is_dir() else []
+        if runs:
+            found = True
+            print(_report_row(report(scn, sub.name, path, [read_run(f) for f in runs])))
     if not found:
         raise ConfigError(f"no run traces found under {out}")
     return 0

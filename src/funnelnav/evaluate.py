@@ -29,6 +29,7 @@ __all__ = [
     "Scenario",
     "MetricsReport",
     "run_scenario",
+    "report",
     "load_scenario",
     "scenario_from_dict",
     "world_from_dict",
@@ -162,28 +163,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    scenario: str
-    controller: str
-    accuracy: float
-    repeatability: float
-    final_points: tuple[tuple[float, float], ...]
-    goal: tuple[float, float]
-    outcomes: dict[str, int]
-    n_within_tolerance: int
+    metrics: dict  # the controller's metrics.json object
     traces: tuple[RunTrace, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "controller": self.controller,
-            "accuracy": self.accuracy,
-            "repeatability": self.repeatability,
-            "final_points": [list(p) for p in self.final_points],
-            "goal": list(self.goal),
-            "outcomes": dict(sorted(self.outcomes.items())),
-            "n_within_tolerance": self.n_within_tolerance,
-            "runs": len(self.traces),
-        }
 
 
 def run_scenario(
@@ -191,10 +172,10 @@ def run_scenario(
     controller: str | None = None,
     path: VisualPath | None = None,
 ) -> MetricsReport:
-    """Teach once, repeat n times with seeded noise, and summarize endpoints.
+    """Teach once, repeat n times with seeded noise, and report the endpoints.
 
-    Failed runs contribute their stopping point to the metrics.  Run i uses
-    seed scenario.seed + i, so both controllers see identical seed streams.
+    Run i uses seed scenario.seed + i, so both controllers see identical seed
+    streams.
     """
     cfg = scenario.navigator
     if controller is not None:
@@ -203,35 +184,39 @@ def run_scenario(
         path = record(
             scenario.world, scenario.camera, scenario.script, scenario.min_teach_features
         )
-    world = scenario.repeat_world
-    goal_pose = path.keyframes[-1].pose_truth
-    goal = (goal_pose.x, goal_pose.y)
+    traces = [
+        navigate(scenario.repeat_world, scenario.camera, path, scenario.repeat_start, cfg,
+                 replace(scenario.noise, seed=scenario.seed + i))
+        for i in range(scenario.runs)
+    ]
+    return report(scenario, cfg.controller, path, traces)
 
-    def one(i: int) -> RunTrace:
-        noise = replace(scenario.noise, seed=scenario.seed + i)
-        return navigate(world, scenario.camera, path, scenario.repeat_start, cfg, noise)
 
-    traces = [one(i) for i in range(scenario.runs)]
+def report(scenario: Scenario, controller: str, path: VisualPath, traces) -> MetricsReport:
+    """A controller's metrics.json object over its run traces.
 
-    points = tuple((t.final_pose.x, t.final_pose.y) for t in traces)
-    errors = [math.hypot(p[0] - goal[0], p[1] - goal[1]) for p in points]
-    outcomes = Counter(t.outcome for t in traces)
+    The goal is the last keyframe's position, and failed runs contribute their
+    stopping point.  A run is within tolerance if it is done and ends within
+    scenario.tolerance of the goal.
+    """
+    goal = path.keyframes[-1].pose_truth
+    points = [[t.final_pose.x, t.final_pose.y] for t in traces]
     n_ok = sum(
-        1
-        for t, e in zip(traces, errors)
-        if t.outcome == "done" and e <= scenario.tolerance
+        t.outcome == "done" and math.hypot(x - goal.x, y - goal.y) <= scenario.tolerance
+        for t, (x, y) in zip(traces, points)
     )
-    return MetricsReport(
-        scenario=scenario.name,
-        controller=cfg.controller,
-        accuracy=accuracy(points, goal),
-        repeatability=repeatability(points),
-        final_points=points,
-        goal=goal,
-        outcomes=dict(outcomes),
-        n_within_tolerance=n_ok,
-        traces=tuple(traces),
-    )
+    metrics = {
+        "accuracy": accuracy(points, (goal.x, goal.y)),
+        "controller": controller,
+        "final_points": points,
+        "goal": [goal.x, goal.y],
+        "n_within_tolerance": n_ok,
+        "outcomes": dict(sorted(Counter(t.outcome for t in traces).items())),
+        "repeatability": repeatability(points),
+        "runs": len(traces),
+        "scenario": scenario.name,
+    }
+    return MetricsReport(metrics, tuple(traces))
 
 
 # --- scenario config files ---------------------------------------------------

@@ -43,7 +43,7 @@ from .geometry import (
     visible_set,
 )
 
-__all__ = ["NavigatorConfig", "RunTrace", "read_run_summary", "TickStats", "tick_stats",
+__all__ = ["NavigatorConfig", "RunTrace", "read_run", "TickStats", "tick_stats",
            "should_switch", "navigate"]
 
 STOP = MotionCommand(0.0, 0.0)
@@ -126,13 +126,18 @@ class RunTrace:
             fh.write("\n".join(self.jsonl_lines()) + "\n")
 
 
-def read_run_summary(file: Path) -> tuple[tuple[float, float], str]:
-    """Final position and outcome from the summary record that ends a run trace."""
+def read_run(file: Path) -> RunTrace:
+    """The run trace in a file, which must be exactly what RunTrace.write wrote."""
     try:
-        last = json.loads(file.read_text().strip().splitlines()[-1])
-        return (float(last["final_x"]), float(last["final_y"])), str(last["outcome"])
+        text = file.read_text()
+        *records, summary = map(json.loads, text.splitlines())
+        trace = RunTrace(tuple(records), summary["seed"])
+        intact = "\n".join(trace.jsonl_lines()) + "\n" == text
     except (OSError, IndexError, KeyError, RecursionError, TypeError, ValueError) as e:
         raise ConfigError(f"{file}: not a readable run trace ending in a summary record") from e
+    if not intact:
+        raise ConfigError(f"{file}: not the trace RunTrace.write writes for its records and seed")
+    return trace
 
 
 @dataclass(frozen=True)

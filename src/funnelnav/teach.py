@@ -31,8 +31,9 @@ class TeachScript:
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
         for cmd, duration in self.steps:
-            if not 0 < duration < math.inf:
-                raise ValueError("step durations must be positive and finite")
+            # duration / dt is the step's frame count, which must be finite
+            if not (duration > 0 and math.isfinite(duration / self.dt)):
+                raise ValueError("step durations must be positive, and duration / dt finite")
             if not (math.isfinite(cmd.v) and math.isfinite(cmd.omega)):
                 raise ValueError("step speeds v and omega must be finite")
 

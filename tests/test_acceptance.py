@@ -55,11 +55,13 @@ def scenario(name):
 
 @lru_cache(maxsize=None)
 def report(name, controller):
-    return run_scenario(scenario(name), controller=controller)
+    """The scenario's metrics.json object for one controller."""
+    return run_scenario(scenario(name), controller=controller).metrics
 
 
-def final_errors(rep):
-    return [math.hypot(x - rep.goal[0], y - rep.goal[1]) for x, y in rep.final_points]
+def final_errors(m):
+    gx, gy = m["goal"]
+    return [math.hypot(x - gx, y - gy) for x, y in m["final_points"]]
 
 
 class TestOracleEquivalence:
@@ -192,12 +194,12 @@ class TestRotationInPlace:
         rep = report("rotation_in_place", "sloped")
         scn = scenario("rotation_in_place")
         assert scn.noise.dropout_prob == 0.1 and scn.noise.pixel_sigma == 1.0
-        assert rep.outcomes == {"done": 10}
+        assert rep["outcomes"] == {"done": 10}
         assert all(e < 0.3 for e in final_errors(rep))
 
     def test_standard_never_completes(self):
         rep = report("rotation_in_place", "standard")
-        assert rep.outcomes.get("done", 0) == 0
+        assert rep["outcomes"].get("done", 0) == 0
 
 
 class TestOffsetStart:
@@ -210,11 +212,11 @@ class TestOffsetStart:
 
     def test_sloped_recovers(self):
         rep = report("offset_start", "sloped")
-        assert rep.outcomes.get("done", 0) >= 8
+        assert rep["outcomes"].get("done", 0) >= 8
 
     def test_standard_fails(self):
         rep = report("offset_start", "standard")
-        assert rep.outcomes.get("done", 0) <= 2
+        assert rep["outcomes"].get("done", 0) <= 2
 
 
 class TestAccuracyOrdering:
@@ -223,15 +225,15 @@ class TestAccuracyOrdering:
     def test_sharp_turn_sloped_beats_standard(self):
         slo = report("sharp_turn", "sloped")
         std = report("sharp_turn", "standard")
-        assert slo.accuracy < std.accuracy
-        assert slo.outcomes.get("done", 0) >= 8
+        assert slo["accuracy"] < std["accuracy"]
+        assert slo["outcomes"].get("done", 0) >= 8
 
     def test_almost_straight_is_a_tie(self):
         slo = report("almost_straight", "sloped")
         std = report("almost_straight", "standard")
-        assert slo.outcomes.get("done", 0) >= 9
-        assert std.outcomes.get("done", 0) >= 9
-        hi, lo = max(slo.accuracy, std.accuracy), min(slo.accuracy, std.accuracy)
+        assert slo["outcomes"].get("done", 0) >= 9
+        assert std["outcomes"].get("done", 0) >= 9
+        hi, lo = max(slo["accuracy"], std["accuracy"]), min(slo["accuracy"], std["accuracy"])
         assert hi < 2.0 * lo
 
 

@@ -10,6 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funnelnav.cli import main
+from funnelnav.evaluate import load_scenario, report
+from funnelnav.navigate import read_run
+from funnelnav.teach import record
 
 from conftest import SCENARIO_DIR
 
@@ -108,6 +111,9 @@ class TestExitCodes:
             ({"repeat": {"seed": True}}, "repeat.seed"),
             ({"repeat": {"remove_landmarks": [999]}}, "repeat.remove_landmarks"),
             ({"teach": {**TEACH, "min_features": 2.9}}, "teach.min_features"),
+            ({"teach": {**TEACH, "steps": [{"v": 0.5, "omega": 0.0, "duration": 1e308}]}},
+             "duration / dt"),
+            ({"teach": {**TEACH, "dt": 1e-320}}, "duration / dt"),
             ({"oracle": {"keyframe": -1.5}}, "oracle.keyframe"),
             ({"oracle": {"grid": {"nx": 2.5}}}, "oracle.grid.nx"),
             ({"world": {"bounds": BOUNDS, "landmarks": [[1.5, 1.0, 2.0]]}}, "world.landmarks"),
@@ -118,6 +124,7 @@ class TestExitCodes:
              "navigator-sloped", "generator-unknown-key", "two-generators", "max-ticks-1.5",
              "max-ticks-bool", "threshold2-2.5", "threshold3-0.5", "runs-2.7", "runs-string",
              "seed-1.5", "seed-bool", "remove-unknown-id", "min-features-2.9",
+             "teach-frames-overflow-duration", "teach-frames-overflow-dt",
              "keyframe-minus-1.5", "grid-nx-2.5", "landmark-id-1.5", "line-n-12.5"],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, named):
@@ -357,13 +364,32 @@ class TestOracleCheck:
 
 class TestMetricsCommand:
     def test_recomputes_from_traces(self, tmp_path, capsys):
+        # metrics.json and the printed rows, from the runs just made and from
+        # the same runs read back, are one and the same
         cfg = small_config(tmp_path)
         out = tmp_path / "out"
-        main(["repeat", "--config", str(cfg), "--out", str(out)])
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]  # past the two header lines
+        scn = load_scenario(cfg)
+        path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
+        for controller in ("standard", "sloped"):
+            sub = out / controller
+            traces = [read_run(f) for f in sorted(sub.glob("run_*.jsonl"))]
+            written = json.loads((sub / "metrics.json").read_text())
+            assert report(scn, controller, path, traces).metrics == written
         assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "sloped" in text
-        assert "acc" in text
+        # metrics walks the controller directories in name order
+        assert capsys.readouterr().out.splitlines() == sorted(rows, key=lambda r: r.split()[0])
+
+    def test_force_replaces_the_run_traces(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for runs, force in ((4, []), (1, ["--force"])):
+            cfg = small_config(tmp_path, repeat={"start": [0.0, 0.0, 0.0], "runs": runs})
+            assert main(["repeat", "--config", str(cfg), "--out", str(out), *force]) == 0
+        assert [f.name for f in (out / "sloped").glob("run_*.jsonl")] == ["run_000.jsonl"]
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [row]
 
     @pytest.mark.parametrize(
         "cut",
@@ -371,15 +397,18 @@ class TestMetricsCommand:
             lambda text: "",
             lambda text: text[: len(text) // 2],
             lambda text: "".join(text.splitlines(keepends=True)[:-1]),
+            lambda text: text.replace('"outcome": "done"', '"outcome": "lost"'),
         ],
-        ids=["empty", "mid-line", "no-summary"],
+        ids=["empty", "mid-line", "no-summary", "summary-disagrees"],
     )
     def test_truncated_trace_exits_2(self, tmp_path, capsys, cut):
         cfg = small_config(tmp_path)
         out = tmp_path / "out"
         main(["repeat", "--config", str(cfg), "--out", str(out)])
         run = out / "sloped" / "run_000.jsonl"
-        run.write_text(cut(run.read_text()))
+        text = run.read_text()
+        assert cut(text) != text
+        run.write_text(cut(text))
         capsys.readouterr()
         assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 2
         assert "run_000.jsonl" in capsys.readouterr().err

@@ -373,11 +373,11 @@ class TestRunScenario:
         return scenario_from_dict(d)
 
     def test_zero_noise_single_run(self):
-        rep = run_scenario(self._scenario(), controller="sloped")
-        assert rep.outcomes == {"done": 1}
-        assert rep.accuracy < 0.3
-        assert rep.repeatability == 0.0
-        assert rep.n_within_tolerance == 1
+        m = run_scenario(self._scenario(), controller="sloped").metrics
+        assert m["outcomes"] == {"done": 1}
+        assert m["accuracy"] < 0.3
+        assert m["repeatability"] == 0.0
+        assert m["n_within_tolerance"] == 1
 
     def test_seed_layout_is_base_plus_run_index(self):
         scn = self._scenario(runs=3, noise={"dropout_prob": 0.05, "pixel_sigma": 0.5})
@@ -388,7 +388,7 @@ class TestRunScenario:
         scn = self._scenario(runs=3, noise={"dropout_prob": 0.1, "pixel_sigma": 1.0})
         a = run_scenario(scn, controller="standard")
         b = run_scenario(scn, controller="standard")
-        assert a.to_dict() == b.to_dict()
+        assert a.metrics == b.metrics
 
     def test_runs_equal_standalone_navigation(self):
         # how the runs are scheduled must not show: run i is exactly a lone
@@ -409,18 +409,19 @@ class TestRunScenario:
 
     def test_report_dict_shape(self):
         rep = run_scenario(self._scenario(), controller="standard")
-        d = rep.to_dict()
+        d = rep.metrics
         assert d["controller"] == "standard"
         assert d["runs"] == 1
         assert len(d["final_points"]) == 1
-        assert set(d) == {
-            "scenario",
-            "controller",
+        # in sorted order, as metrics.json lists them
+        assert list(d) == [
             "accuracy",
-            "repeatability",
+            "controller",
             "final_points",
             "goal",
-            "outcomes",
             "n_within_tolerance",
+            "outcomes",
+            "repeatability",
             "runs",
-        }
+            "scenario",
+        ]

@@ -17,7 +17,7 @@ from dataclasses import replace
 import pytest
 
 from funnelnav.evaluate import load_scenario, run_scenario
-from funnelnav.navigate import TERMINAL_EVENTS
+from funnelnav.navigate import TERMINAL_EVENTS, read_run
 
 from conftest import ALL_SCENARIOS, PKG_ROOT
 
@@ -74,8 +74,11 @@ def test_seed_0_trace_holds_the_trace_invariants(config, controller):
 
 @CONTROLLERS
 @CONFIGS
-def test_seed_0_trace_records_read_back_from_their_lines(config, controller):
+def test_seed_0_trace_records_read_back_from_their_lines(config, controller, tmp_path):
     # a record held in memory and the same record read back from its JSONL
-    # line are one and the same dict
+    # line are one and the same dict, and so is the whole trace read back
+    # from the file it was written to
     _, trace, lines = seed_0_trace(config, controller)
     assert [json.loads(line) for line in lines[:-1]] == list(trace.records)
+    trace.write(tmp_path / "run_000.jsonl")
+    assert read_run(tmp_path / "run_000.jsonl") == trace
