@@ -15,7 +15,7 @@ from .control_standard import StandardParams, inside_funnel
 from .errors import ConfigError
 from .features import Keyframe, NoiseModel, VisualPath, match
 from .geometry import CameraModel, Landmark, MotionCommand, Pose, World, visible_set
-from .navigate import NavigatorConfig, RunTrace, navigate
+from .navigate import NavigatorConfig, RunTrace, keyframe_world, navigate
 from .teach import TeachScript, record
 
 __all__ = [
@@ -125,9 +125,10 @@ def controller_inside_grid(
     """The controller's own "inside combined funnel lane" verdict on each grid pose."""
     quiet = NoiseModel()
     rng = quiet.make_rng()  # one generator for the grid; the quiet model never draws
+    seen = keyframe_world(world, kf)
     out = []
     for pose in grid_poses(grid, kf.pose_truth.theta):
-        obs = visible_set(world, pose, cam)
+        obs = visible_set(seen, pose, cam)
         m = match(obs, kf, quiet, rng)
         if len(m) < len(kf.observations):
             out.append(False)
@@ -255,15 +256,17 @@ def _section(value, ctx: str) -> dict:
     """A config block as a mapping; an absent or empty block reads as {}.
 
     Raises ConfigError for a block that is not a mapping, or one holding a
-    key that _KNOWN_KEYS does not list for it.
+    key that _KNOWN_KEYS does not list for it or a bool value.
     """
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(f"{ctx}: must be a mapping, not {type(value).__name__}")
-    for key in value:
+    for key, item in value.items():
         if key not in _KNOWN_KEYS[ctx]:
             raise ConfigError(f"{ctx}: unknown key {key!r}")
+        if isinstance(item, bool):  # no key takes one, and float() reads it as 0.0 or 1.0
+            raise ConfigError(f"{ctx}.{key}: must not be a bool ({item!r})")
     return value
 
 
@@ -301,6 +304,8 @@ def _int(value, ctx: str) -> int:
 
 
 def _finite(value, ctx: str) -> float:
+    if isinstance(value, bool):  # float() would read it as 0.0 or 1.0
+        raise ConfigError(f"{ctx}: must be a number, not bool {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ConfigError(f"{ctx}: must be finite, not {x}")
@@ -333,8 +338,11 @@ def world_from_dict(d: dict) -> World:
     d = _section(d, "world")
     try:
         bounds = _rect(_require(d, "bounds", "world"), "world.bounds")
-        landmarks = [Landmark(_int(i, "world.landmarks"), float(x), float(y))
-                     for i, x, y in d.get("landmarks", [])]
+        landmarks = [
+            Landmark(_int(i, "world.landmarks"), _finite(x, "world.landmarks"),
+                     _finite(y, "world.landmarks"))
+            for i, x, y in d.get("landmarks", [])
+        ]
         next_id = max((lm.id for lm in landmarks), default=0) + 1
         for entry in d.get("generated", []):
             entry = _section(entry, "world.generated")

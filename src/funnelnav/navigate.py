@@ -3,9 +3,11 @@
 Each tick the robot senses, matches against the destination keyframe of the
 active segment, and either switches segment (spread ratio above 1 and median
 distance under threshold), issues a controller command, or stops to recover
-lost features.  Tracking inside a segment is simulated as persistence of the
-matched id set with per-tick dropout; a full re-match happens only on a
-switch or during recovery.
+lost features.  A tick senses only the destination keyframe's landmarks: no
+other landmark can enter a match, so projecting it would be wasted work.
+Tracking inside a segment is simulated as persistence of the matched id set
+with per-tick dropout; a full re-match happens only on a switch or during
+recovery.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .control_standard import StandardParams, standard_command
 from .control_standard import inside_funnel  # noqa: F401
 from .errors import ConfigError
 from .features import (
+    Keyframe,
     MatchSet,
     NoiseModel,
     VisualPath,
@@ -44,7 +47,7 @@ from .geometry import (
 )
 
 __all__ = ["NavigatorConfig", "RunTrace", "read_run", "TickStats", "tick_stats",
-           "should_switch", "navigate"]
+           "should_switch", "keyframe_world", "navigate"]
 
 STOP = MotionCommand(0.0, 0.0)
 
@@ -174,6 +177,16 @@ def should_switch(stats: TickStats, cfg: NavigatorConfig) -> bool:
     return stats.ratio > 1.0 and stats.ed < cfg.threshold1_ed
 
 
+def keyframe_world(world: World, kf: Keyframe) -> World:
+    """The landmarks of world that kf observed, in world order, and no obstacles.
+
+    A match against kf keeps only ids kf observed, so visible_set on this world
+    gives all a match can use: the entries of visible_set on the whole world
+    whose ids kf observed, float for float.
+    """
+    return World(tuple(lm for lm in world.landmarks if lm.id in kf.observations), world.bounds)
+
+
 def navigate(
     world: World,
     cam: CameraModel,
@@ -198,6 +211,7 @@ def navigate(
     tracked: list[int] | None = None  # ascending ids; None forces a full re-match
     stopped = 0
     records: list[dict] = []
+    seen = [keyframe_world(world, kf) for kf in path.keyframes]
 
     def rec(tick, cmd, stats, event, s_x=None, s_y=None, inside=None):
         records.append({
@@ -208,7 +222,7 @@ def navigate(
         })
 
     for tick in range(cfg.max_ticks):
-        obs = visible_set(world, pose, cam)
+        obs = visible_set(seen[dest], pose, cam)
         kf = path.keyframes[dest]
 
         if tracked is None:

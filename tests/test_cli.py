@@ -232,6 +232,18 @@ def leaves(node, prefix=()):
 
 
 CONTRACT_BASE = contract_base()
+
+
+def replaced(leaf, value) -> dict:
+    """A deep copy of CONTRACT_BASE with the value at leaf replaced."""
+    d = copy.deepcopy(CONTRACT_BASE)
+    node = d
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    return d
+
+
 # sampled, not arbitrary floats: a valid but tiny teach dt such as 1e-300
 # would make the teach drive loop about 1e301 times
 ODD_VALUES = [None, True, -1, 0, 1, 2, 1.5, -0.5, math.nan, math.inf, "x", [], {}, [1, 2, 3]]
@@ -246,14 +258,9 @@ class TestExitCodeContract:
     @example(leaf=("navigator", "max_ticks"), value=1.5)  # range() of a float
     @example(leaf=("world", "obstacles", 0), value=[1, 2, 3])  # unpacked on each tick
     def test_one_replaced_leaf_exits_0_2_3_or_4(self, tmp_path_factory, leaf, value):
-        d = copy.deepcopy(CONTRACT_BASE)
-        node = d
-        for key in leaf[:-1]:
-            node = node[key]
-        node[leaf[-1]] = value
         tmp = tmp_path_factory.mktemp("leaf")
         cfg = tmp / "scenario.yaml"
-        cfg.write_text(yaml.safe_dump(d))
+        cfg.write_text(yaml.safe_dump(replaced(leaf, value)))
         assert main(["repeat", "--config", str(cfg), "--out", str(tmp / "out")]) in (0, 2, 3, 4)
 
 
@@ -275,15 +282,32 @@ NAN_LEAVES = [
 
 @pytest.mark.parametrize("leaf", NAN_LEAVES, ids=lambda leaf: ".".join(map(str, leaf)))
 def test_nan_value_exits_2(tmp_path, capsys, leaf):
-    d = copy.deepcopy(CONTRACT_BASE)
-    node = d
-    for key in leaf[:-1]:
-        node = node[key]
-    node[leaf[-1]] = math.nan
     cfg = tmp_path / "scenario.yaml"
-    cfg.write_text(yaml.safe_dump(d))
+    cfg.write_text(yaml.safe_dump(replaced(leaf, math.nan)))
     assert main(["repeat", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def leaf_value(leaf):
+    node = CONTRACT_BASE
+    for key in leaf:
+        node = node[key]
+    return node
+
+
+# every number in the file, of which none is a bool
+NUMERIC_LEAVES = [leaf for leaf in leaves(CONTRACT_BASE) if type(leaf_value(leaf)) in (int, float)]
+
+
+@pytest.mark.parametrize("leaf", NUMERIC_LEAVES, ids=lambda leaf: ".".join(map(str, leaf)))
+def test_bool_value_exits_2(tmp_path, capsys, leaf):
+    cfg = tmp_path / "scenario.yaml"
+    cfg.write_text(yaml.safe_dump(replaced(leaf, True)))
+    assert main(["repeat", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    # the key's name is its path of mapping keys: list indices are not part of it
+    key = ".".join(k for k in leaf if isinstance(k, str))
+    assert "config error" in err and key in err
 
 
 class TestRepeatAndCompare:

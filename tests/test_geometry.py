@@ -121,6 +121,22 @@ class TestVisibleSet:
         # repr compares ids, order and every float to the bit, signed zeros included
         assert repr(list(visible_set(world, pose, cam).items())) == repr(expected)
 
+    @settings(max_examples=200)
+    @given(
+        points=st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)), max_size=30),
+        keep=st.lists(st.booleans(), min_size=30, max_size=30),
+        pose=st.builds(Pose, st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(-4.0, 4.0)),
+    )
+    def test_a_subset_world_sees_the_subset_of_the_whole_world(self, points, keep, pose):
+        # a repeat tick senses only its keyframe's landmarks; this is why that
+        # changes no float of the trace
+        lms = tuple(Landmark(i, x, y) for i, (x, y) in enumerate(points))
+        world = World(landmarks=lms, bounds=(-20, -20, 20, 20))
+        subset = World(landmarks=tuple(lm for lm, k in zip(lms, keep) if k), bounds=world.bounds)
+        ids = {lm.id for lm in subset.landmarks}
+        expected = [(i, u) for i, u in visible_set(world, pose, CAM).items() if i in ids]
+        assert repr(list(visible_set(subset, pose, CAM).items())) == repr(expected)
+
 
 class TestStep:
     def test_zero_command_keeps_pose(self):

@@ -2,8 +2,10 @@
 
 The digests in perfbench/golden.json are the sha256 of each run's trace
 (`jsonl_lines()`, newline-terminated) per controller, scenario and noise
-seed.  This test only reads that file.  A change that alters a trace byte on
-purpose regenerates it with `python3 perfbench/make_golden.py` and says why.
+seed, and of the oracle and controller verdicts on the oracle grids of
+funnel_two_features and almost_straight.  These tests only read that file.
+A change that alters a trace byte or a verdict on purpose regenerates it with
+`python3 perfbench/make_golden.py` and says why.
 
 The invariant and read-back tests use the same seed-0 traces, each run once
 per session.
@@ -16,8 +18,9 @@ from dataclasses import replace
 
 import pytest
 
-from funnelnav.evaluate import load_scenario, run_scenario
+from funnelnav.evaluate import controller_inside_grid, funnel_oracle, load_scenario, run_scenario
 from funnelnav.navigate import TERMINAL_EVENTS, read_run
+from funnelnav.teach import record
 
 from conftest import ALL_SCENARIOS, PKG_ROOT
 
@@ -82,3 +85,21 @@ def test_seed_0_trace_records_read_back_from_their_lines(config, controller, tmp
     assert [json.loads(line) for line in lines[:-1]] == list(trace.records)
     trace.write(tmp_path / "run_000.jsonl")
     assert read_run(tmp_path / "run_000.jsonl") == trace
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["oracle"]))
+def test_oracle_grid_verdicts_match_golden_digest(name):
+    # the grid of the scenario's oracle: block on its teach world; the digest
+    # is the sha256 of the oracle's and then the controller's verdicts, each
+    # one line of 0s and 1s
+    scn = load_scenario(PKG_ROOT / "scenarios" / f"{name}.yaml")
+    path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
+    kf = path.keyframes[scn.oracle.keyframe]
+    lines = [
+        "".join("1" if b else "0" for b in verdicts) + "\n"
+        for verdicts in (
+            funnel_oracle(kf, scn.world, scn.camera, scn.oracle.grid),
+            controller_inside_grid(kf, scn.world, scn.camera, scn.oracle.grid),
+        )
+    ]
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == GOLDEN["oracle"][name]

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 import funnelnav
-from funnelnav.evaluate import load_scenario, run_scenario
+from funnelnav.evaluate import GridSpec, controller_inside_grid, load_scenario, run_scenario
 from funnelnav.features import (
     Keyframe,
     NoiseModel,
@@ -17,7 +17,7 @@ from funnelnav.features import (
     mse,
     std_ratio,
 )
-from funnelnav.geometry import CameraModel, Landmark, MotionCommand, Pose, World
+from funnelnav.geometry import CameraModel, Landmark, MotionCommand, Pose, World, visible_set
 from funnelnav.navigate import (
     TERMINAL_EVENTS,
     NavigatorConfig,
@@ -214,6 +214,45 @@ class TestSummaryCountsRecords:
         assert tr.outcome == "collision"
         assert [(r["tick"], r["event"]) for r in tr.records[-2:]] == [(225, ""), (225, "collision")]
         assert json.loads(tr.jsonl_lines()[-1])["ticks"] == len(tr.records) == 227
+
+
+class TestUnobservedLandmarks:
+    """A landmark that no keyframe observed cannot enter a match, so adding it
+    to the repeat world changes no record and no oracle-grid verdict."""
+
+    def test_change_no_record_and_no_verdict(self):
+        scn = load_scenario(SCENARIO_DIR / "sharp_turn.yaml")
+        path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
+        # a 9 x 9 lattice over the bounds, with ids the teach world never had
+        xmin, ymin, xmax, ymax = scn.world.bounds
+        first = max(lm.id for lm in scn.world.landmarks) + 1
+        extra = tuple(
+            Landmark(first + k, xmin + (xmax - xmin) * (k % 9 + 0.5) / 9,
+                     ymin + (ymax - ymin) * (k // 9 + 0.5) / 9)
+            for k in range(81)
+        )
+        crowded = replace(scn.repeat_world, landmarks=scn.repeat_world.landmarks + extra)
+        lattice = World(landmarks=extra, bounds=scn.world.bounds)
+
+        for controller in ("standard", "sloped"):
+            cfg = replace(scn.navigator, controller=controller)
+            plain, more = (
+                navigate(w, scn.camera, path, scn.repeat_start, cfg, replace(scn.noise, seed=0))
+                .records
+                for w in (scn.repeat_world, crowded)
+            )
+            assert more == plain
+            # the run saw the lattice, so the check is not vacuous
+            assert any(
+                visible_set(lattice, Pose(r["x"], r["y"], r["theta"]), scn.camera) for r in plain
+            )
+
+        kf = path.keyframes[scn.oracle.keyframe]
+        p = kf.pose_truth
+        grid = GridSpec(p.x - 1.0, p.x + 1.0, 20, p.y - 1.0, p.y + 1.0, 20)
+        verdicts = controller_inside_grid(kf, scn.repeat_world, scn.camera, grid)
+        assert True in verdicts
+        assert controller_inside_grid(kf, crowded, scn.camera, grid) == verdicts
 
 
 class TestZeroNoiseSuiteInvariant:
