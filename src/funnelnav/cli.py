@@ -133,8 +133,6 @@ def cmd_repeat(scn: Scenario, out: Path, controllers) -> int:
 
 
 def cmd_oracle_check(scn: Scenario, out: Path) -> int:
-    if not scn.world.landmarks:
-        raise TeachDegenerateError("world has no landmarks to build a funnel lane from")
     path = _teach_path(scn)
     kf_index, grid, n_kf = scn.oracle.keyframe, scn.oracle.grid, len(path.keyframes)
     if not -n_kf <= kf_index < n_kf:

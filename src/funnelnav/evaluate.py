@@ -4,6 +4,7 @@ batch execution of teach/repeat scenarios and the scenario file format."""
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -228,74 +229,6 @@ def _require(d: dict, key: str, ctx: str):
     return d[key]
 
 
-# keys a scenario file may use, per block; _section checks every block
-_KNOWN_KEYS = {
-    "scenario": ("name", "world", "camera", "teach", "repeat", "noise", "navigator",
-                 "controllers", "oracle"),
-    "world": ("bounds", "landmarks", "generated", "obstacles"),
-    "world.generated": ("grid", "ring", "line"),
-    "world.generated.grid": ("x0", "x1", "nx", "y0", "y1", "ny"),
-    "world.generated.ring": ("cx", "cy", "radius", "n", "phase"),
-    "world.generated.line": ("x0", "y0", "x1", "y1", "n"),
-    "camera": ("focal_length", "half_width", "min_depth"),
-    "teach": ("start", "steps", "dt", "min_features"),
-    "teach.steps": ("v", "omega", "duration"),
-    "repeat": ("start", "runs", "seed", "tolerance", "remove_landmarks"),
-    "noise": ("dropout_prob", "pixel_sigma"),  # the run seed comes from repeat.seed
-    "navigator": ("threshold1_ed", "threshold2_features", "threshold3_time", "dt",
-                  "controller", "max_ticks"),
-    "controllers": ("standard", "sloped"),
-    "controllers.standard": ("v0", "omega0"),
-    "controllers.sloped": ("v_max", "omega_max", "sx_epsilon", "norm_floor", "v_floor_frac"),
-    "oracle": ("keyframe", "grid"),
-    "oracle.grid": ("x0", "x1", "nx", "y0", "y1", "ny"),
-}
-
-
-def _section(value, ctx: str) -> dict:
-    """A config block as a mapping; an absent or empty block reads as {}.
-
-    Raises ConfigError for a block that is not a mapping, or one holding a
-    key that _KNOWN_KEYS does not list for it or a bool value.
-    """
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{ctx}: must be a mapping, not {type(value).__name__}")
-    for key, item in value.items():
-        if key not in _KNOWN_KEYS[ctx]:
-            raise ConfigError(f"{ctx}: unknown key {key!r}")
-        if isinstance(item, bool):  # no key takes one, and float() reads it as 0.0 or 1.0
-            raise ConfigError(f"{ctx}.{key}: must not be a bool ({item!r})")
-    return value
-
-
-def _grid_points(g):
-    nx, ny = _int(g["nx"], "world.generated.grid.nx"), _int(g["ny"], "world.generated.grid.ny")
-    for iy in range(ny):
-        for ix in range(nx):
-            x = g["x0"] + (g["x1"] - g["x0"]) * (ix / (nx - 1) if nx > 1 else 0.0)
-            y = g["y0"] + (g["y1"] - g["y0"]) * (iy / (ny - 1) if ny > 1 else 0.0)
-            yield x, y
-
-
-def _ring_points(g):
-    n, phase = _int(g["n"], "world.generated.ring.n"), float(g.get("phase", 0.0))
-    for k in range(n):
-        a = 2.0 * math.pi * k / n + phase
-        yield g["cx"] + g["radius"] * math.cos(a), g["cy"] + g["radius"] * math.sin(a)
-
-
-def _line_points(g):
-    n = _int(g["n"], "world.generated.line.n")
-    for k in range(n):
-        t = k / (n - 1) if n > 1 else 0.0
-        yield g["x0"] + (g["x1"] - g["x0"]) * t, g["y0"] + (g["y1"] - g["y0"]) * t
-
-
-_GENERATORS = {"grid": _grid_points, "ring": _ring_points, "line": _line_points}
-
-
 def _int(value, ctx: str) -> int:
     # a bool is an int to Python, and int() would truncate a fraction
     if not isinstance(value, int) or isinstance(value, bool):
@@ -304,19 +237,97 @@ def _int(value, ctx: str) -> int:
 
 
 def _finite(value, ctx: str) -> float:
-    if isinstance(value, bool):  # float() would read it as 0.0 or 1.0
-        raise ConfigError(f"{ctx}: must be a number, not bool {value!r}")
-    x = float(value)
-    if not math.isfinite(x):
-        raise ConfigError(f"{ctx}: must be finite, not {x}")
-    return x
+    # a bool is an int to Python, float() would parse a string, and the bound
+    # fails NaN, an infinity and an int too large for a float
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{ctx}: must be a finite number, not {type(value).__name__} {value!r}")
+    return float(value)
 
 
-def _rect(value, ctx: str) -> tuple[float, float, float, float]:
-    r = tuple(_finite(v, ctx) for v in value)
-    if len(r) != 4:
-        raise ConfigError(f"{ctx}: must have 4 entries xmin, ymin, xmax, ymax, not {len(r)}")
-    return r
+def _numbers(*names):
+    """The reader of a list of len(names) finite numbers, read as a tuple."""
+    def read(value, ctx: str) -> tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != len(names):
+            raise ConfigError(f"{ctx}: must be [{', '.join(names)}], not {value!r}")
+        return tuple(_finite(v, ctx) for v in value)
+    return read
+
+
+_rect = _numbers("xmin", "ymin", "xmax", "ymax")
+_pose = _numbers("x", "y", "theta")
+_GRID = {"x0": _finite, "x1": _finite, "nx": _int, "y0": _finite, "y1": _finite, "ny": _int}
+
+# the scenario schema: each block's keys, each with the reader that _section
+# passes its value through; None leaves the value to the block's own code
+_KNOWN_KEYS = {
+    "scenario": dict.fromkeys(("name", "world", "camera", "teach", "repeat", "noise",
+                               "navigator", "controllers", "oracle")),
+    "world": {"bounds": _rect, "landmarks": None, "generated": None, "obstacles": None},
+    "world.generated": dict.fromkeys(("grid", "ring", "line")),
+    "world.generated.grid": _GRID,
+    "world.generated.ring": {**dict.fromkeys(("cx", "cy", "radius", "phase"), _finite), "n": _int},
+    "world.generated.line": {**dict.fromkeys(("x0", "y0", "x1", "y1"), _finite), "n": _int},
+    "camera": dict.fromkeys(("focal_length", "half_width", "min_depth"), _finite),
+    "teach": {"start": _pose, "steps": None, "dt": _finite, "min_features": _int},
+    "teach.steps": dict.fromkeys(("v", "omega", "duration"), _finite),
+    "repeat": {"start": _pose, "runs": _int, "seed": _int, "tolerance": _finite,
+               "remove_landmarks": None},
+    "noise": dict.fromkeys(("dropout_prob", "pixel_sigma"), _finite),  # repeat.seed seeds runs
+    "navigator": {"threshold1_ed": _finite, "threshold2_features": _int,
+                  "threshold3_time": _int, "dt": _finite, "controller": None, "max_ticks": _int},
+    "controllers": dict.fromkeys(("standard", "sloped")),
+    "controllers.standard": dict.fromkeys(("v0", "omega0"), _finite),
+    "controllers.sloped": dict.fromkeys(
+        ("v_max", "omega_max", "sx_epsilon", "norm_floor", "v_floor_frac"), _finite),
+    "oracle": {"keyframe": _int, "grid": None},
+    "oracle.grid": _GRID,
+}
+
+
+def _section(value, ctx: str) -> dict:
+    """A config block as a new mapping of its keys to their read values; an
+    absent or empty block reads as {}.
+
+    Each value goes through its key's reader in _KNOWN_KEYS, which names the
+    key as f"{ctx}.{key}".  Raises ConfigError for a block that is not a
+    mapping, a key that _KNOWN_KEYS does not list for it, or a value its
+    reader rejects.
+    """
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{ctx}: must be a mapping, not {type(value).__name__}")
+    readers, out = _KNOWN_KEYS[ctx], {}
+    for key, item in value.items():
+        if key not in readers:
+            raise ConfigError(f"{ctx}: unknown key {key!r}")
+        out[key] = item if readers[key] is None else readers[key](item, f"{ctx}.{key}")
+    return out
+
+
+def _steps(a: float, b: float, n: int) -> list[float]:
+    """n evenly spaced values from a to b, both included; just a when n is 1."""
+    return [a + (b - a) * (k / (n - 1) if n > 1 else 0.0) for k in range(n)]
+
+
+def _grid_points(g):
+    xs = _steps(g["x0"], g["x1"], g["nx"])
+    return [(x, y) for y in _steps(g["y0"], g["y1"], g["ny"]) for x in xs]
+
+
+def _ring_points(g):
+    n, phase = g["n"], g.get("phase", 0.0)
+    for k in range(n):
+        a = 2.0 * math.pi * k / n + phase
+        yield g["cx"] + g["radius"] * math.cos(a), g["cy"] + g["radius"] * math.sin(a)
+
+
+def _line_points(g):
+    return zip(_steps(g["x0"], g["x1"], g["n"]), _steps(g["y0"], g["y1"], g["n"]))
+
+
+_GENERATORS = {"grid": _grid_points, "ring": _ring_points, "line": _line_points}
 
 
 def world_from_dict(d: dict) -> World:
@@ -332,17 +343,18 @@ def world_from_dict(d: dict) -> World:
           - line: {x0, y0, x1, y1, n}           # n points, endpoints included
         obstacles: [[xmin, ymin, xmax, ymax], ...]   # optional
 
-    Each `generated` entry names one generator; generated ids count up from
-    the largest explicit id.
+    _section reads `bounds` and the generators' parameters through _KNOWN_KEYS;
+    the landmark triples and obstacles are lists, read here.  Each `generated`
+    entry names one generator; generated ids count up from the largest
+    explicit id.
     """
-    d = _section(d, "world")
     try:
-        bounds = _rect(_require(d, "bounds", "world"), "world.bounds")
-        landmarks = [
-            Landmark(_int(i, "world.landmarks"), _finite(x, "world.landmarks"),
-                     _finite(y, "world.landmarks"))
-            for i, x, y in d.get("landmarks", [])
-        ]
+        d = _section(d, "world")
+        bounds = _require(d, "bounds", "world")
+        landmarks = []
+        for lm in d.get("landmarks", []):
+            _, x, y = _numbers("id", "x", "y")(lm, "world.landmarks")  # and an int id
+            landmarks.append(Landmark(_int(lm[0], "world.landmarks"), x, y))
         next_id = max((lm.id for lm in landmarks), default=0) + 1
         for entry in d.get("generated", []):
             entry = _section(entry, "world.generated")
@@ -350,7 +362,7 @@ def world_from_dict(d: dict) -> World:
                 raise ConfigError(f"world.generated: an entry names one generator: {sorted(entry)}")
             ((kind, params),) = entry.items()
             for x, y in _GENERATORS[kind](_section(params, f"world.generated.{kind}")):
-                landmarks.append(Landmark(next_id, float(x), float(y)))
+                landmarks.append(Landmark(next_id, x, y))
                 next_id += 1
         obstacles = tuple(_rect(r, "world.obstacles") for r in d.get("obstacles", []))
         return World(landmarks=tuple(landmarks), bounds=bounds, obstacles=obstacles)
@@ -362,29 +374,23 @@ def scenario_from_dict(d: dict) -> Scenario:
     """Build a Scenario from its YAML file representation."""
     try:
         d = _section(d, "scenario")
-        name = str(_require(d, "name", "scenario"))
+        name = _require(d, "name", "scenario")
+        if not isinstance(name, str):
+            raise ConfigError(f"scenario.name: must be a string, not {name!r}")
         world = world_from_dict(_require(d, "world", "scenario"))
         camera = CameraModel(**_section(d.get("camera"), "camera"))
 
         t = _section(_require(d, "teach", "scenario"), "teach")
-        start = Pose(*(_finite(v, "teach.start") for v in _require(t, "start", "teach")))
+        start = Pose(*_require(t, "start", "teach"))
         raw_steps = [_section(s, "teach.steps") for s in _require(t, "steps", "teach")]
-        steps = tuple(
-            (MotionCommand(float(s["v"]), float(s["omega"])), float(s["duration"]))
-            for s in raw_steps
-        )
-        script = TeachScript(steps=steps, start_pose=start, dt=float(t.get("dt", 0.1)))
+        steps = tuple((MotionCommand(s["v"], s["omega"]), s["duration"]) for s in raw_steps)
+        script = TeachScript(steps=steps, start_pose=start, dt=t.get("dt", 0.1))
 
         r = _section(d.get("repeat"), "repeat")
-        repeat_start = (
-            Pose(*(_finite(v, "repeat.start") for v in r["start"])) if "start" in r else start
-        )
+        repeat_start = Pose(*r["start"]) if "start" in r else start
         noise = NoiseModel(**_section(d.get("noise"), "noise"))
 
-        nav = dict(_section(d.get("navigator"), "navigator"))
-        for key in ("threshold2_features", "threshold3_time", "max_ticks"):
-            if key in nav:
-                nav[key] = _int(nav[key], f"navigator.{key}")
+        nav = _section(d.get("navigator"), "navigator")
         ctrl = _section(d.get("controllers"), "controllers")
         if "standard" in ctrl:
             nav["standard"] = StandardParams(**_section(ctrl["standard"], "controllers.standard"))
@@ -395,12 +401,8 @@ def scenario_from_dict(d: dict) -> Scenario:
         o = _section(d.get("oracle"), "oracle")
         g = _section(o.get("grid"), "oracle.grid")
         xmin, ymin, xmax, ymax = world.bounds
-        grid = GridSpec(
-            float(g.get("x0", xmin)), float(g.get("x1", xmax)),
-            _int(g.get("nx", 200), "oracle.grid.nx"),
-            float(g.get("y0", ymin)), float(g.get("y1", ymax)),
-            _int(g.get("ny", 200), "oracle.grid.ny"),
-        )
+        grid = GridSpec(g.get("x0", xmin), g.get("x1", xmax), g.get("nx", 200),
+                        g.get("y0", ymin), g.get("y1", ymax), g.get("ny", 200))
 
         drop = {_int(i, "repeat.remove_landmarks") for i in r.get("remove_landmarks", [])}
         missing = drop - {lm.id for lm in world.landmarks}
@@ -416,12 +418,12 @@ def scenario_from_dict(d: dict) -> Scenario:
             repeat_start=repeat_start,
             noise=noise,
             navigator=navigator,
-            oracle=OracleSpec(keyframe=_int(o.get("keyframe", -1), "oracle.keyframe"), grid=grid),
-            runs=_int(r.get("runs", 1), "repeat.runs"),
-            seed=_int(r.get("seed", 0), "repeat.seed"),
-            tolerance=_finite(r.get("tolerance", 0.3), "repeat.tolerance"),
+            oracle=OracleSpec(keyframe=o.get("keyframe", -1), grid=grid),
+            runs=r.get("runs", 1),
+            seed=r.get("seed", 0),
+            tolerance=r.get("tolerance", 0.3),
             repeat_world=replace(world, landmarks=kept),
-            min_teach_features=_int(t.get("min_features", 4), "teach.min_features"),
+            min_teach_features=t.get("min_features", 4),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"scenario: {e}") from e

@@ -119,13 +119,17 @@ class TestExitCodes:
             ({"world": {"bounds": BOUNDS, "landmarks": [[1.5, 1.0, 2.0]]}}, "world.landmarks"),
             ({"world": {"bounds": BOUNDS, "generated": [{"line": {**LINE, "n": 12.5}}]}},
              "world.generated.line.n"),
+            ({"teach": {**TEACH, "start": [0, 0]}}, "teach.start"),
+            ({"repeat": {"start": [0.0, 0.0, 0.0, 0.0]}}, "repeat.start"),
+            ({"world": {"bounds": BOUNDS, "landmarks": [[1, 0.0]]}}, "world.landmarks"),
         ],
         ids=["repeat-list", "controllers-list", "misspelled-navigator", "noise-seed",
              "navigator-sloped", "generator-unknown-key", "two-generators", "max-ticks-1.5",
              "max-ticks-bool", "threshold2-2.5", "threshold3-0.5", "runs-2.7", "runs-string",
              "seed-1.5", "seed-bool", "remove-unknown-id", "min-features-2.9",
              "teach-frames-overflow-duration", "teach-frames-overflow-dt",
-             "keyframe-minus-1.5", "grid-nx-2.5", "landmark-id-1.5", "line-n-12.5"],
+             "keyframe-minus-1.5", "grid-nx-2.5", "landmark-id-1.5", "line-n-12.5",
+             "teach-start-2-entries", "repeat-start-4-entries", "landmark-2-entries"],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, named):
         cfg = small_config(tmp_path, **overrides)
@@ -264,30 +268,6 @@ class TestExitCodeContract:
         assert main(["repeat", "--config", str(cfg), "--out", str(tmp / "out")]) in (0, 2, 3, 4)
 
 
-# leaves whose range checks a NaN must trip (a comparison such as x <= 0 is false for NaN)
-NAN_LEAVES = [
-    *[(block, "start", k) for block in ("teach", "repeat") for k in range(3)],
-    ("repeat", "tolerance"),
-    ("noise", "pixel_sigma"),
-    ("navigator", "threshold1_ed"),
-    ("navigator", "threshold2_features"),
-    ("navigator", "threshold3_time"),
-    ("camera", "focal_length"),
-    ("camera", "half_width"),
-    ("camera", "min_depth"),
-    *[("oracle", "grid", key) for key in ("x0", "x1", "y0", "y1")],
-    *[("world", "obstacles", 0, k) for k in range(4)],
-]
-
-
-@pytest.mark.parametrize("leaf", NAN_LEAVES, ids=lambda leaf: ".".join(map(str, leaf)))
-def test_nan_value_exits_2(tmp_path, capsys, leaf):
-    cfg = tmp_path / "scenario.yaml"
-    cfg.write_text(yaml.safe_dump(replaced(leaf, math.nan)))
-    assert main(["repeat", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "config error" in capsys.readouterr().err
-
-
 def leaf_value(leaf):
     node = CONTRACT_BASE
     for key in leaf:
@@ -297,17 +277,40 @@ def leaf_value(leaf):
 
 # every number in the file, of which none is a bool
 NUMERIC_LEAVES = [leaf for leaf in leaves(CONTRACT_BASE) if type(leaf_value(leaf)) in (int, float)]
+# and the one number key that the file leaves at its default
+NUMBER_KEYS = [*NUMERIC_LEAVES, ("navigator", "threshold3_time")]
 
 
-@pytest.mark.parametrize("leaf", NUMERIC_LEAVES, ids=lambda leaf: ".".join(map(str, leaf)))
-def test_bool_value_exits_2(tmp_path, capsys, leaf):
+def assert_exits_2_naming_key(tmp_path, capsys, leaf, value):
+    """A scenario with value at leaf exits 2 with an error that names the key."""
     cfg = tmp_path / "scenario.yaml"
-    cfg.write_text(yaml.safe_dump(replaced(leaf, True)))
+    cfg.write_text(yaml.safe_dump(replaced(leaf, value)))
     assert main(["repeat", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     # the key's name is its path of mapping keys: list indices are not part of it
     key = ".".join(k for k in leaf if isinstance(k, str))
     assert "config error" in err and key in err
+
+
+# a number key refuses a bool (YAML's true is 1 to Python), NaN (every range
+# check is false for it) and a quoted number (float() would parse it)
+by_key = pytest.mark.parametrize("leaf", NUMBER_KEYS, ids=lambda leaf: ".".join(map(str, leaf)))
+
+
+@by_key
+def test_bool_value_exits_2(tmp_path, capsys, leaf):
+    assert_exits_2_naming_key(tmp_path, capsys, leaf, True)
+
+
+@by_key
+def test_nan_value_exits_2(tmp_path, capsys, leaf):
+    assert_exits_2_naming_key(tmp_path, capsys, leaf, math.nan)
+
+
+@by_key
+def test_quoted_number_exits_2(tmp_path, capsys, leaf):
+    quoted = str(leaf_value(leaf)) if leaf in NUMERIC_LEAVES else "1"
+    assert_exits_2_naming_key(tmp_path, capsys, leaf, quoted)
 
 
 class TestRepeatAndCompare:

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from funnelnav.evaluate import (
     _KNOWN_KEYS,
     GridSpec,
     Scenario,
+    _finite,
+    _int,
     accuracy,
     controller_inside_grid,
     funnel_oracle,
@@ -200,20 +203,33 @@ class TestWorldFromDict:
             world_from_dict({"landmarks": []})
 
 
+# each block of a scenario file whose keys are the fields of one dataclass, and
+# the fields that a file cannot set
+CONSTRUCTOR_BLOCKS = [
+    ("camera", CameraModel, set()),
+    ("noise", NoiseModel, {"seed"}),
+    ("navigator", NavigatorConfig, {"standard", "sloped"}),
+    ("controllers.standard", StandardParams, set()),
+    ("controllers.sloped", SlopedParams, set()),
+]
+
+
 class TestKnownKeys:
-    @pytest.mark.parametrize(
-        "block, cls, not_in_files",
-        [
-            ("camera", CameraModel, set()),
-            ("noise", NoiseModel, {"seed"}),
-            ("navigator", NavigatorConfig, {"standard", "sloped"}),
-            ("controllers.standard", StandardParams, set()),
-            ("controllers.sloped", SlopedParams, set()),
-        ],
-    )
+    @pytest.mark.parametrize("block, cls, not_in_files", CONSTRUCTOR_BLOCKS)
     def test_constructor_blocks_list_every_settable_field(self, block, cls, not_in_files):
         # a dataclass field missing from the table could not be set from a file
         assert set(_KNOWN_KEYS[block]) == {f.name for f in fields(cls)} - not_in_files
+
+    @pytest.mark.parametrize(
+        "block, cls", [(block, cls) for block, cls, _ in CONSTRUCTOR_BLOCKS]
+        + [("oracle.grid", GridSpec), ("world.generated.grid", GridSpec)]
+    )
+    def test_each_key_is_read_as_its_fields_type(self, block, cls):
+        # an int field read by _finite would get a float; a float field read by
+        # _int would refuse 0.5; a str field has no number reader
+        hints = get_type_hints(cls)
+        readers = {key: {int: _int, float: _finite}.get(hints[key]) for key in _KNOWN_KEYS[block]}
+        assert _KNOWN_KEYS[block] == readers
 
 
 def minimal_scenario_dict(**overrides):
