@@ -5,7 +5,7 @@ Subcommands and the flags each one reads::
     funnelnav teach        --config S.yaml --out DIR [--force]
         build a visual path
     funnelnav repeat       --config S.yaml --out DIR [--seed N] [--controller C] [--force]
-        run one controller (C: standard or sloped; default the scenario's)
+        run one controller (C: standard or sloped; default sloped)
     funnelnav compare      --config S.yaml --out DIR [--seed N] [--force]
         run both controllers on the same seeds
     funnelnav oracle-check --config S.yaml --out DIR [--force]
@@ -116,10 +116,8 @@ def _report_row(rep: MetricsReport) -> str:
 
 
 def cmd_repeat(scn: Scenario, out: Path, controllers) -> int:
-    """Teach once, then run and report each controller on the scenario's seeds.
-
-    A controller of None is the scenario's own.
-    """
+    """Teach once, then run and report each controller on the scenario's seeds;
+    a controller of None is the default, sloped."""
     path = _teach_path(scn)
     save_visual_path(path, out / "visual_path.json")
     if len(controllers) > 1:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import median
 
 from .errors import EmptyMatchError
-from .features import MatchSet, split_sides
+from .features import MatchSet, medians, split_sides
 # read only by perfbench/run.py, whose tracer wraps control_sloped.std_ratio
 from .features import std_ratio  # noqa: F401
 from .geometry import MotionCommand
@@ -59,14 +58,6 @@ class SlopedState:
         return all(self.constraints)
 
 
-def _medians(pairs):
-    if not pairs:
-        return None, None
-    mu_c = float(median([p[1] for p in pairs]))
-    mu_j = float(median([p[2] for p in pairs]))
-    return mu_c, mu_j
-
-
 def radius_policy(s_y: float, p: SlopedParams) -> float:
     """Map the pitch slope to the forward speed of a turn at |omega| = omega_max.
 
@@ -93,8 +84,8 @@ def evaluate_state(m: MatchSet, p: SlopedParams, ratio: float | None) -> SlopedS
     if len(m) == 0:
         raise EmptyMatchError("evaluate_state on empty match set")
     left, right = split_sides(m)
-    mu_l_c, mu_l_j = _medians(left)
-    mu_r_c, mu_r_j = _medians(right)
+    mu_l_c, mu_l_j = medians(left)
+    mu_r_c, mu_r_j = medians(right)
 
     # non-strict at the boundary: landing exactly on the keyframe must read
     # as inside, so the controller drives through it and the switching

@@ -14,7 +14,9 @@ import yaml
 from .control_sloped import SlopedParams
 from .control_standard import StandardParams, inside_funnel
 from .errors import ConfigError
-from .features import Keyframe, NoiseModel, VisualPath, match
+from .features import Keyframe, NoiseModel, VisualPath
+# read only by perfbench/run.py, whose tracer wraps evaluate.match
+from .features import match  # noqa: F401
 from .geometry import CameraModel, Landmark, MotionCommand, Pose, World, visible_set
 from .navigate import NavigatorConfig, RunTrace, keyframe_world, navigate
 from .teach import TeachScript, record
@@ -123,18 +125,15 @@ def funnel_oracle(kf: Keyframe, world: World, cam: CameraModel, grid: GridSpec) 
 def controller_inside_grid(
     kf: Keyframe, world: World, cam: CameraModel, grid: GridSpec
 ) -> list[bool]:
-    """The controller's own "inside combined funnel lane" verdict on each grid pose."""
-    quiet = NoiseModel()
-    rng = quiet.make_rng()  # one generator for the grid; the quiet model never draws
+    """The controller's own "inside combined funnel lane" verdict on each grid
+    pose: it sees every keyframe landmark, and their noise-free pairs are inside."""
+    observed = sorted(kf.observations.items())  # a MatchSet's ascending id order
     seen = keyframe_world(world, kf)
     out = []
     for pose in grid_poses(grid, kf.pose_truth.theta):
-        obs = visible_set(seen, pose, cam)
-        m = match(obs, kf, quiet, rng)
-        if len(m) < len(kf.observations):
-            out.append(False)
-            continue
-        out.append(inside_funnel(m))
+        obs = visible_set(seen, pose, cam)  # seen holds only kf's landmarks
+        out.append(len(obs) == len(observed)
+                   and inside_funnel(tuple((i, obs[i], u_j) for i, u_j in observed)))
     return out
 
 
@@ -223,12 +222,6 @@ def report(scenario: Scenario, controller: str, path: VisualPath, traces) -> Met
 
 # --- scenario config files ---------------------------------------------------
 
-def _require(d: dict, key: str, ctx: str):
-    if key not in d:
-        raise ConfigError(f"{ctx}: missing required key {key!r}")
-    return d[key]
-
-
 def _int(value, ctx: str) -> int:
     # a bool is an int to Python, and int() would truncate a fraction
     if not isinstance(value, int) or isinstance(value, bool):
@@ -243,6 +236,12 @@ def _finite(value, ctx: str) -> float:
     if not (number and abs(value) <= sys.float_info.max):
         raise ConfigError(f"{ctx}: must be a finite number, not {type(value).__name__} {value!r}")
     return float(value)
+
+
+def _list(value, ctx: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{ctx}: must be a list, not {type(value).__name__} {value!r}")
+    return value
 
 
 def _numbers(*names):
@@ -263,19 +262,19 @@ _GRID = {"x0": _finite, "x1": _finite, "nx": _int, "y0": _finite, "y1": _finite,
 _KNOWN_KEYS = {
     "scenario": dict.fromkeys(("name", "world", "camera", "teach", "repeat", "noise",
                                "navigator", "controllers", "oracle")),
-    "world": {"bounds": _rect, "landmarks": None, "generated": None, "obstacles": None},
+    "world": {"bounds": _rect, **dict.fromkeys(("landmarks", "generated", "obstacles"), _list)},
     "world.generated": dict.fromkeys(("grid", "ring", "line")),
     "world.generated.grid": _GRID,
     "world.generated.ring": {**dict.fromkeys(("cx", "cy", "radius", "phase"), _finite), "n": _int},
     "world.generated.line": {**dict.fromkeys(("x0", "y0", "x1", "y1"), _finite), "n": _int},
     "camera": dict.fromkeys(("focal_length", "half_width", "min_depth"), _finite),
-    "teach": {"start": _pose, "steps": None, "dt": _finite, "min_features": _int},
+    "teach": {"start": _pose, "steps": _list, "dt": _finite, "min_features": _int},
     "teach.steps": dict.fromkeys(("v", "omega", "duration"), _finite),
     "repeat": {"start": _pose, "runs": _int, "seed": _int, "tolerance": _finite,
-               "remove_landmarks": None},
+               "remove_landmarks": _list},
     "noise": dict.fromkeys(("dropout_prob", "pixel_sigma"), _finite),  # repeat.seed seeds runs
-    "navigator": {"threshold1_ed": _finite, "threshold2_features": _int,
-                  "threshold3_time": _int, "dt": _finite, "controller": None, "max_ticks": _int},
+    "navigator": {"threshold1_ed": _finite, "threshold2_features": _int, "threshold3_time": _int,
+                  "dt": _finite, "max_ticks": _int},  # `repeat --controller` picks the controller
     "controllers": dict.fromkeys(("standard", "sloped")),
     "controllers.standard": dict.fromkeys(("v0", "omega0"), _finite),
     "controllers.sloped": dict.fromkeys(
@@ -285,17 +284,17 @@ _KNOWN_KEYS = {
 }
 
 
-def _section(value, ctx: str) -> dict:
+def _section(value, ctx: str, required=()) -> dict:
     """A config block as a new mapping of its keys to their read values; an
     absent or empty block reads as {}.
 
     Each value goes through its key's reader in _KNOWN_KEYS, which names the
     key as f"{ctx}.{key}".  Raises ConfigError for a block that is not a
-    mapping, a key that _KNOWN_KEYS does not list for it, or a value its
-    reader rejects.
+    mapping, a key that _KNOWN_KEYS does not list for it, a value its reader
+    rejects, or a missing key of required.
     """
     if value is None:
-        return {}
+        value = {}
     if not isinstance(value, dict):
         raise ConfigError(f"{ctx}: must be a mapping, not {type(value).__name__}")
     readers, out = _KNOWN_KEYS[ctx], {}
@@ -303,6 +302,9 @@ def _section(value, ctx: str) -> dict:
         if key not in readers:
             raise ConfigError(f"{ctx}: unknown key {key!r}")
         out[key] = item if readers[key] is None else readers[key](item, f"{ctx}.{key}")
+    for key in required:
+        if key not in out:
+            raise ConfigError(f"{ctx}: missing required key {key!r}")
     return out
 
 
@@ -343,14 +345,13 @@ def world_from_dict(d: dict) -> World:
           - line: {x0, y0, x1, y1, n}           # n points, endpoints included
         obstacles: [[xmin, ymin, xmax, ymax], ...]   # optional
 
-    _section reads `bounds` and the generators' parameters through _KNOWN_KEYS;
-    the landmark triples and obstacles are lists, read here.  Each `generated`
+    _section reads `bounds`, the three lists and the generators' parameters
+    through _KNOWN_KEYS; the list entries are read here.  Each `generated`
     entry names one generator; generated ids count up from the largest
     explicit id.
     """
     try:
-        d = _section(d, "world")
-        bounds = _require(d, "bounds", "world")
+        d = _section(d, "world", required=("bounds",))
         landmarks = []
         for lm in d.get("landmarks", []):
             _, x, y = _numbers("id", "x", "y")(lm, "world.landmarks")  # and an int id
@@ -361,11 +362,13 @@ def world_from_dict(d: dict) -> World:
             if len(entry) != 1:
                 raise ConfigError(f"world.generated: an entry names one generator: {sorted(entry)}")
             ((kind, params),) = entry.items()
-            for x, y in _GENERATORS[kind](_section(params, f"world.generated.{kind}")):
+            ctx = f"world.generated.{kind}"
+            params = _section(params, ctx, required=[k for k in _KNOWN_KEYS[ctx] if k != "phase"])
+            for x, y in _GENERATORS[kind](params):
                 landmarks.append(Landmark(next_id, x, y))
                 next_id += 1
         obstacles = tuple(_rect(r, "world.obstacles") for r in d.get("obstacles", []))
-        return World(landmarks=tuple(landmarks), bounds=bounds, obstacles=obstacles)
+        return World(landmarks=tuple(landmarks), bounds=d["bounds"], obstacles=obstacles)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"world: {e}") from e
 
@@ -373,16 +376,16 @@ def world_from_dict(d: dict) -> World:
 def scenario_from_dict(d: dict) -> Scenario:
     """Build a Scenario from its YAML file representation."""
     try:
-        d = _section(d, "scenario")
-        name = _require(d, "name", "scenario")
+        d = _section(d, "scenario", required=("name", "world", "teach"))
+        name = d["name"]
         if not isinstance(name, str):
             raise ConfigError(f"scenario.name: must be a string, not {name!r}")
-        world = world_from_dict(_require(d, "world", "scenario"))
+        world = world_from_dict(d["world"])
         camera = CameraModel(**_section(d.get("camera"), "camera"))
 
-        t = _section(_require(d, "teach", "scenario"), "teach")
-        start = Pose(*_require(t, "start", "teach"))
-        raw_steps = [_section(s, "teach.steps") for s in _require(t, "steps", "teach")]
+        t = _section(d["teach"], "teach", required=("start", "steps"))
+        start = Pose(*t["start"])
+        raw_steps = [_section(s, "teach.steps", ("v", "omega", "duration")) for s in t["steps"]]
         steps = tuple((MotionCommand(s["v"], s["omega"]), s["duration"]) for s in raw_steps)
         script = TeachScript(steps=steps, start_pose=start, dt=t.get("dt", 0.1))
 

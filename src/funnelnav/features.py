@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 from dataclasses import dataclass
+from statistics import median
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "NoiseModel",
     "match",
     "std_ratio",
+    "medians",
     "median_distance",
     "mse",
     "split_sides",
@@ -194,16 +195,20 @@ def std_ratio(m: MatchSet) -> float | None:
     return _pstd([p[1] for p in m]) / sb
 
 
+def medians(m: MatchSet) -> tuple[float, float] | tuple[None, None]:
+    """(median of u_current, median of u_keyframe), or (None, None) on an empty match set."""
+    if len(m) == 0:
+        return None, None
+    # statistics.median returns numpy's median bit for bit (the middle value,
+    # or the two middle values summed and halved) without its per-call cost
+    return float(median([p[1] for p in m])), float(median([p[2] for p in m]))
+
+
 def median_distance(m: MatchSet) -> float | None:
     """Absolute difference between the coordinate medians of the two images;
     None on an empty match set."""
-    if len(m) == 0:
-        return None
-    # statistics.median returns numpy's median bit for bit (the middle value,
-    # or the two middle values summed and halved) without its per-call cost
-    mu_c = statistics.median(p[1] for p in m)
-    mu_j = statistics.median(p[2] for p in m)
-    return abs(float(mu_c) - float(mu_j))
+    mu_c, mu_j = medians(m)
+    return None if mu_c is None else abs(mu_c - mu_j)
 
 
 def mse(m: MatchSet) -> float | None:

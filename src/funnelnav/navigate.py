@@ -135,6 +135,9 @@ def read_run(file: Path) -> RunTrace:
         text = file.read_text()
         *records, summary = map(json.loads, text.splitlines())
         trace = RunTrace(tuple(records), summary["seed"])
+        terminal = [k for k, r in enumerate(records) if r["event"] in TERMINAL_EVENTS]
+        if terminal != [len(records) - 1]:
+            raise ConfigError(f"{file}: the last record, and only the last, must be terminal")
         intact = "\n".join(trace.jsonl_lines()) + "\n" == text
     except (OSError, IndexError, KeyError, RecursionError, TypeError, ValueError) as e:
         raise ConfigError(f"{file}: not a readable run trace ending in a summary record") from e

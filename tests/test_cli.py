@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from funnelnav.cli import main
 from funnelnav.evaluate import load_scenario, report
-from funnelnav.navigate import read_run
+from funnelnav.navigate import RunTrace, read_run
 from funnelnav.teach import record
 
 from conftest import SCENARIO_DIR
@@ -122,6 +122,15 @@ class TestExitCodes:
             ({"teach": {**TEACH, "start": [0, 0]}}, "teach.start"),
             ({"repeat": {"start": [0.0, 0.0, 0.0, 0.0]}}, "repeat.start"),
             ({"world": {"bounds": BOUNDS, "landmarks": [[1, 0.0]]}}, "world.landmarks"),
+            ({"teach": {**TEACH, "steps": [{"v": 0.5, "omega": 0.0}]}},
+             "teach.steps: missing required key 'duration'"),
+            ({"world": {"bounds": BOUNDS, "generated": [{"line": {"x0": 0.5, "y0": -2.0,
+                                                                  "x1": 12.0, "n": 12}}]}},
+             "world.generated.line: missing required key 'y1'"),
+            ({"teach": {**TEACH, "steps": 5}}, "teach.steps: must be a list, not int 5"),
+            ({"repeat": {"remove_landmarks": 5}},
+             "repeat.remove_landmarks: must be a list, not int 5"),
+            ({"navigator": {"controller": "standard"}}, "navigator: unknown key 'controller'"),
         ],
         ids=["repeat-list", "controllers-list", "misspelled-navigator", "noise-seed",
              "navigator-sloped", "generator-unknown-key", "two-generators", "max-ticks-1.5",
@@ -129,7 +138,9 @@ class TestExitCodes:
              "seed-1.5", "seed-bool", "remove-unknown-id", "min-features-2.9",
              "teach-frames-overflow-duration", "teach-frames-overflow-dt",
              "keyframe-minus-1.5", "grid-nx-2.5", "landmark-id-1.5", "line-n-12.5",
-             "teach-start-2-entries", "repeat-start-4-entries", "landmark-2-entries"],
+             "teach-start-2-entries", "repeat-start-4-entries", "landmark-2-entries",
+             "step-without-duration", "line-without-y1", "steps-int", "remove-landmarks-int",
+             "navigator-controller"],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, named):
         cfg = small_config(tmp_path, **overrides)
@@ -389,6 +400,20 @@ class TestOracleCheck:
         assert "keyframe 99" in capsys.readouterr().err
 
 
+def rewrite_text(edit):
+    """A trace cut that replaces the file's text with edit(text)."""
+    return lambda run: run.write_text(edit(run.read_text()))
+
+
+def rewrite_records(edit):
+    """A trace cut that writes edit(records) back through RunTrace.write with the
+    same seed, so the summary agrees with the records that are left."""
+    def cut(run):
+        trace = read_run(run)
+        RunTrace(edit(trace.records), trace.seed).write(run)
+    return cut
+
+
 class TestMetricsCommand:
     def test_recomputes_from_traces(self, tmp_path, capsys):
         # metrics.json and the printed rows, from the runs just made and from
@@ -421,12 +446,15 @@ class TestMetricsCommand:
     @pytest.mark.parametrize(
         "cut",
         [
-            lambda text: "",
-            lambda text: text[: len(text) // 2],
-            lambda text: "".join(text.splitlines(keepends=True)[:-1]),
-            lambda text: text.replace('"outcome": "done"', '"outcome": "lost"'),
+            rewrite_text(lambda text: ""),
+            rewrite_text(lambda text: text[: len(text) // 2]),
+            rewrite_text(lambda text: "".join(text.splitlines(keepends=True)[:-1])),
+            rewrite_text(lambda text: text.replace('"outcome": "done"', '"outcome": "lost"')),
+            rewrite_records(lambda records: records[:-1]),
+            rewrite_records(lambda records: ({**records[0], "event": "done"}, *records[1:])),
         ],
-        ids=["empty", "mid-line", "no-summary", "summary-disagrees"],
+        ids=["empty", "mid-line", "no-summary", "summary-disagrees", "no-terminal-record",
+             "early-terminal-record"],
     )
     def test_truncated_trace_exits_2(self, tmp_path, capsys, cut):
         cfg = small_config(tmp_path)
@@ -434,8 +462,8 @@ class TestMetricsCommand:
         main(["repeat", "--config", str(cfg), "--out", str(out)])
         run = out / "sloped" / "run_000.jsonl"
         text = run.read_text()
-        assert cut(text) != text
-        run.write_text(cut(text))
+        cut(run)
+        assert run.read_text() != text
         capsys.readouterr()
         assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 2
         assert "run_000.jsonl" in capsys.readouterr().err

@@ -208,7 +208,7 @@ class TestWorldFromDict:
 CONSTRUCTOR_BLOCKS = [
     ("camera", CameraModel, set()),
     ("noise", NoiseModel, {"seed"}),
-    ("navigator", NavigatorConfig, {"standard", "sloped"}),
+    ("navigator", NavigatorConfig, {"standard", "sloped", "controller"}),
     ("controllers.standard", StandardParams, set()),
     ("controllers.sloped", SlopedParams, set()),
 ]

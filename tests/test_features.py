@@ -170,8 +170,8 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0
 
 
 class TestPythonMedian:
-    """median_distance and the sloped controller use statistics.median in place
-    of np.median; the two must agree to the bit."""
+    """features.medians, which median_distance and the sloped controller share,
+    uses statistics.median in place of np.median; the two must agree to the bit."""
 
     @pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
     @settings(max_examples=300)
