@@ -132,7 +132,7 @@ def cmd_repeat(scn: Scenario, out: Path, controllers) -> int:
 
 def cmd_oracle_check(scn: Scenario, out: Path) -> int:
     path = _teach_path(scn)
-    kf_index, grid, n_kf = scn.oracle.keyframe, scn.oracle.grid, len(path.keyframes)
+    kf_index, grid, n_kf = scn.oracle_keyframe, scn.oracle_grid, len(path.keyframes)
     if not -n_kf <= kf_index < n_kf:
         raise ConfigError(f"oracle: keyframe {kf_index} is out of range for {n_kf} keyframes")
     kf = path.keyframes[kf_index]

@@ -21,7 +21,6 @@ from .geometry import MotionCommand
 
 __all__ = [
     "SlopedParams",
-    "SlopedState",
     "radius_policy",
     "evaluate_state",
     "sloped_command",
@@ -37,25 +36,11 @@ class SlopedParams:
     v_floor_frac: float = 0.05  # fraction of v_max kept while turning, for liveness
 
     def __post_init__(self):
-        positive = (self.v_max, self.omega_max, self.sx_epsilon, self.norm_floor)
-        if not all(0 < x < math.inf for x in positive):
-            raise ValueError("all sloped parameters must be strictly positive and finite")
+        for name in ("v_max", "omega_max", "sx_epsilon", "norm_floor"):
+            if not 0 < (v := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, not {v!r}")
         if not 0.0 <= self.v_floor_frac < 1.0:
             raise ValueError("v_floor_frac must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class SlopedState:
-    """Per-tick controller internals: the two slopes, which the trace records,
-    and the four lane constraints, whose conjunction it records as inside."""
-
-    s_x: float  # roll slope
-    s_y: float | None  # pitch slope; None when the spread ratio is unavailable
-    constraints: tuple[bool, bool, bool, bool]
-
-    @property
-    def inside(self) -> bool:
-        return all(self.constraints)
 
 
 def radius_policy(s_y: float, p: SlopedParams) -> float:
@@ -69,8 +54,12 @@ def radius_policy(s_y: float, p: SlopedParams) -> float:
     return p.v_max * max(min(max(s_y, 0.0), 1.0), p.v_floor_frac)
 
 
-def evaluate_state(m: MatchSet, p: SlopedParams, ratio: float | None) -> SlopedState:
-    """Both slopes and the four lane constraints for one match set.
+def evaluate_state(
+    m: MatchSet, p: SlopedParams, ratio: float | None
+) -> tuple[float, float | None, tuple[bool, bool, bool, bool]]:
+    """Both slopes and the four lane constraints for one match set, as
+    (s_x, s_y, constraints): the roll slope, the pitch slope (None when ratio
+    is) and four bools, all True inside the lane.
 
     ratio is the match set's spread ratio, std_ratio(m), which is None where
     undefined; the navigator passes the one it already computed for the tick.
@@ -100,17 +89,14 @@ def evaluate_state(m: MatchSet, p: SlopedParams, ratio: float | None) -> SlopedS
         if mu_c is not None:
             s_x += (mu_c - mu_j) / max(abs(mu_j), p.norm_floor)
 
-    return SlopedState(
-        s_x=s_x,
-        s_y=None if ratio is None else 1.0 - ratio,
-        constraints=(c1, c2, c3, c4),
-    )
+    return s_x, None if ratio is None else 1.0 - ratio, (c1, c2, c3, c4)
 
 
 def sloped_command(
     m: MatchSet, p: SlopedParams, ratio: float | None
-) -> tuple[MotionCommand, SlopedState]:
-    """One control tick: command plus the controller state used to produce it.
+) -> tuple[MotionCommand, float, float | None, bool]:
+    """One control tick, as (cmd, s_x, s_y, inside): the command, the two
+    slopes of evaluate_state and whether all four lane constraints hold.
 
     ratio is std_ratio(m), None where undefined, as for evaluate_state.
 
@@ -120,12 +106,12 @@ def sloped_command(
     the roll slope decides again.  Every turn is at omega_max, with the
     forward speed of the pitch-slope radius policy.
     """
-    st = evaluate_state(m, p, ratio)
+    s_x, s_y, (c1, c2, c3, c4) = evaluate_state(m, p, ratio)
+    inside = c1 and c2 and c3 and c4
     # without a usable spread ratio there is no radius to modulate; inside
     # the lane the conservative fallback is plain forward motion
-    if st.inside and (abs(st.s_x) <= p.sx_epsilon or st.s_y is None):
-        return MotionCommand(p.v_max, 0.0), st
-    c1, c2, c3, c4 = st.constraints
+    if inside and (abs(s_x) <= p.sx_epsilon or s_y is None):
+        return MotionCommand(p.v_max, 0.0), s_x, s_y, inside
     drifted_left, drifted_right = not (c1 and c4), not (c2 and c3)
     if drifted_left != drifted_right:
         # direction +1 = left (CCW), -1 = right: turn back toward the lane
@@ -133,6 +119,6 @@ def sloped_command(
     else:
         # inside the lane, or both sides complain (large heading offsets
         # shortly after a keyframe switch do this): the roll slope arbitrates
-        turn = 1 if st.s_x < 0 else -1
-    v = 0.0 if st.s_y is None else radius_policy(st.s_y, p)
-    return MotionCommand(v, turn * p.omega_max), st
+        turn = 1 if s_x < 0 else -1
+    v = 0.0 if s_y is None else radius_policy(s_y, p)
+    return MotionCommand(v, turn * p.omega_max), s_x, s_y, inside

@@ -32,8 +32,9 @@ class StandardParams:
     omega0: float
 
     def __post_init__(self):
-        if not (0 < self.v0 < math.inf and 0 < self.omega0 < math.inf):
-            raise ValueError("v0 and omega0 must be strictly positive and finite")
+        for name in ("v0", "omega0"):
+            if not 0 < (v := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, not {v!r}")
 
 
 def feature_vote(u_c: float, u_j: float) -> str:

@@ -25,7 +25,6 @@ __all__ = [
     "accuracy",
     "repeatability",
     "GridSpec",
-    "OracleSpec",
     "grid_poses",
     "funnel_oracle",
     "controller_inside_grid",
@@ -68,16 +67,11 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x0, self.x1, self.y0, self.y1))):
-            raise ValueError("grid bounds must be finite")
+        spans = (self.x1 - self.x0, self.y1 - self.y0)
+        if not all(map(math.isfinite, (self.x0, self.x1, self.y0, self.y1, *spans))):
+            raise ValueError("grid bounds and their spans x1 - x0 and y1 - y0 must be finite")
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"grid needs at least 1 x 1 poses, got {self.nx} x {self.ny}")
-
-
-@dataclass(frozen=True)
-class OracleSpec:
-    keyframe: int  # index into the taught path; negative counts from the end
-    grid: GridSpec
 
 
 def grid_poses(grid: GridSpec, theta: float) -> list[Pose]:
@@ -148,7 +142,8 @@ class Scenario:
     repeat_start: Pose
     noise: NoiseModel
     navigator: NavigatorConfig
-    oracle: OracleSpec
+    oracle_keyframe: int  # index into the taught path; negative counts from the end
+    oracle_grid: GridSpec
     runs: int
     seed: int
     tolerance: float  # meters, per-run success bound on final error
@@ -160,6 +155,8 @@ class Scenario:
             raise ValueError("runs must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not self.tolerance >= 0:
+            raise ValueError(f"tolerance must be non-negative, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -253,7 +250,13 @@ def _numbers(*names):
     return read
 
 
-_rect = _numbers("xmin", "ymin", "xmax", "ymax")
+def _rect(value, ctx: str) -> tuple:
+    xmin, ymin, xmax, ymax = _numbers("xmin", "ymin", "xmax", "ymax")(value, ctx)
+    if xmin > xmax or ymin > ymax:
+        raise ConfigError(f"{ctx}: must have xmin <= xmax and ymin <= ymax, not {value!r}")
+    return xmin, ymin, xmax, ymax
+
+
 _pose = _numbers("x", "y", "theta")
 _GRID = {"x0": _finite, "x1": _finite, "nx": _int, "y0": _finite, "y1": _finite, "ny": _int}
 
@@ -421,7 +424,8 @@ def scenario_from_dict(d: dict) -> Scenario:
             repeat_start=repeat_start,
             noise=noise,
             navigator=navigator,
-            oracle=OracleSpec(keyframe=o.get("keyframe", -1), grid=grid),
+            oracle_keyframe=o.get("keyframe", -1),
+            oracle_grid=grid,
             runs=r.get("runs", 1),
             seed=r.get("seed", 0),
             tolerance=r.get("tolerance", 0.3),

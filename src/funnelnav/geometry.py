@@ -69,9 +69,9 @@ class CameraModel:
     min_depth: float = 0.1
 
     def __post_init__(self):
-        for v in (self.focal_length, self.half_width, self.min_depth):
-            if not 0 < v < math.inf:
-                raise ValueError("camera parameters must be positive and finite")
+        for name in ("focal_length", "half_width", "min_depth"):
+            if not 0 < (v := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, not {v!r}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,8 +47,8 @@ from .geometry import (
     visible_set,
 )
 
-__all__ = ["NavigatorConfig", "RunTrace", "read_run", "TickStats", "tick_stats",
-           "should_switch", "keyframe_world", "navigate"]
+__all__ = ["NavigatorConfig", "RunTrace", "read_run", "tick_stats", "should_switch",
+           "keyframe_world", "navigate"]
 
 STOP = MotionCommand(0.0, 0.0)
 
@@ -66,9 +67,9 @@ class NavigatorConfig:
     sloped: SlopedParams = field(default_factory=lambda: SlopedParams(0.5, 0.5))
 
     def __post_init__(self):
-        for v in (self.threshold1_ed, self.threshold3_time, self.dt):
-            if not 0 < v < math.inf:
-                raise ValueError("thresholds and dt must be positive and finite")
+        for name in ("threshold1_ed", "threshold3_time", "dt"):
+            if not 0 < (v := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, not {v!r}")
         if not 2 <= self.threshold2_features < math.inf:
             raise ValueError("threshold2_features must be at least 2 and finite")
         if self.controller not in ("standard", "sloped"):
@@ -138,6 +139,10 @@ def read_run(file: Path) -> RunTrace:
         terminal = [k for k, r in enumerate(records) if r["event"] in TERMINAL_EVENTS]
         if terminal != [len(records) - 1]:
             raise ConfigError(f"{file}: the last record, and only the last, must be terminal")
+        # json.loads reads true as a bool, and NaN, Infinity and 1e999 as floats
+        if not all(type(v := records[-1][k]) in (int, float) and abs(v) <= sys.float_info.max
+                   for k in ("x", "y", "theta")):
+            raise ConfigError(f"{file}: the terminal x, y and theta must be finite numbers")
         intact = "\n".join(trace.jsonl_lines()) + "\n" == text
     except (OSError, IndexError, KeyError, RecursionError, TypeError, ValueError) as e:
         raise ConfigError(f"{file}: not a readable run trace ending in a summary record") from e
@@ -146,38 +151,29 @@ def read_run(file: Path) -> RunTrace:
     return trace
 
 
-@dataclass(frozen=True)
-class TickStats:
-    """The image statistics of one tick's match set, each computed once.
+def tick_stats(m: MatchSet) -> dict:
+    """The image statistics of one tick's match set, each computed once, as
+    the dict {"ed": median_distance(m), "mse": mse(m), "nmf": len(m),
+    "std_ratio": std_ratio(m)}: the keys and values of the tick's record.
 
-    ratio, ed and mse are std_ratio(m), median_distance(m) and mse(m), each
-    None where undefined: the ratio for fewer than 2 pairs or no keyframe
-    spread, the other two on an empty match set.
+    std_ratio, ed and mse are None where undefined: the ratio for fewer than
+    2 pairs or no keyframe spread, the other two on an empty match set.
     """
-
-    nmf: int  # number of matched features
-    ratio: float | None
-    ed: float | None
-    mse: float | None
+    return {"ed": median_distance(m), "mse": mse(m), "nmf": len(m), "std_ratio": std_ratio(m)}
 
 
-def tick_stats(m: MatchSet) -> TickStats:
-    """Spread ratio, median distance and MSE of a match set."""
-    return TickStats(nmf=len(m), ratio=std_ratio(m), ed=median_distance(m), mse=mse(m))
-
-
-def should_switch(stats: TickStats, cfg: NavigatorConfig) -> bool:
+def should_switch(stats: dict, cfg: NavigatorConfig) -> bool:
     """Keyframe switching criterion.
 
     Fires when the spread ratio exceeds 1 (the robot has passed the keyframe
     plane) and the median distance is under threshold1.  When the ratio is
     unavailable, falls back to a tighter median-distance-only test.
     """
-    if stats.nmf == 0:
+    if stats["nmf"] == 0:
         return False
-    if stats.ratio is None:
-        return stats.ed < cfg.threshold1_ed / 2.0
-    return stats.ratio > 1.0 and stats.ed < cfg.threshold1_ed
+    if stats["std_ratio"] is None:
+        return stats["ed"] < cfg.threshold1_ed / 2.0
+    return stats["std_ratio"] > 1.0 and stats["ed"] < cfg.threshold1_ed
 
 
 def keyframe_world(world: World, kf: Keyframe) -> World:
@@ -218,9 +214,9 @@ def navigate(
 
     def rec(tick, cmd, stats, event, s_x=None, s_y=None, inside=None):
         records.append({
-            "ed": stats.ed, "event": event, "inside": inside, "mse": stats.mse,
-            "nmf": stats.nmf, "omega": cmd.omega, "s_x": s_x, "s_y": s_y, "segment": dest,
-            "std_ratio": stats.ratio, "theta": pose.theta, "tick": tick, "v": cmd.v,
+            "ed": stats["ed"], "event": event, "inside": inside, "mse": stats["mse"],
+            "nmf": stats["nmf"], "omega": cmd.omega, "s_x": s_x, "s_y": s_y, "segment": dest,
+            "std_ratio": stats["std_ratio"], "theta": pose.theta, "tick": tick, "v": cmd.v,
             "x": pose.x, "y": pose.y,
         })
 
@@ -237,7 +233,7 @@ def navigate(
             m = tuple(zip(tracked, us, [kf.observations[i] for i in tracked]))
 
         stats = tick_stats(m)
-        if stats.nmf < cfg.threshold2_features:
+        if stats["nmf"] < cfg.threshold2_features:
             # a starving match set never switches: the degenerate median-only
             # fallback of should_switch would fire spuriously on it
             stopped += 1
@@ -261,8 +257,8 @@ def navigate(
                 cmd, inside = standard_command(m, cfg.standard)
                 rec(tick, cmd, stats, event, inside=inside)
             else:
-                cmd, st = sloped_command(m, cfg.sloped, stats.ratio)
-                rec(tick, cmd, stats, event, st.s_x, st.s_y, st.inside)
+                cmd, s_x, s_y, inside = sloped_command(m, cfg.sloped, stats["std_ratio"])
+                rec(tick, cmd, stats, event, s_x, s_y, inside)
             pose = step(pose, cmd, cfg.dt)
             if in_collision(world, pose):
                 rec(tick, STOP, stats, "collision")

@@ -70,10 +70,10 @@ class TestOracleEquivalence:
     def test_two_feature_world_grid_agreement(self):
         t0 = time.perf_counter()
         scn = scenario("funnel_two_features")
-        grid = scn.oracle.grid
+        grid = scn.oracle_grid
         assert grid == GridSpec(x0=-2.0, x1=5.5, nx=200, y0=-3.0, y1=3.0, ny=200)
         path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
-        kf = path.keyframes[scn.oracle.keyframe]
+        kf = path.keyframes[scn.oracle_keyframe]
         assert len(kf.observations) == 2
 
         oracle = funnel_oracle(kf, scn.world, scn.camera, grid)
@@ -111,20 +111,21 @@ class TestOracleEquivalence:
 
 
 def slopes(m):
-    """The sloped controller's state for m, with the navigator's spread ratio."""
-    return evaluate_state(m, SlopedParams(0.5, 0.5), tick_stats(m).ratio)
+    """The sloped controller's (s_x, s_y), with the navigator's spread ratio."""
+    s_x, s_y, _ = evaluate_state(m, SlopedParams(0.5, 0.5), tick_stats(m)["std_ratio"])
+    return s_x, s_y
 
 
 class TestSlopeArithmetic:
     """The two slope statistics and the radius policy match hand values."""
 
     def test_pitch_slope_values(self):
-        assert slopes(ms((1, -20.0, -20.0), (2, 20.0, 20.0))).s_y == 0.0
-        assert slopes(ms((1, -20.0, -40.0), (2, 20.0, 40.0))).s_y == 0.5
+        assert slopes(ms((1, -20.0, -20.0), (2, 20.0, 20.0)))[1] == 0.0
+        assert slopes(ms((1, -20.0, -40.0), (2, 20.0, 40.0)))[1] == 0.5
 
     def test_roll_slope_values(self):
-        assert slopes(ms((1, -10.0, -10.0), (2, 20.0, 20.0))).s_x == 0.0
-        assert slopes(ms((1, -5.0, -10.0), (2, 25.0, 20.0))).s_x == 0.75
+        assert slopes(ms((1, -10.0, -10.0), (2, 20.0, 20.0)))[0] == 0.0
+        assert slopes(ms((1, -5.0, -10.0), (2, 25.0, 20.0)))[0] == 0.75
 
     def test_radius_policy_values(self):
         p = SlopedParams(0.5, 0.5)
@@ -132,8 +133,8 @@ class TestSlopeArithmetic:
         assert radius_policy(0.5, p) == 0.5 * p.v_max
         # a turn at pitch slope 0.5 has half the radius v_max / omega_max
         m = ms((1, -10.0, -40.0), (2, 30.0, 40.0))
-        cmd, st_ = sloped_command(m, p, tick_stats(m).ratio)
-        assert st_.s_y == 0.5 and abs(cmd.omega) == p.omega_max
+        cmd, _, s_y, _ = sloped_command(m, p, tick_stats(m)["std_ratio"])
+        assert s_y == 0.5 and abs(cmd.omega) == p.omega_max
         assert cmd.v / abs(cmd.omega) == 0.5 * (p.v_max / p.omega_max)
 
     def test_pitch_slope_strictly_decreases_on_straight_approach(self):
@@ -150,7 +151,7 @@ class TestSlopeArithmetic:
         rng = quiet.make_rng()
         for x in np.linspace(0.0, 4.9, 100):
             m = match(visible_set(world, Pose(float(x), 0.0, 0.0), CAM), kf, quiet, rng)
-            values.append(slopes(m).s_y)
+            values.append(slopes(m)[1])
         assert all(b - a < -1e-9 for a, b in zip(values, values[1:]))
 
 
@@ -168,11 +169,11 @@ class TestAmbiguityResolution:
             obs = visible_set(scn.world, scn.repeat_start, scn.camera)
             m = match(obs, kf, NoiseModel(), NoiseModel().make_rng())
             std_cmd, _ = standard_command(m, scn.navigator.standard)
-            slo_cmd, state = sloped_command(m, scn.navigator.sloped, tick_stats(m).ratio)
-            commands[name] = (std_cmd, slo_cmd, state)
+            slo_cmd, *_ = sloped_command(m, scn.navigator.sloped, tick_stats(m)["std_ratio"])
+            commands[name] = (std_cmd, slo_cmd)
 
-        std_rot, slo_rot, _ = commands["ambiguity_rotation"]
-        std_tr, slo_tr, _ = commands["ambiguity_translation"]
+        std_rot, slo_rot = commands["ambiguity_rotation"]
+        std_tr, slo_tr = commands["ambiguity_translation"]
 
         # the per-feature controller cannot tell the two cases apart
         assert std_rot == std_tr

@@ -131,6 +131,13 @@ class TestExitCodes:
             ({"repeat": {"remove_landmarks": 5}},
              "repeat.remove_landmarks: must be a list, not int 5"),
             ({"navigator": {"controller": "standard"}}, "navigator: unknown key 'controller'"),
+            ({"world": {"bounds": [20, 5, -5, -5], "generated": [{"line": LINE}]}},
+             "world.bounds: must have xmin <= xmax"),
+            ({"repeat": {"tolerance": -1.0}}, "tolerance must be non-negative, got -1.0"),
+            ({"navigator": {"threshold1_ed": 0}}, "threshold1_ed must be positive and finite"),
+            ({"camera": {"half_width": -1.0}}, "half_width must be positive and finite, not -1.0"),
+            ({"controllers": {"sloped": {"v_max": 0.5, "omega_max": 0.5, "norm_floor": 0.0}}},
+             "norm_floor must be positive and finite, not 0.0"),
         ],
         ids=["repeat-list", "controllers-list", "misspelled-navigator", "noise-seed",
              "navigator-sloped", "generator-unknown-key", "two-generators", "max-ticks-1.5",
@@ -140,7 +147,8 @@ class TestExitCodes:
              "keyframe-minus-1.5", "grid-nx-2.5", "landmark-id-1.5", "line-n-12.5",
              "teach-start-2-entries", "repeat-start-4-entries", "landmark-2-entries",
              "step-without-duration", "line-without-y1", "steps-int", "remove-landmarks-int",
-             "navigator-controller"],
+             "navigator-controller", "swapped-bounds", "negative-tolerance", "threshold1-zero",
+             "half-width-negative", "norm-floor-zero"],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, named):
         cfg = small_config(tmp_path, **overrides)
@@ -452,9 +460,15 @@ class TestMetricsCommand:
             rewrite_text(lambda text: text.replace('"outcome": "done"', '"outcome": "lost"')),
             rewrite_records(lambda records: records[:-1]),
             rewrite_records(lambda records: ({**records[0], "event": "done"}, *records[1:])),
+            rewrite_records(lambda records: (*records[:-1], {**records[-1], "theta": "abc"})),
+            rewrite_records(lambda records: (*records[:-1], {**records[-1], "x": None})),
+            rewrite_records(lambda records: (*records[:-1], {**records[-1], "x": True})),
+            rewrite_records(lambda records: (*records[:-1], {**records[-1], "theta": math.nan})),
+            rewrite_records(lambda records: (*records[:-1], {**records[-1], "y": 10**400})),
         ],
         ids=["empty", "mid-line", "no-summary", "summary-disagrees", "no-terminal-record",
-             "early-terminal-record"],
+             "early-terminal-record", "theta-string", "x-null", "x-bool", "theta-nan",
+             "y-huge-int"],
     )
     def test_truncated_trace_exits_2(self, tmp_path, capsys, cut):
         cfg = small_config(tmp_path)

@@ -23,51 +23,53 @@ P = SlopedParams(v_max=0.5, omega_max=0.5)
 
 
 def state(m):
-    """evaluate_state with the spread ratio the navigator passes for m."""
-    return evaluate_state(m, P, tick_stats(m).ratio)
+    """evaluate_state's (s_x, s_y, constraints) with the spread ratio the
+    navigator passes for m."""
+    return evaluate_state(m, P, tick_stats(m)["std_ratio"])
 
 
 def command(m):
-    """sloped_command with the spread ratio the navigator passes for m."""
-    return sloped_command(m, P, tick_stats(m).ratio)
+    """sloped_command's (cmd, s_x, s_y, inside) with the spread ratio the
+    navigator passes for m."""
+    return sloped_command(m, P, tick_stats(m)["std_ratio"])
 
 
 class TestPitchSlope:
     def test_zero_at_keyframe(self):
-        assert state(ms((1, -20.0, -20.0), (2, 20.0, 20.0))).s_y == pytest.approx(0.0)
+        assert state(ms((1, -20.0, -20.0), (2, 20.0, 20.0)))[1] == pytest.approx(0.0)
 
     def test_half_when_spread_halves(self):
-        assert state(ms((1, -20.0, -40.0), (2, 20.0, 40.0))).s_y == pytest.approx(0.5)
+        assert state(ms((1, -20.0, -40.0), (2, 20.0, 40.0)))[1] == pytest.approx(0.5)
 
     def test_degenerate_spread_propagates(self):
         # the spread ratio is undefined; the navigator's tick stats carry its None
         m = ms((1, 1.0, 5.0))
         assert std_ratio(m) is None
-        assert tick_stats(m).ratio is None
-        assert state(m).s_y is None
+        assert tick_stats(m)["std_ratio"] is None
+        assert state(m)[1] is None
 
 
 class TestRollSlope:
     def test_zero_on_path(self):
         m = ms((1, -10.0, -10.0), (2, 20.0, 20.0))
-        assert state(m).s_x == pytest.approx(0.0)
+        assert state(m)[0] == pytest.approx(0.0)
 
     def test_two_side_hand_value(self):
         # left: (-5 - -10)/10 = 0.5; right: (25 - 20)/20 = 0.25
         m = ms((1, -5.0, -10.0), (2, 25.0, 20.0))
-        assert state(m).s_x == pytest.approx(0.75)
+        assert state(m)[0] == pytest.approx(0.75)
 
     def test_norm_floor_applies_near_center(self):
         m = ms((1, 3.0, 2.0))
-        assert state(m).s_x == pytest.approx((3.0 - 2.0) / 5.0)
+        assert state(m)[0] == pytest.approx((3.0 - 2.0) / 5.0)
 
     def test_absent_side_contributes_zero(self):
         m = ms((1, 25.0, 20.0))
-        assert state(m).s_x == pytest.approx(0.25)
+        assert state(m)[0] == pytest.approx(0.25)
 
     def test_median_per_side(self):
         m = ms((1, 10.0, 10.0), (2, 20.0, 10.0), (3, 30.0, 10.0))
-        assert state(m).s_x == pytest.approx((20.0 - 10.0) / 10.0)
+        assert state(m)[0] == pytest.approx((20.0 - 10.0) / 10.0)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMatchError):
@@ -92,121 +94,121 @@ class TestRadiusPolicy:
 class TestConstraints:
     def test_on_keyframe_boundary_counts_as_inside(self):
         m = ms((1, -10.0, -10.0), (2, 20.0, 20.0))
-        st_ = state(m)
-        assert st_.constraints == (True, True, True, True)
-        assert st_.inside
+        assert state(m)[2] == (True, True, True, True)
+        assert command(m)[3]
         # the constraints never read the spread ratio
-        assert evaluate_state(m, P, None).inside
+        assert evaluate_state(m, P, None)[2] == (True, True, True, True)
 
     def test_magnitude_violations(self):
         # right median grew: c1 false; left median grew: c2 false
-        right_bad = state(ms((1, -5.0, -10.0), (2, 25.0, 20.0)))
-        assert right_bad.constraints == (False, True, True, True)
-        left_bad = state(ms((1, -15.0, -10.0), (2, 15.0, 20.0)))
-        assert left_bad.constraints == (True, False, True, True)
+        _, _, right_bad = state(ms((1, -5.0, -10.0), (2, 25.0, 20.0)))
+        assert right_bad == (False, True, True, True)
+        _, _, left_bad = state(ms((1, -15.0, -10.0), (2, 15.0, 20.0)))
+        assert left_bad == (True, False, True, True)
 
     def test_sign_violations(self):
-        right_flip = state(ms((1, -5.0, -10.0), (2, -1.0, 20.0)))
-        assert right_flip.constraints[2] is False
-        left_flip = state(ms((1, 1.0, -10.0), (2, 15.0, 20.0)))
-        assert left_flip.constraints[3] is False
+        _, _, right_flip = state(ms((1, -5.0, -10.0), (2, -1.0, 20.0)))
+        assert right_flip[2] is False
+        _, _, left_flip = state(ms((1, 1.0, -10.0), (2, 15.0, 20.0)))
+        assert left_flip[3] is False
 
     def test_missing_side_leaves_constraints_satisfied(self):
         m = ms((1, 15.0, 20.0), (2, 18.0, 22.0))
-        st_ = state(m)
+        _, _, c = state(m)
         assert split_sides(m)[0] == ()
-        assert st_.constraints[1] and st_.constraints[3]
+        assert c[1] and c[3]
 
     def test_zero_coordinate_matches_either_sign(self):
-        st_ = state(ms((1, 0.0, 20.0), (2, -5.0, -10.0)))
-        assert st_.constraints[2] is True
+        _, _, c = state(ms((1, 0.0, 20.0), (2, -5.0, -10.0)))
+        assert c[2] is True
 
     def test_s_y_is_one_minus_the_ratio_passed_in(self):
         m = ms((1, -20.0, -40.0), (2, 20.0, 40.0))
-        assert state(m).s_y == 1.0 - std_ratio(m) == 0.5
-        assert evaluate_state(m, P, 0.25).s_y == 0.75
+        assert state(m)[1] == 1.0 - std_ratio(m) == 0.5
+        assert evaluate_state(m, P, 0.25)[1] == 0.75
 
     def test_s_y_none_when_spread_degenerate(self):
-        st_ = state(ms((1, 5.0, 10.0)))
-        assert st_.s_y is None
+        assert state(ms((1, 5.0, 10.0)))[1] is None
 
 
 class TestSlopedCommand:
     def test_inside_with_small_roll_goes_straight(self):
         m = ms((1, -10.0, -10.0), (2, 20.0, 20.0))
-        cmd, st_ = command(m)
+        cmd, _, _, inside = command(m)
         assert cmd == MotionCommand(P.v_max, 0.0)
-        assert st_.inside
+        assert inside
 
     def test_inside_negative_roll_turns_left(self):
         # right median shrank toward center: still inside, net roll negative
         m = ms((1, -10.0, -10.0), (2, 14.0, 20.0))
-        cmd, st_ = command(m)
-        assert st_.inside
-        assert st_.s_x < -P.sx_epsilon
+        cmd, s_x, _, inside = command(m)
+        assert inside
+        assert s_x < -P.sx_epsilon
         assert cmd.omega > 0
 
     def test_inside_positive_roll_turns_right(self):
         # left median shrank toward center: still inside, net roll positive
         m = ms((1, -4.0, -10.0), (2, 20.0, 20.0))
-        cmd, st_ = command(m)
-        assert st_.inside
-        assert st_.s_x > P.sx_epsilon
+        cmd, s_x, _, inside = command(m)
+        assert inside
+        assert s_x > P.sx_epsilon
         assert cmd.omega < 0
 
     def test_right_magnitude_violation_turns_right(self):
         m = ms((1, -5.0, -10.0), (2, 25.0, 20.0))
-        cmd, st_ = command(m)
-        assert not st_.inside
+        cmd, _, _, inside = command(m)
+        assert not inside
         assert cmd.omega < 0
 
     def test_left_magnitude_violation_turns_left(self):
         m = ms((1, -15.0, -10.0), (2, 15.0, 20.0))
-        cmd, st_ = command(m)
-        assert not st_.inside
+        cmd, _, _, inside = command(m)
+        assert not inside
         assert cmd.omega > 0
 
     def test_conflict_resolved_by_roll_sign(self):
         # both sides violated, net roll negative: turn left
         m = ms((1, -40.0, -20.0), (2, 25.0, 20.0))
-        cmd, st_ = command(m)
-        assert not st_.constraints[0] and not st_.constraints[1]
-        assert st_.s_x < 0
+        cmd, s_x, _, _ = command(m)
+        _, _, c = state(m)
+        assert not c[0] and not c[1]
+        assert s_x < 0
         assert cmd.omega > 0
         # both sides violated, net roll positive: turn right
         m = ms((1, -25.0, -20.0), (2, 40.0, 20.0))
-        cmd, st_ = command(m)
-        assert not st_.constraints[0] and not st_.constraints[1]
-        assert st_.s_x > 0
+        cmd, s_x, _, _ = command(m)
+        _, _, c = state(m)
+        assert not c[0] and not c[1]
+        assert s_x > 0
         assert cmd.omega < 0
 
     def test_turns_use_radius_policy(self):
         # outside the lane (right magnitude violated) at pitch slope 0
         m = ms((1, -5.0, -10.0), (2, 25.0, 20.0))
-        cmd, st_ = command(m)
-        assert not st_.inside
-        assert cmd.v == pytest.approx(radius_policy(st_.s_y, P))
+        cmd, _, s_y, inside = command(m)
+        assert not inside
+        assert cmd.v == pytest.approx(radius_policy(s_y, P))
         assert abs(cmd.omega) == pytest.approx(P.omega_max)
 
     def test_half_slope_turn_has_half_the_max_radius(self):
         # inside the lane, spread halved, roll slope past the dead-band
         m = ms((1, -10.0, -40.0), (2, 30.0, 40.0))
-        cmd, st_ = command(m)
-        assert st_.inside and st_.s_y == pytest.approx(0.5)
+        cmd, _, s_y, inside = command(m)
+        assert inside and s_y == pytest.approx(0.5)
         assert cmd.omega == pytest.approx(-P.omega_max)
         assert cmd.v / abs(cmd.omega) == pytest.approx(0.5 * P.v_max / P.omega_max)
 
     def test_degenerate_spread_outside_rotates_in_place(self):
         m = ms((1, 25.0, 20.0))  # one pair: no spread, c1 violated
-        cmd, st_ = command(m)
-        assert st_.s_y is None
+        cmd, _, s_y, _ = command(m)
+        assert s_y is None
         assert cmd.v == 0.0
         assert abs(cmd.omega) == pytest.approx(P.omega_max)
 
     def test_degenerate_spread_inside_goes_straight(self):
         m = ms((1, 15.0, 20.0))
-        cmd, st_ = command(m)
-        assert st_.inside and st_.s_y is None
+        cmd, _, s_y, inside = command(m)
+        assert inside and s_y is None
         assert cmd == MotionCommand(P.v_max, 0.0)
 
     def test_empty_raises(self):
@@ -225,13 +227,12 @@ class TestSlopedCommand:
         assume(all(b != 0.0 for _, b in coords))
         m = tuple((i, a, b) for i, (a, b) in enumerate(coords))
         mirrored = tuple((i, -a, -b) for i, (a, b) in enumerate(coords))
-        st_a = state(m)
-        st_b = state(mirrored)
-        assert st_b.s_x == pytest.approx(-st_a.s_x, abs=1e-9)
-        if st_a.s_y is not None:
-            assert st_b.s_y == pytest.approx(st_a.s_y, abs=1e-9)
-        c1, c2, c3, c4 = st_a.constraints
-        assert st_b.constraints == (c2, c1, c4, c3)
+        s_x_a, s_y_a, (c1, c2, c3, c4) = state(m)
+        s_x_b, s_y_b, constraints_b = state(mirrored)
+        assert s_x_b == pytest.approx(-s_x_a, abs=1e-9)
+        if s_y_a is not None:
+            assert s_y_b == pytest.approx(s_y_a, abs=1e-9)
+        assert constraints_b == (c2, c1, c4, c3)
 
 
 class TestParams:

@@ -70,6 +70,14 @@ class TestGrid:
         with pytest.raises(ValueError, match="grid"):
             GridSpec(x0=0.0, x1=1.0, nx=nx, y0=0.0, y1=1.0, ny=ny)
 
+    @pytest.mark.parametrize(
+        "x0, x1, y0, y1", [(-1e308, 1e308, 0.0, 1.0), (0.0, 1.0, 1e308, -1e308)]
+    )
+    def test_overflowing_span_rejected(self, x0, x1, y0, y1):
+        # linspace over an infinite span gives NaN poses
+        with pytest.raises(ValueError, match="span"):
+            GridSpec(x0=x0, x1=x1, nx=3, y0=y0, y1=y1, ny=3)
+
     def test_row_major_order_and_heading(self):
         grid = GridSpec(x0=0.0, x1=1.0, nx=2, y0=0.0, y1=1.0, ny=2)
         poses = grid_poses(grid, 0.3)
@@ -193,8 +201,9 @@ class TestWorldFromDict:
         with pytest.raises(ConfigError, match=named):
             world_from_dict({"bounds": [-5, -5, 5, 5], "generated": [entry]})
 
-    @pytest.mark.parametrize("obstacle", [[0, 0, 1], []])
+    @pytest.mark.parametrize("obstacle", [[0, 0, 1], [], [1.5, 0.5, 1.0, -0.5]])
     def test_obstacle_must_be_four_numbers(self, obstacle):
+        # a box with swapped corners would never be hit
         with pytest.raises(ConfigError, match="world.obstacles"):
             world_from_dict({"bounds": [-5, -5, 5, 5], "obstacles": [obstacle]})
 
@@ -300,14 +309,14 @@ class TestScenarioConfig:
 
     def test_oracle_block_defaults(self):
         scn = scenario_from_dict(minimal_scenario_dict())
-        assert scn.oracle.keyframe == -1
-        assert scn.oracle.grid == GridSpec(x0=-5.0, x1=20.0, nx=200, y0=-5.0, y1=5.0, ny=200)
+        assert scn.oracle_keyframe == -1
+        assert scn.oracle_grid == GridSpec(x0=-5.0, x1=20.0, nx=200, y0=-5.0, y1=5.0, ny=200)
 
     def test_oracle_block_parsed(self):
         d = minimal_scenario_dict(oracle={"keyframe": 1, "grid": {"x0": 1, "nx": 3, "ny": 4}})
         scn = scenario_from_dict(d)
-        assert scn.oracle.keyframe == 1
-        assert scn.oracle.grid == GridSpec(x0=1.0, x1=20.0, nx=3, y0=-5.0, y1=5.0, ny=4)
+        assert scn.oracle_keyframe == 1
+        assert scn.oracle_grid == GridSpec(x0=1.0, x1=20.0, nx=3, y0=-5.0, y1=5.0, ny=4)
 
     @pytest.mark.parametrize("oracle", [[1], {"grid": [1]}, {"keyframe": "last"}])
     def test_malformed_oracle_block_is_config_error(self, oracle):
@@ -362,7 +371,7 @@ class TestScenarioConfig:
         )
         scn = scenario_from_dict(d)
         assert scn.camera == CameraModel()
-        assert scn.oracle.keyframe == -1
+        assert scn.oracle_keyframe == -1
         assert scn.repeat_start == scn.script.start_pose
         assert (scn.runs, scn.seed, scn.tolerance) == (1, 0, 0.3)
         assert (scn.repeat_world, scn.min_teach_features) == (scn.world, 4)

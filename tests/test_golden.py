@@ -94,12 +94,12 @@ def test_oracle_grid_verdicts_match_golden_digest(name):
     # one line of 0s and 1s
     scn = load_scenario(PKG_ROOT / "scenarios" / f"{name}.yaml")
     path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
-    kf = path.keyframes[scn.oracle.keyframe]
+    kf = path.keyframes[scn.oracle_keyframe]
     lines = [
         "".join("1" if b else "0" for b in verdicts) + "\n"
         for verdicts in (
-            funnel_oracle(kf, scn.world, scn.camera, scn.oracle.grid),
-            controller_inside_grid(kf, scn.world, scn.camera, scn.oracle.grid),
+            funnel_oracle(kf, scn.world, scn.camera, scn.oracle_grid),
+            controller_inside_grid(kf, scn.world, scn.camera, scn.oracle_grid),
         )
     ]
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == GOLDEN["oracle"][name]
