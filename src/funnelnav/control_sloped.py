@@ -1,11 +1,12 @@
 """Sloped funnel-lane controller with adaptive radius of rotation.
 
-All matched features are summarized by one lane over side medians plus two
-slopes: a pitch slope (one minus the spread ratio, large when far from the
+All matched features are summarized by one lane over each side's median plus
+two slopes: a pitch slope (one minus the spread ratio, large when far from the
 keyframe) that sets the turning radius, and a roll slope (normalized median
 offsets, summed over sides) that steers inside the lane.  evaluate_state
-computes both slopes and the lane verdict from one split into sides; the
-pitch slope comes from the spread ratio the navigator computed for the tick.
+computes the roll slope and the lane verdict from one pass that splits the
+pairs into sides; sloped_command takes the pitch slope from the spread ratio
+the navigator computed for the tick.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmptyMatchError
-from .features import MatchSet, medians, split_sides
+from .features import MatchSet, median
 # read only by perfbench/run.py, whose tracer wraps control_sloped.std_ratio
 from .features import std_ratio  # noqa: F401
 from .geometry import MotionCommand
@@ -54,27 +55,26 @@ def radius_policy(s_y: float, p: SlopedParams) -> float:
     return p.v_max * max(min(max(s_y, 0.0), 1.0), p.v_floor_frac)
 
 
-def evaluate_state(
-    m: MatchSet, p: SlopedParams, ratio: float | None
-) -> tuple[float, float | None, tuple[bool, bool, bool, bool]]:
-    """Both slopes and the four lane constraints for one match set, as
-    (s_x, s_y, constraints): the roll slope, the pitch slope (None when ratio
-    is) and four bools, all True inside the lane.
+def evaluate_state(m: MatchSet, p: SlopedParams) -> tuple[float, tuple[bool, bool, bool, bool]]:
+    """The roll slope and the four lane constraints for one match set, as
+    (s_x, constraints): four bools, all True inside the lane.
 
-    ratio is the match set's spread ratio, std_ratio(m), which is None where
-    undefined; the navigator passes the one it already computed for the tick.
-    The pitch slope is 1 - ratio; the constraints never read it.  The roll
-    slope sums, over sides, (median_current - median_keyframe) divided by the
-    keyframe median magnitude floored at norm_floor; an absent side adds 0.
-    Constraint order: right magnitude, left magnitude, right sign, left sign.
-    A missing side leaves its two constraints satisfied; a zero coordinate
-    matches either sign.
+    The pairs split by the sign of the keyframe coordinate: u_j < 0 is the
+    left side, and u_j = 0 counts as right.  The roll slope sums, over sides,
+    (median_current - median_keyframe) divided by the keyframe median
+    magnitude floored at norm_floor; an absent side adds 0.  Constraint
+    order: right magnitude, left magnitude, right sign, left sign.  A missing
+    side leaves its two constraints satisfied; a zero coordinate matches
+    either sign.
     """
     if len(m) == 0:
         raise EmptyMatchError("evaluate_state on empty match set")
-    left, right = split_sides(m)
-    mu_l_c, mu_l_j = medians(left)
-    mu_r_c, mu_r_j = medians(right)
+    left, right = ([], []), ([], [])  # each side's u_current and u_keyframe columns
+    for _, u_c, u_j in m:
+        uc, uj = left if u_j < 0 else right
+        uc.append(u_c)
+        uj.append(u_j)
+    mu_l_c, mu_l_j, mu_r_c, mu_r_j = map(median, (*left, *right))
 
     # non-strict at the boundary: landing exactly on the keyframe must read
     # as inside, so the controller drives through it and the switching
@@ -89,16 +89,16 @@ def evaluate_state(
         if mu_c is not None:
             s_x += (mu_c - mu_j) / max(abs(mu_j), p.norm_floor)
 
-    return s_x, None if ratio is None else 1.0 - ratio, (c1, c2, c3, c4)
+    return s_x, (c1, c2, c3, c4)
 
 
 def sloped_command(
     m: MatchSet, p: SlopedParams, ratio: float | None
 ) -> tuple[MotionCommand, float, float | None, bool]:
-    """One control tick, as (cmd, s_x, s_y, inside): the command, the two
-    slopes of evaluate_state and whether all four lane constraints hold.
-
-    ratio is std_ratio(m), None where undefined, as for evaluate_state.
+    """One control tick, as (cmd, s_x, s_y, inside): the command, the roll
+    slope of evaluate_state, the pitch slope 1 - ratio and whether all four
+    lane constraints hold.  ratio is the tick's spread ratio, which the
+    navigator already has; it and s_y are None where undefined.
 
     Inside the lane the roll slope steers (dead-band -> forward at full speed).
     Outside, a violated right-side constraint means the robot left the lane on
@@ -106,7 +106,8 @@ def sloped_command(
     the roll slope decides again.  Every turn is at omega_max, with the
     forward speed of the pitch-slope radius policy.
     """
-    s_x, s_y, (c1, c2, c3, c4) = evaluate_state(m, p, ratio)
+    s_x, (c1, c2, c3, c4) = evaluate_state(m, p)
+    s_y = None if ratio is None else 1.0 - ratio
     inside = c1 and c2 and c3 and c4
     # without a usable spread ratio there is no radius to modulate; inside
     # the lane the conservative fallback is plain forward motion

@@ -226,6 +226,12 @@ def _int(value, ctx: str) -> int:
     return value
 
 
+def _count(value, ctx: str) -> int:
+    if _int(value, ctx) < 1:
+        raise ConfigError(f"{ctx}: must be at least 1, not {value!r}")
+    return value
+
+
 def _finite(value, ctx: str) -> float:
     # a bool is an int to Python, float() would parse a string, and the bound
     # fails NaN, an infinity and an int too large for a float
@@ -258,7 +264,7 @@ def _rect(value, ctx: str) -> tuple:
 
 
 _pose = _numbers("x", "y", "theta")
-_GRID = {"x0": _finite, "x1": _finite, "nx": _int, "y0": _finite, "y1": _finite, "ny": _int}
+_GRID = {"x0": _finite, "x1": _finite, "nx": _count, "y0": _finite, "y1": _finite, "ny": _count}
 
 # the scenario schema: each block's keys, each with the reader that _section
 # passes its value through; None leaves the value to the block's own code
@@ -268,8 +274,9 @@ _KNOWN_KEYS = {
     "world": {"bounds": _rect, **dict.fromkeys(("landmarks", "generated", "obstacles"), _list)},
     "world.generated": dict.fromkeys(("grid", "ring", "line")),
     "world.generated.grid": _GRID,
-    "world.generated.ring": {**dict.fromkeys(("cx", "cy", "radius", "phase"), _finite), "n": _int},
-    "world.generated.line": {**dict.fromkeys(("x0", "y0", "x1", "y1"), _finite), "n": _int},
+    "world.generated.ring": {**dict.fromkeys(("cx", "cy", "radius", "phase"), _finite),
+                             "n": _count},
+    "world.generated.line": {**dict.fromkeys(("x0", "y0", "x1", "y1"), _finite), "n": _count},
     "camera": dict.fromkeys(("focal_length", "half_width", "min_depth"), _finite),
     "teach": {"start": _pose, "steps": _list, "dt": _finite, "min_features": _int},
     "teach.steps": dict.fromkeys(("v", "omega", "duration"), _finite),
@@ -309,6 +316,14 @@ def _section(value, ctx: str, required=()) -> dict:
         if key not in out:
             raise ConfigError(f"{ctx}: missing required key {key!r}")
     return out
+
+
+def _build(cls, ctx: str, *args, **kwargs):
+    """cls(*args, **kwargs), whose ValueError becomes a ConfigError naming the block ctx."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{ctx}: {e}") from e
 
 
 def _steps(a: float, b: float, n: int) -> list[float]:
@@ -384,31 +399,33 @@ def scenario_from_dict(d: dict) -> Scenario:
         if not isinstance(name, str):
             raise ConfigError(f"scenario.name: must be a string, not {name!r}")
         world = world_from_dict(d["world"])
-        camera = CameraModel(**_section(d.get("camera"), "camera"))
+        camera = _build(CameraModel, "camera", **_section(d.get("camera"), "camera"))
 
         t = _section(d["teach"], "teach", required=("start", "steps"))
         start = Pose(*t["start"])
         raw_steps = [_section(s, "teach.steps", ("v", "omega", "duration")) for s in t["steps"]]
-        steps = tuple((MotionCommand(s["v"], s["omega"]), s["duration"]) for s in raw_steps)
-        script = TeachScript(steps=steps, start_pose=start, dt=t.get("dt", 0.1))
+        steps = tuple((_build(MotionCommand, "teach.steps", s["v"], s["omega"]), s["duration"])
+                      for s in raw_steps)
+        script = _build(TeachScript, "teach", steps=steps, start_pose=start, dt=t.get("dt", 0.1))
 
         r = _section(d.get("repeat"), "repeat")
         repeat_start = Pose(*r["start"]) if "start" in r else start
-        noise = NoiseModel(**_section(d.get("noise"), "noise"))
+        noise = _build(NoiseModel, "noise", **_section(d.get("noise"), "noise"))
 
         nav = _section(d.get("navigator"), "navigator")
         ctrl = _section(d.get("controllers"), "controllers")
-        if "standard" in ctrl:
-            nav["standard"] = StandardParams(**_section(ctrl["standard"], "controllers.standard"))
-        if "sloped" in ctrl:
-            nav["sloped"] = SlopedParams(**_section(ctrl["sloped"], "controllers.sloped"))
-        navigator = NavigatorConfig(**nav)
+        for key, cls, required in (("standard", StandardParams, ("v0", "omega0")),
+                                   ("sloped", SlopedParams, ("v_max", "omega_max"))):
+            if key in ctrl:
+                ctx = f"controllers.{key}"
+                nav[key] = _build(cls, ctx, **_section(ctrl[key], ctx, required))
+        navigator = _build(NavigatorConfig, "navigator", **nav)
 
         o = _section(d.get("oracle"), "oracle")
         g = _section(o.get("grid"), "oracle.grid")
         xmin, ymin, xmax, ymax = world.bounds
-        grid = GridSpec(g.get("x0", xmin), g.get("x1", xmax), g.get("nx", 200),
-                        g.get("y0", ymin), g.get("y1", ymax), g.get("ny", 200))
+        grid = _build(GridSpec, "oracle.grid", g.get("x0", xmin), g.get("x1", xmax),
+                      g.get("nx", 200), g.get("y0", ymin), g.get("y1", ymax), g.get("ny", 200))
 
         drop = {_int(i, "repeat.remove_landmarks") for i in r.get("remove_landmarks", [])}
         missing = drop - {lm.id for lm in world.landmarks}
@@ -416,7 +433,9 @@ def scenario_from_dict(d: dict) -> Scenario:
             raise ConfigError(f"repeat.remove_landmarks: no landmark has id {sorted(missing)}")
         kept = tuple(lm for lm in world.landmarks if lm.id not in drop)
 
-        return Scenario(
+        return _build(  # Scenario checks only the repeat block's runs, seed and tolerance
+            Scenario,
+            "repeat",
             name=name,
             world=world,
             camera=camera,

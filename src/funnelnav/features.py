@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 from dataclasses import dataclass
-from statistics import median
 
 import numpy as np
 
@@ -19,10 +19,9 @@ __all__ = [
     "NoiseModel",
     "match",
     "std_ratio",
-    "medians",
+    "median",
     "median_distance",
     "mse",
-    "split_sides",
     "save_visual_path",
 ]
 
@@ -181,53 +180,39 @@ def _pstd(xs: list[float]) -> float:
     return math.sqrt(_sum([(x - mean) * (x - mean) for x in xs]) / n)
 
 
-def std_ratio(m: MatchSet) -> float | None:
-    """Ratio of current to keyframe population standard deviation of coordinates.
+def std_ratio(uc: list[float], uj: list[float]) -> float | None:
+    """Ratio of the population standard deviations of coordinate columns uc / uj.
 
     Crosses 1 when the robot passes the keyframe plane.  None where undefined:
     fewer than 2 pairs or zero keyframe spread.
     """
-    if len(m) < 2:
+    if len(uc) < 2:
         return None
-    sb = _pstd([p[2] for p in m])
+    sb = _pstd(uj)
     if sb == 0.0:
         return None
-    return _pstd([p[1] for p in m]) / sb
+    return _pstd(uc) / sb
 
 
-def medians(m: MatchSet) -> tuple[float, float] | tuple[None, None]:
-    """(median of u_current, median of u_keyframe), or (None, None) on an empty match set."""
-    if len(m) == 0:
-        return None, None
+def median(xs: list[float]) -> float | None:
+    """The median of xs, or None when xs is empty."""
     # statistics.median returns numpy's median bit for bit (the middle value,
     # or the two middle values summed and halved) without its per-call cost
-    return float(median([p[1] for p in m])), float(median([p[2] for p in m]))
+    return statistics.median(xs) if xs else None
 
 
-def median_distance(m: MatchSet) -> float | None:
-    """Absolute difference between the coordinate medians of the two images;
-    None on an empty match set."""
-    mu_c, mu_j = medians(m)
-    return None if mu_c is None else abs(mu_c - mu_j)
+def median_distance(uc: list[float], uj: list[float]) -> float | None:
+    """Absolute difference between the median of the current coordinate column
+    and that of the keyframe column; None on an empty match set."""
+    return abs(median(uc) - median(uj)) if uc else None
 
 
-def mse(m: MatchSet) -> float | None:
-    """Mean squared coordinate error, None on an empty match set; diagnostic
-    trace channel only."""
-    if len(m) == 0:
+def mse(uc: list[float], uj: list[float]) -> float | None:
+    """Mean squared difference of the current and keyframe coordinate columns,
+    None on an empty match set; diagnostic trace channel only."""
+    if not uc:
         return None
-    return _sum([(p[1] - p[2]) * (p[1] - p[2]) for p in m]) / len(m)
-
-
-def split_sides(m: MatchSet):
-    """Partition pairs by the sign of the keyframe coordinate.
-
-    Returns (left_pairs, right_pairs); a keyframe coordinate of exactly 0
-    counts as right-side.
-    """
-    left = tuple(p for p in m if p[2] < 0)
-    right = tuple(p for p in m if p[2] >= 0)
-    return left, right
+    return _sum([(a - b) * (a - b) for a, b in zip(uc, uj)]) / len(uc)
 
 
 # --- visual-path file (JSON) ------------------------------------------------

@@ -152,14 +152,17 @@ def read_run(file: Path) -> RunTrace:
 
 
 def tick_stats(m: MatchSet) -> dict:
-    """The image statistics of one tick's match set, each computed once, as
-    the dict {"ed": median_distance(m), "mse": mse(m), "nmf": len(m),
-    "std_ratio": std_ratio(m)}: the keys and values of the tick's record.
+    """The image statistics of one tick's match set m, each computed once over
+    its coordinate columns uc and uj, as the dict {"ed": median_distance(uc, uj),
+    "mse": mse(uc, uj), "nmf": len(m), "std_ratio": std_ratio(uc, uj)}: the
+    keys and values of the tick's record.
 
     std_ratio, ed and mse are None where undefined: the ratio for fewer than
     2 pairs or no keyframe spread, the other two on an empty match set.
     """
-    return {"ed": median_distance(m), "mse": mse(m), "nmf": len(m), "std_ratio": std_ratio(m)}
+    uc, uj = [p[1] for p in m], [p[2] for p in m]
+    return {"ed": median_distance(uc, uj), "mse": mse(uc, uj), "nmf": len(m),
+            "std_ratio": std_ratio(uc, uj)}
 
 
 def should_switch(stats: dict, cfg: NavigatorConfig) -> bool:

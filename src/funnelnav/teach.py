@@ -18,6 +18,8 @@ from .geometry import CameraModel, MotionCommand, Pose, World, step, visible_set
 
 __all__ = ["TeachScript", "record"]
 
+MAX_FRAMES = 100_000  # the longest shipped drive, closed_loop, has 360
+
 
 @dataclass(frozen=True)
 class TeachScript:
@@ -36,6 +38,12 @@ class TeachScript:
                 raise ValueError("step durations must be positive, and duration / dt finite")
             if not (math.isfinite(cmd.v) and math.isfinite(cmd.omega)):
                 raise ValueError("step speeds v and omega must be finite")
+        # poses() appends one pose per frame, so a finite but huge count would
+        # fill memory before the drive ended
+        frames = sum(max(1, round(duration / self.dt)) for _, duration in self.steps)
+        if frames > MAX_FRAMES:
+            raise ValueError(f"a teach drive has at most {MAX_FRAMES} frames, the sum over "
+                             "steps of max(1, round(duration / dt))")
 
     def poses(self) -> list[Pose]:
         """The full frame-by-frame pose sequence, starting at start_pose."""

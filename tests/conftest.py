@@ -19,6 +19,11 @@ def ms(*pairs) -> MatchSet:
     return tuple(pairs)
 
 
+def cols(m: MatchSet) -> tuple[list[float], list[float]]:
+    """A match set's u_current and u_keyframe columns, the statistics' arguments."""
+    return [p[1] for p in m], [p[2] for p in m]
+
+
 @pytest.fixture(scope="session")
 def scenario_dir() -> Path:
     return SCENARIO_DIR

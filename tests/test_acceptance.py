@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from funnelnav.cli import main
-from funnelnav.control_sloped import SlopedParams, evaluate_state, radius_policy, sloped_command
+from funnelnav.control_sloped import SlopedParams, radius_policy, sloped_command
 from funnelnav.control_standard import standard_command
 from funnelnav.errors import TeachDegenerateError
 from funnelnav.evaluate import (
@@ -112,7 +112,7 @@ class TestOracleEquivalence:
 
 def slopes(m):
     """The sloped controller's (s_x, s_y), with the navigator's spread ratio."""
-    s_x, s_y, _ = evaluate_state(m, SlopedParams(0.5, 0.5), tick_stats(m)["std_ratio"])
+    _, s_x, s_y, _ = sloped_command(m, SlopedParams(0.5, 0.5), tick_stats(m)["std_ratio"])
     return s_x, s_y
 
 

@@ -138,6 +138,15 @@ class TestExitCodes:
             ({"camera": {"half_width": -1.0}}, "half_width must be positive and finite, not -1.0"),
             ({"controllers": {"sloped": {"v_max": 0.5, "omega_max": 0.5, "norm_floor": 0.0}}},
              "norm_floor must be positive and finite, not 0.0"),
+            ({"oracle": {"grid": {"x0": -1e308, "x1": 1e308, "nx": 3, "ny": 3}}},
+             "oracle.grid: grid bounds and their spans"),
+            ({"controllers": {"sloped": {"sx_epsilon": 0.1}}},
+             "controllers.sloped: missing required key 'v_max'"),
+            ({"controllers": {"standard": {"v0": 0.5}}},
+             "controllers.standard: missing required key 'omega0'"),
+            ({"teach": {**TEACH, "steps": [{"v": -0.5, "omega": 0.0, "duration": 1.0}]}},
+             "teach.steps: translational speed must be non-negative"),
+            ({"oracle": {"grid": {"nx": 0}}}, "oracle.grid.nx: must be at least 1, not 0"),
         ],
         ids=["repeat-list", "controllers-list", "misspelled-navigator", "noise-seed",
              "navigator-sloped", "generator-unknown-key", "two-generators", "max-ticks-1.5",
@@ -148,7 +157,9 @@ class TestExitCodes:
              "teach-start-2-entries", "repeat-start-4-entries", "landmark-2-entries",
              "step-without-duration", "line-without-y1", "steps-int", "remove-landmarks-int",
              "navigator-controller", "swapped-bounds", "negative-tolerance", "threshold1-zero",
-             "half-width-negative", "norm-floor-zero"],
+             "half-width-negative", "norm-floor-zero", "grid-span-overflow",
+             "sloped-without-v-max", "standard-without-omega0", "step-v-negative",
+             "grid-nx-0"],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, named):
         cfg = small_config(tmp_path, **overrides)
@@ -267,8 +278,8 @@ def replaced(leaf, value) -> dict:
     return d
 
 
-# sampled, not arbitrary floats: a valid but tiny teach dt such as 1e-300
-# would make the teach drive loop about 1e301 times
+# sampled, not arbitrary floats: a teach dt or step duration may still ask for
+# up to 100,000 teach frames, too slow for one example
 ODD_VALUES = [None, True, -1, 0, 1, 2, 1.5, -0.5, math.nan, math.inf, "x", [], {}, [1, 2, 3]]
 
 
@@ -278,6 +289,7 @@ class TestExitCodeContract:
     @example(leaf=("repeat", "runs"), value=math.inf)  # int() overflow
     @example(leaf=("teach", "start", 0), value="x")  # non-numeric start
     @example(leaf=("teach", "dt"), value=math.nan)  # round() of NaN in the teach drive
+    @example(leaf=("teach", "dt"), value=1e-300)  # a finite frame count too large to drive
     @example(leaf=("navigator", "max_ticks"), value=1.5)  # range() of a float
     @example(leaf=("world", "obstacles", 0), value=[1, 2, 3])  # unpacked on each tick
     def test_one_replaced_leaf_exits_0_2_3_or_4(self, tmp_path_factory, leaf, value):

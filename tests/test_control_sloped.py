@@ -1,6 +1,7 @@
 """Sloped-lane controller unit tests: slopes, constraints and commands."""
 
 import math
+import statistics
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,19 +14,18 @@ from funnelnav.control_sloped import (
     sloped_command,
 )
 from funnelnav.errors import EmptyMatchError
-from funnelnav.features import split_sides, std_ratio
+from funnelnav.features import std_ratio
 from funnelnav.geometry import MotionCommand
 from funnelnav.navigate import tick_stats
 
-from conftest import ms
+from conftest import cols, ms
 
 P = SlopedParams(v_max=0.5, omega_max=0.5)
 
 
 def state(m):
-    """evaluate_state's (s_x, s_y, constraints) with the spread ratio the
-    navigator passes for m."""
-    return evaluate_state(m, P, tick_stats(m)["std_ratio"])
+    """evaluate_state's (s_x, constraints)."""
+    return evaluate_state(m, P)
 
 
 def command(m):
@@ -36,17 +36,17 @@ def command(m):
 
 class TestPitchSlope:
     def test_zero_at_keyframe(self):
-        assert state(ms((1, -20.0, -20.0), (2, 20.0, 20.0)))[1] == pytest.approx(0.0)
+        assert command(ms((1, -20.0, -20.0), (2, 20.0, 20.0)))[2] == pytest.approx(0.0)
 
     def test_half_when_spread_halves(self):
-        assert state(ms((1, -20.0, -40.0), (2, 20.0, 40.0)))[1] == pytest.approx(0.5)
+        assert command(ms((1, -20.0, -40.0), (2, 20.0, 40.0)))[2] == pytest.approx(0.5)
 
     def test_degenerate_spread_propagates(self):
         # the spread ratio is undefined; the navigator's tick stats carry its None
         m = ms((1, 1.0, 5.0))
-        assert std_ratio(m) is None
+        assert std_ratio(*cols(m)) is None
         assert tick_stats(m)["std_ratio"] is None
-        assert state(m)[1] is None
+        assert command(m)[2] is None
 
 
 class TestRollSlope:
@@ -76,6 +76,59 @@ class TestRollSlope:
             state(())
 
 
+def reference_state(m, p):
+    """evaluate_state restated over the two sides as filtered pair lists."""
+    sides = []
+    for side in ([q for q in m if q[2] < 0], [q for q in m if q[2] >= 0]):
+        if side:
+            sides.append((statistics.median([q[1] for q in side]),
+                          statistics.median([q[2] for q in side])))
+        else:
+            sides.append((None, None))
+    (l_c, l_j), (r_c, r_j) = sides
+    s_x = 0.0
+    for mu_c, mu_j in sides:
+        if mu_c is not None:
+            s_x += (mu_c - mu_j) / max(abs(mu_j), p.norm_floor)
+    return s_x, (r_c is None or abs(r_c) <= abs(r_j), l_c is None or abs(l_c) <= abs(l_j),
+                 r_c is None or r_c * r_j >= 0, l_c is None or l_c * l_j >= 0)
+
+
+class TestSides:
+    """evaluate_state splits the pairs by the sign of the keyframe coordinate."""
+
+    def test_all_positive_keyframe_coords(self):
+        # no left side: its two constraints hold and it adds nothing to s_x
+        s_x, c = state(ms((1, -1.0, 3.0), (2, 2.0, 5.0)))
+        assert c[1] and c[3]
+        assert s_x == (0.5 - 4.0) / 5.0
+
+    def test_one_per_side(self):
+        s_x, c = state(ms((1, -2.0, -5.0), (2, 8.0, 10.0)))
+        assert c == (True, True, True, True)
+        assert s_x == (-2.0 + 5.0) / 5.0 + (8.0 - 10.0) / 10.0
+
+    def test_zero_counts_as_right(self):
+        # on the right, |1| > |0| breaks the right magnitude constraint; on the
+        # left it would have broken the left one
+        s_x, c = state(ms((1, 1.0, 0.0)))
+        assert c == (False, True, True, True)
+        assert s_x == 1.0 / P.norm_floor
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-150.0, 150.0),
+                      st.one_of(st.just(0.0), st.floats(-150.0, 150.0))),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_equals_filtered_reference(self, coords):
+        m = tuple((i, a, b) for i, (a, b) in enumerate(coords))
+        assert state(m) == reference_state(m, P)
+
+
 class TestRadiusPolicy:
     def test_max_slope_gives_max_speed(self):
         assert radius_policy(1.0, P) == pytest.approx(P.v_max)
@@ -94,41 +147,40 @@ class TestRadiusPolicy:
 class TestConstraints:
     def test_on_keyframe_boundary_counts_as_inside(self):
         m = ms((1, -10.0, -10.0), (2, 20.0, 20.0))
-        assert state(m)[2] == (True, True, True, True)
+        assert state(m)[1] == (True, True, True, True)
         assert command(m)[3]
         # the constraints never read the spread ratio
-        assert evaluate_state(m, P, None)[2] == (True, True, True, True)
+        assert sloped_command(m, P, None)[3]
 
     def test_magnitude_violations(self):
         # right median grew: c1 false; left median grew: c2 false
-        _, _, right_bad = state(ms((1, -5.0, -10.0), (2, 25.0, 20.0)))
+        _, right_bad = state(ms((1, -5.0, -10.0), (2, 25.0, 20.0)))
         assert right_bad == (False, True, True, True)
-        _, _, left_bad = state(ms((1, -15.0, -10.0), (2, 15.0, 20.0)))
+        _, left_bad = state(ms((1, -15.0, -10.0), (2, 15.0, 20.0)))
         assert left_bad == (True, False, True, True)
 
     def test_sign_violations(self):
-        _, _, right_flip = state(ms((1, -5.0, -10.0), (2, -1.0, 20.0)))
+        _, right_flip = state(ms((1, -5.0, -10.0), (2, -1.0, 20.0)))
         assert right_flip[2] is False
-        _, _, left_flip = state(ms((1, 1.0, -10.0), (2, 15.0, 20.0)))
+        _, left_flip = state(ms((1, 1.0, -10.0), (2, 15.0, 20.0)))
         assert left_flip[3] is False
 
     def test_missing_side_leaves_constraints_satisfied(self):
-        m = ms((1, 15.0, 20.0), (2, 18.0, 22.0))
-        _, _, c = state(m)
-        assert split_sides(m)[0] == ()
+        m = ms((1, 15.0, 20.0), (2, 18.0, 22.0))  # no left-side pair
+        _, c = state(m)
         assert c[1] and c[3]
 
     def test_zero_coordinate_matches_either_sign(self):
-        _, _, c = state(ms((1, 0.0, 20.0), (2, -5.0, -10.0)))
+        _, c = state(ms((1, 0.0, 20.0), (2, -5.0, -10.0)))
         assert c[2] is True
 
     def test_s_y_is_one_minus_the_ratio_passed_in(self):
         m = ms((1, -20.0, -40.0), (2, 20.0, 40.0))
-        assert state(m)[1] == 1.0 - std_ratio(m) == 0.5
-        assert evaluate_state(m, P, 0.25)[1] == 0.75
+        assert command(m)[2] == 1.0 - std_ratio(*cols(m)) == 0.5
+        assert sloped_command(m, P, 0.25)[2] == 0.75
 
     def test_s_y_none_when_spread_degenerate(self):
-        assert state(ms((1, 5.0, 10.0)))[1] is None
+        assert command(ms((1, 5.0, 10.0)))[2] is None
 
 
 class TestSlopedCommand:
@@ -170,14 +222,14 @@ class TestSlopedCommand:
         # both sides violated, net roll negative: turn left
         m = ms((1, -40.0, -20.0), (2, 25.0, 20.0))
         cmd, s_x, _, _ = command(m)
-        _, _, c = state(m)
+        _, c = state(m)
         assert not c[0] and not c[1]
         assert s_x < 0
         assert cmd.omega > 0
         # both sides violated, net roll positive: turn right
         m = ms((1, -25.0, -20.0), (2, 40.0, 20.0))
         cmd, s_x, _, _ = command(m)
-        _, _, c = state(m)
+        _, c = state(m)
         assert not c[0] and not c[1]
         assert s_x > 0
         assert cmd.omega < 0
@@ -227,8 +279,9 @@ class TestSlopedCommand:
         assume(all(b != 0.0 for _, b in coords))
         m = tuple((i, a, b) for i, (a, b) in enumerate(coords))
         mirrored = tuple((i, -a, -b) for i, (a, b) in enumerate(coords))
-        s_x_a, s_y_a, (c1, c2, c3, c4) = state(m)
-        s_x_b, s_y_b, constraints_b = state(mirrored)
+        s_x_a, (c1, c2, c3, c4) = state(m)
+        s_x_b, constraints_b = state(mirrored)
+        s_y_a, s_y_b = command(m)[2], command(mirrored)[2]
         assert s_x_b == pytest.approx(-s_x_a, abs=1e-9)
         if s_y_a is not None:
             assert s_y_b == pytest.approx(s_y_a, abs=1e-9)

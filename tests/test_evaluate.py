@@ -14,6 +14,7 @@ from funnelnav.evaluate import (
     _KNOWN_KEYS,
     GridSpec,
     Scenario,
+    _count,
     _finite,
     _int,
     accuracy,
@@ -201,6 +202,22 @@ class TestWorldFromDict:
         with pytest.raises(ConfigError, match=named):
             world_from_dict({"bounds": [-5, -5, 5, 5], "generated": [entry]})
 
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ({"line": {**LINE, "n": 0}}, "world.generated.line.n: must be at least 1, not 0"),
+            ({"ring": {"cx": 0, "cy": 0, "radius": 2.0, "n": -3}},
+             "world.generated.ring.n: must be at least 1, not -3"),
+            ({"grid": {"x0": 0, "x1": 2, "nx": 0, "y0": 0, "y1": 1, "ny": 2}},
+             "world.generated.grid.nx: must be at least 1, not 0"),
+        ],
+        ids=["line-n-0", "ring-n-minus-3", "grid-nx-0"],
+    )
+    def test_generator_count_below_one_rejected(self, entry, named):
+        # a count below 1 would silently add no landmarks
+        with pytest.raises(ConfigError, match=named):
+            world_from_dict({"bounds": [-5, -5, 5, 5], "generated": [entry]})
+
     @pytest.mark.parametrize("obstacle", [[0, 0, 1], [], [1.5, 0.5, 1.0, -0.5]])
     def test_obstacle_must_be_four_numbers(self, obstacle):
         # a box with swapped corners would never be hit
@@ -235,10 +252,12 @@ class TestKnownKeys:
     )
     def test_each_key_is_read_as_its_fields_type(self, block, cls):
         # an int field read by _finite would get a float; a float field read by
-        # _int would refuse 0.5; a str field has no number reader
+        # _int or _count would refuse 0.5; a str field has no number reader
         hints = get_type_hints(cls)
-        readers = {key: {int: _int, float: _finite}.get(hints[key]) for key in _KNOWN_KEYS[block]}
-        assert _KNOWN_KEYS[block] == readers
+        read_as = {_int: int, _count: int, _finite: float, None: None}
+        fields_read = {key: read_as[reader] for key, reader in _KNOWN_KEYS[block].items()}
+        assert fields_read == {key: hints[key] if hints[key] in (int, float) else None
+                               for key in _KNOWN_KEYS[block]}
 
 
 def minimal_scenario_dict(**overrides):

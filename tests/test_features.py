@@ -1,7 +1,6 @@
 """Match statistics and noise-model unit tests."""
 
 import json
-import statistics
 import struct
 
 import numpy as np
@@ -17,18 +16,18 @@ from funnelnav.features import (
     NoiseModel,
     VisualPath,
     match,
+    median,
     median_distance,
     mse,
     perturb,
     perturb_all,
     save_visual_path,
-    split_sides,
     std_ratio,
     survivors,
 )
 from funnelnav.geometry import Pose
 
-from conftest import ms
+from conftest import cols, ms
 
 KF = Keyframe(index=0, pose_truth=Pose(0, 0, 0), observations={1: 10.0, 2: -5.0, 3: 40.0})
 
@@ -115,50 +114,49 @@ class TestPerturb:
 
 class TestStdRatio:
     def test_identical_lists_give_one(self):
-        assert std_ratio(ms((1, -3.0, -3.0), (2, 8.0, 8.0))) == pytest.approx(1.0)
+        assert std_ratio(*cols(ms((1, -3.0, -3.0), (2, 8.0, 8.0)))) == pytest.approx(1.0)
 
     def test_halved_spread(self):
         m = ms((1, -20.0, -40.0), (2, 20.0, 40.0))
-        assert std_ratio(m) == pytest.approx(0.5)
+        assert std_ratio(*cols(m)) == pytest.approx(0.5)
 
     def test_single_pair_is_degenerate(self):
-        assert std_ratio(ms((1, 1.0, 2.0))) is None
+        assert std_ratio([1.0], [2.0]) is None
 
     def test_zero_keyframe_spread_is_degenerate(self):
-        assert std_ratio(ms((1, 1.0, 5.0), (2, 2.0, 5.0))) is None
+        assert std_ratio([1.0, 2.0], [5.0, 5.0]) is None
 
     @settings(max_examples=50)
     @given(st.floats(-50.0, 50.0))
     def test_invariant_to_current_shift(self, c):
-        base = ms((1, -20.0, -40.0), (2, 20.0, 40.0), (3, 5.0, 0.0))
-        shifted = tuple((i, a + c, b) for i, a, b in base)
-        assert std_ratio(shifted) == pytest.approx(std_ratio(base), abs=1e-9)
+        uc, uj = [-20.0, 20.0, 5.0], [-40.0, 40.0, 0.0]
+        shifted = [u + c for u in uc]
+        assert std_ratio(shifted, uj) == pytest.approx(std_ratio(uc, uj), abs=1e-9)
 
     @settings(max_examples=50)
     @given(st.floats(0.1, 10.0))
     def test_scales_with_current_spread(self, k):
-        base = ms((1, -20.0, -40.0), (2, 20.0, 40.0))
-        scaled = tuple((i, a * k, b) for i, a, b in base)
-        assert std_ratio(scaled) == pytest.approx(k * std_ratio(base), rel=1e-9)
+        uc, uj = [-20.0, 20.0], [-40.0, 40.0]
+        scaled = [u * k for u in uc]
+        assert std_ratio(scaled, uj) == pytest.approx(k * std_ratio(uc, uj), rel=1e-9)
 
 
 class TestMedianDistanceAndMse:
     def test_identical_lists_give_zero(self):
-        m = ms((1, 2.0, 2.0), (2, -7.0, -7.0))
-        assert median_distance(m) == 0.0
-        assert mse(m) == 0.0
+        uc, uj = cols(ms((1, 2.0, 2.0), (2, -7.0, -7.0)))
+        assert median_distance(uc, uj) == 0.0
+        assert mse(uc, uj) == 0.0
 
     def test_median_distance_hand_value(self):
-        m = ms((1, 0.0, 4.0), (2, 10.0, 20.0))
-        assert median_distance(m) == pytest.approx(7.0)
+        assert median_distance([0.0, 10.0], [4.0, 20.0]) == pytest.approx(7.0)
 
     def test_mse_hand_value(self):
-        m = ms((1, 0.0, 2.0), (2, 2.0, 0.0))
-        assert mse(m) == pytest.approx(4.0)
+        assert mse([0.0, 2.0], [2.0, 0.0]) == pytest.approx(4.0)
 
     def test_empty_set_is_none(self):
-        assert median_distance(()) is None
-        assert mse(()) is None
+        assert median_distance([], []) is None
+        assert mse([], []) is None
+        assert median([]) is None
 
 
 def _bits(x: float) -> bytes:
@@ -170,7 +168,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0
 
 
 class TestPythonMedian:
-    """features.medians, which median_distance and the sloped controller share,
+    """features.median, which median_distance and the sloped controller share,
     uses statistics.median in place of np.median; the two must agree to the bit."""
 
     @pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
@@ -181,7 +179,7 @@ class TestPythonMedian:
             xs = xs[1:]
         with np.errstate(over="ignore"):  # two huge middle values sum to inf in both
             theirs = float(np.median(np.array(xs, dtype=float)))
-        assert _bits(statistics.median(xs)) == _bits(theirs)
+        assert _bits(median(xs)) == _bits(theirs)
 
     def test_signed_zero_tie_differs_only_in_sign(self):
         # sorted() keeps -0.0 and 0.0 in input order, np.median's partition does
@@ -189,7 +187,7 @@ class TestPythonMedian:
         # result depends on the sign of a zero median (each takes abs() of it,
         # of a difference, or tests a product >= 0)
         xs = [0.0, -0.0, 0.0]
-        assert statistics.median(xs) == float(np.median(xs)) == 0.0
+        assert median(xs) == float(np.median(xs)) == 0.0
 
 
 def _mixed_pairs(n: int, seed: int) -> MatchSet:
@@ -208,17 +206,15 @@ class TestPythonSums:
     @settings(max_examples=300)
     @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
     def test_std_ratio_equals_numpy(self, n, seed):
-        m = _mixed_pairs(n, seed)
-        u_c = np.array([p[1] for p in m])
-        u_j = np.array([p[2] for p in m])
-        assert _bits(std_ratio(m)) == _bits(float(np.std(u_c)) / float(np.std(u_j)))
+        uc, uj = cols(_mixed_pairs(n, seed))
+        assert _bits(std_ratio(uc, uj)) == _bits(float(np.std(uc)) / float(np.std(uj)))
 
     @settings(max_examples=300)
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
     def test_mse_equals_numpy(self, n, seed):
-        m = _mixed_pairs(n, seed)
-        d = np.array([p[1] for p in m]) - np.array([p[2] for p in m])
-        assert _bits(mse(m)) == _bits(float(np.mean(d * d)))
+        uc, uj = cols(_mixed_pairs(n, seed))
+        d = np.array(uc) - np.array(uj)
+        assert _bits(mse(uc, uj)) == _bits(float(np.mean(d * d)))
 
 
 class TestBatchedDraws:
@@ -245,23 +241,6 @@ class TestBatchedDraws:
             kept = [i for i in ids if p == 0.0 or each.random() >= p]
             assert survivors(ids, noise, one) == kept
             assert one.random() == each.random()
-
-
-class TestSplitSides:
-    def test_all_positive_keyframe_coords(self):
-        left, right = split_sides(ms((1, -1.0, 3.0), (2, 2.0, 5.0)))
-        assert left == ()
-        assert len(right) == 2
-
-    def test_one_per_side(self):
-        left, right = split_sides(ms((1, 0.0, -5.0), (2, 0.0, 5.0)))
-        assert [p[0] for p in left] == [1]
-        assert [p[0] for p in right] == [2]
-
-    def test_zero_counts_as_right(self):
-        left, right = split_sides(ms((1, 1.0, 0.0)))
-        assert left == ()
-        assert [p[0] for p in right] == [1]
 
 
 class TestVisualPathValidation:

@@ -27,7 +27,7 @@ from funnelnav.navigate import (
 )
 from funnelnav.teach import TeachScript, record
 
-from conftest import ALL_SCENARIOS, SCENARIO_DIR, ms
+from conftest import ALL_SCENARIOS, SCENARIO_DIR, cols, ms
 
 CAM = CameraModel()
 CFG = NavigatorConfig()
@@ -68,8 +68,10 @@ class TestTickStats:
         ids=["empty", "one-pair", "zero-keyframe-spread", "four-pairs"],
     )
     def test_equals_the_feature_statistics(self, m):
+        uc, uj = cols(m)
         assert tick_stats(m) == {
-            "ed": median_distance(m), "mse": mse(m), "nmf": len(m), "std_ratio": std_ratio(m)
+            "ed": median_distance(uc, uj), "mse": mse(uc, uj), "nmf": len(m),
+            "std_ratio": std_ratio(uc, uj),
         }
 
 
@@ -158,6 +160,45 @@ class TestNavigateOutcomes:
         tr = navigate(world, CAM, path, Pose(0, 0, 0), cfg, NoiseModel())
         assert tr.outcome == "timeout"
         assert tr.records[-1]["event"] == "timeout"
+
+
+def navigate_args(run):
+    """navigate's arguments for one run that counts the statistics' calls."""
+    if run.startswith("sharp_turn"):
+        scn = load_scenario(SCENARIO_DIR / "sharp_turn.yaml")
+        path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
+        cfg = replace(scn.navigator, controller=run.split("-")[1])
+        return (scn.repeat_world, scn.camera, path, scn.repeat_start, cfg,
+                replace(scn.noise, seed=0))
+    world = corridor_world()
+    path = straight_path(world)
+    if run == "timeout":  # as in TestNavigateOutcomes
+        return world, CAM, path, Pose(0, 0, 0), NavigatorConfig(max_ticks=5), NoiseModel()
+    blocked = World(world.landmarks, world.bounds, obstacles=((2.0, -0.5, 2.5, 0.5),))
+    return blocked, CAM, path, Pose(0, 0, 0), NavigatorConfig(), NoiseModel()
+
+
+class TestStatisticsOncePerTick:
+    """Each statistic runs once per tick's match set: once per record, but for
+    a collision record, which repeats its tick's statistics.  perfbench's
+    calls_per_tick metrics read these calls."""
+
+    @pytest.mark.parametrize(
+        "run, outcome",
+        [("sharp_turn-sloped", None), ("sharp_turn-standard", None),
+         ("timeout", "timeout"), ("collision", "collision")],
+    )
+    def test_each_statistic_once_per_record(self, monkeypatch, run, outcome):
+        calls = dict.fromkeys(("std_ratio", "median_distance", "mse"), 0)
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(funnelnav.navigate, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(funnelnav.navigate, name, counting)
+        tr = navigate(*navigate_args(run))
+        assert outcome in (None, tr.outcome)
+        once = len(tr.records) - (tr.outcome == "collision")
+        assert calls == {"std_ratio": once, "median_distance": once, "mse": once}
 
 
 class TestTraceInvariants:

@@ -39,6 +39,16 @@ class TestTeachScript:
                 steps=((MotionCommand(0.5, 0.0), -1.0),), start_pose=Pose(0, 0, 0), dt=0.1
             )
 
+    def test_rejects_more_than_max_frames(self):
+        # 1 / 1e-300 frames is finite, and poses() would fill memory appending them
+        step = (MotionCommand(0.5, 0.0), 1.0)
+        with pytest.raises(ValueError, match="at most 100000 frames"):
+            TeachScript(steps=(step,), start_pose=Pose(0, 0, 0), dt=1e-300)
+        # the bound counts the frames of every step together
+        TeachScript(steps=(step,), start_pose=Pose(0, 0, 0), dt=1e-5)  # exactly 100,000
+        with pytest.raises(ValueError, match="at most 100000 frames"):
+            TeachScript(steps=(step,) * 2, start_pose=Pose(0, 0, 0), dt=1e-5)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["dt", "duration", "v", "omega"])
     def test_rejects_non_finite_values(self, field, bad):
