@@ -24,7 +24,7 @@ def main() -> int:
     kf = path.keyframes[-1]
     grid = GridSpec(x0=-1.5, x1=6.5, nx=72, y0=-2.4, y1=2.4, ny=33)
     inside = funnel_oracle(kf, scn.world, scn.camera, grid)
-    poses = grid_poses(grid, kf.pose_truth.theta)
+    poses = list(grid_poses(grid, kf.pose_truth.theta))
 
     dx = (grid.x1 - grid.x0) / (grid.nx - 1)
     dy = (grid.y1 - grid.y0) / (grid.ny - 1)

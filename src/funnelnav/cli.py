@@ -138,23 +138,22 @@ def cmd_oracle_check(scn: Scenario, out: Path) -> int:
     kf = path.keyframes[kf_index]
     oracle = funnel_oracle(kf, scn.world, scn.camera, grid)
     claimed = controller_inside_grid(kf, scn.world, scn.camera, grid)
-    poses = grid_poses(grid, kf.pose_truth.theta)
-    n = len(oracle)
-    disagree = [i for i in range(n) if oracle[i] != claimed[i]]
-    agreement = 1.0 - len(disagree) / n
     rows = ["x,y,oracle,controller"]
-    for i in disagree:
-        rows.append(f"{poses[i].x!r},{poses[i].y!r},{int(oracle[i])},{int(claimed[i])}")
+    for p, a, b in zip(grid_poses(grid, kf.pose_truth.theta), oracle, claimed):
+        if a != b:
+            rows.append(f"{p.x!r},{p.y!r},{int(a)},{int(b)}")
     (out / "disagreements.csv").write_text("\n".join(rows) + "\n")
+    n, n_disagree = len(oracle), len(rows) - 1
+    agreement = 1.0 - n_disagree / n
     summary = {
         "keyframe": kf.index,
         "grid": [grid.nx, grid.ny],
         "agreement": agreement,
-        "n_disagreements": len(disagree),
+        "n_disagreements": n_disagree,
         "n_inside_oracle": sum(oracle),
     }
     (out / "agreement.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
-    print(f"agreement: {100.0 * agreement:.3f}% ({len(disagree)} / {n} disagreements)")
+    print(f"agreement: {100.0 * agreement:.3f}% ({n_disagree} / {n} disagreements)")
     return 0
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,46 +75,50 @@ class GridSpec:
             raise ValueError(f"grid needs at least 1 x 1 poses, got {self.nx} x {self.ny}")
 
 
-def grid_poses(grid: GridSpec, theta: float) -> list[Pose]:
-    """All grid positions at a shared heading, row-major."""
-    xs = np.linspace(grid.x0, grid.x1, grid.nx)
-    ys = np.linspace(grid.y0, grid.y1, grid.ny)
-    return [Pose(float(x), float(y), theta) for y in ys for x in xs]
+def _grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's x and y coordinates; pose k sits at (xs[k % nx], ys[k // nx])."""
+    return np.linspace(grid.x0, grid.x1, grid.nx), np.linspace(grid.y0, grid.y1, grid.ny)
+
+
+def grid_poses(grid: GridSpec, theta: float) -> Iterator[Pose]:
+    """All grid positions at a shared heading, row-major, one pose at a time."""
+    xs, ys = (a.tolist() for a in _grid_axes(grid))
+    for y in ys:
+        for x in xs:
+            yield Pose(x, y, theta)
 
 
 def funnel_oracle(kf: Keyframe, world: World, cam: CameraModel, grid: GridSpec) -> list[bool]:
-    """Ground-truth membership in the combined funnel lane, by brute force.
+    """Ground-truth membership in the combined funnel lane, by brute force,
+    one verdict per grid pose in grid_poses' order.
 
     Works directly on world geometry (lateral/depth ratios), independent of
     the projection and voting code it is used to check.  A pose is inside iff
     every keyframe landmark is visible from it and satisfies both per-feature
-    constraints, strictly.
+    constraints, strictly.  The whole grid is judged at once: a row of x
+    positions broadcasts against a column of y positions, in the arithmetic
+    order of a pose-by-pose float loop, so each verdict equals that loop's.
+    Each test is negated rather than flipped, so a pose whose geometry
+    overflows to NaN fails no test, as in the loop.
     """
     lms = {lm.id: lm for lm in world.landmarks}
     feats = [(lms[i], u_j) for i, u_j in sorted(kf.observations.items())]
-    out = []
-    for pose in grid_poses(grid, kf.pose_truth.theta):
-        c, s = math.cos(pose.theta), math.sin(pose.theta)
-        inside = True
+    xs, ys = _grid_axes(grid)
+    ys = ys[:, np.newaxis]
+    c, s = math.cos(kf.pose_truth.theta), math.sin(kf.pose_truth.theta)
+    f, half_width = cam.focal_length, cam.half_width
+    inside = np.ones((grid.ny, grid.nx), dtype=bool)
+    with np.errstate(all="ignore"):  # inf and NaN fail or pass tests as in float math
         for lm, u_j in feats:
-            dx, dy = lm.x - pose.x, lm.y - pose.y
+            dx, dy = lm.x - xs, lm.y - ys
             depth = dx * c + dy * s
-            if depth < cam.min_depth:
-                inside = False
-                break
             lat_right = dx * s - dy * c
-            if cam.focal_length * abs(lat_right) > cam.half_width * depth:
-                inside = False  # outside the image border
-                break
+            inside &= ~(depth < cam.min_depth)
+            inside &= ~(f * abs(lat_right) > half_width * depth)  # outside the image border
             # |u_c| < |u_j| as a ratio test, avoiding the projection routine
-            if abs(lat_right) * cam.focal_length >= abs(u_j) * depth:
-                inside = False
-                break
-            if lat_right * u_j < 0:
-                inside = False
-                break
-        out.append(inside)
-    return out
+            inside &= ~(abs(lat_right) * f >= abs(u_j) * depth)
+            inside &= ~(lat_right * u_j < 0)
+    return inside.ravel().tolist()
 
 
 def controller_inside_grid(

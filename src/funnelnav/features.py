@@ -91,7 +91,7 @@ def perturb(u: float, noise: NoiseModel, rng: np.random.Generator) -> float:
         return u
     d = rng.normal(0.0, noise.pixel_sigma)
     lim = 3.0 * noise.pixel_sigma
-    return u + min(max(d, -lim), lim)
+    return u + (lim if d > lim else -lim if d < -lim else d)
 
 
 def perturb_all(us: list[float], noise: NoiseModel, rng: np.random.Generator) -> list[float]:
@@ -104,7 +104,7 @@ def perturb_all(us: list[float], noise: NoiseModel, rng: np.random.Generator) ->
         return us
     lim = 3.0 * noise.pixel_sigma
     draws = rng.normal(0.0, noise.pixel_sigma, len(us)).tolist()
-    return [u + min(max(d, -lim), lim) for u, d in zip(us, draws)]
+    return [u + (lim if d > lim else -lim if d < -lim else d) for u, d in zip(us, draws)]
 
 
 def survivors(ids: list[int], noise: NoiseModel, rng: np.random.Generator) -> list[int]:

@@ -4,13 +4,15 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from funnelnav import cli
 from funnelnav.cli import main
-from funnelnav.evaluate import load_scenario, report
+from funnelnav.evaluate import controller_inside_grid, load_scenario, report
 from funnelnav.navigate import RunTrace, read_run
 from funnelnav.teach import record
 
@@ -406,6 +408,27 @@ class TestOracleCheck:
         lines = (out / "disagreements.csv").read_text().splitlines()
         assert lines[0] == "x,y,oracle,controller"
         assert len(lines) - 1 == summary["n_disagreements"]
+
+    def test_disagreement_row_names_its_grid_cell(self, tmp_path, monkeypatch):
+        grid = {"x0": 0.0, "x1": 2.9, "nx": 7, "y0": -0.6, "y1": 0.6, "ny": 5}
+        cfg = small_config(tmp_path, oracle={"grid": grid})
+        flipped = []
+
+        def one_cell_flipped(kf, world, cam, g):
+            verdicts = controller_inside_grid(kf, world, cam, g)
+            i = verdicts.index(True)  # the controller agrees with the oracle here
+            flipped.append(i)
+            return verdicts[:i] + [False] + verdicts[i + 1:]
+
+        monkeypatch.setattr(cli, "controller_inside_grid", one_cell_flipped)
+        out = tmp_path / "out"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 0
+        (i,) = flipped
+        x = float(np.linspace(grid["x0"], grid["x1"], grid["nx"])[i % grid["nx"]])
+        y = float(np.linspace(grid["y0"], grid["y1"], grid["ny"])[i // grid["nx"]])
+        lines = (out / "disagreements.csv").read_text().splitlines()
+        assert lines == ["x,y,oracle,controller", f"{x!r},{y!r},1,0"]
+        assert json.loads((out / "agreement.json").read_text())["n_disagreements"] == 1
 
     def test_empty_grid_exits_2(self, tmp_path, capsys):
         cfg = small_config(tmp_path, oracle={"grid": {"nx": 0}})

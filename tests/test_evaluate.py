@@ -1,11 +1,15 @@
 """Metrics, funnel-lane oracle and scenario-harness tests."""
 
 import math
+import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funnelnav.control_sloped import SlopedParams
 from funnelnav.control_standard import StandardParams
@@ -27,7 +31,7 @@ from funnelnav.evaluate import (
     scenario_from_dict,
     world_from_dict,
 )
-from funnelnav.features import NoiseModel
+from funnelnav.features import Keyframe, NoiseModel
 from funnelnav.geometry import CameraModel, Landmark, MotionCommand, Pose, World
 from funnelnav.navigate import NavigatorConfig, navigate
 from funnelnav.teach import TeachScript, record
@@ -81,7 +85,7 @@ class TestGrid:
 
     def test_row_major_order_and_heading(self):
         grid = GridSpec(x0=0.0, x1=1.0, nx=2, y0=0.0, y1=1.0, ny=2)
-        poses = grid_poses(grid, 0.3)
+        poses = list(grid_poses(grid, 0.3))
         assert [(p.x, p.y) for p in poses] == [(0, 0), (1, 0), (0, 1), (1, 1)]
         assert all(p.theta == pytest.approx(0.3) for p in poses)
 
@@ -102,7 +106,88 @@ def two_feature_keyframe():
     return world, path.keyframes[-1]
 
 
+def loop_oracle(kf, world, cam, grid):
+    """The oracle's pose-by-pose float loop, the reference for its array form."""
+    lms = {lm.id: lm for lm in world.landmarks}
+    feats = [(lms[i], u_j) for i, u_j in sorted(kf.observations.items())]
+    out = []
+    for pose in grid_poses(grid, kf.pose_truth.theta):
+        c, s = math.cos(pose.theta), math.sin(pose.theta)
+        inside = True
+        for lm, u_j in feats:
+            dx, dy = lm.x - pose.x, lm.y - pose.y
+            depth = dx * c + dy * s
+            if depth < cam.min_depth:
+                inside = False
+                break
+            lat_right = dx * s - dy * c
+            if cam.focal_length * abs(lat_right) > cam.half_width * depth:
+                inside = False
+                break
+            if abs(lat_right) * cam.focal_length >= abs(u_j) * depth:
+                inside = False
+                break
+            if lat_right * u_j < 0:
+                inside = False
+                break
+        out.append(inside)
+    return out
+
+
+_COORD = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A world of 1-9 landmarks, a keyframe at a random pose observing some of
+    them at random image coordinates, and a grid of up to 15 x 15 poses."""
+    points = draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=9))
+    world = World(tuple(Landmark(i, x, y) for i, (x, y) in enumerate(points)),
+                  bounds=(-10.0, -10.0, 10.0, 10.0))
+    seen = draw(st.lists(st.sampled_from(range(len(points))), min_size=1, unique=True))
+    u = st.one_of(st.floats(-200.0, 200.0), st.sampled_from([0.0, -0.0]))
+    kf = Keyframe(0, Pose(draw(_COORD), draw(_COORD), draw(st.floats(-4.0, 4.0))),
+                  {i: draw(u) for i in seen})
+    grid = GridSpec(draw(st.floats(-12.0, 12.0)), draw(st.floats(-12.0, 12.0)),
+                    draw(st.integers(1, 15)), draw(st.floats(-12.0, 12.0)),
+                    draw(st.floats(-12.0, 12.0)), draw(st.integers(1, 15)))
+    return world, kf, grid
+
+
 class TestFunnelOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=oracle_cases())
+    def test_array_oracle_equals_pose_loop(self, case):
+        world, kf, grid = case
+        assert funnel_oracle(kf, world, CAM, grid) == loop_oracle(kf, world, CAM, grid)
+
+    def test_overflowing_geometry_is_silent_and_equals_pose_loop(self):
+        # dx overflows to inf on the left of the grid, and inf * 0.0 is NaN
+        world = World((Landmark(1, 1e308, 0.0),), bounds=(-1e308, -1e308, 1e308, 1e308))
+        grid = GridSpec(x0=-8e307, x1=8e307, nx=5, y0=-1.0, y1=1.0, ny=3)
+        for theta, u_j in ((0.0, 50.0), (0.0, -50.0), (math.pi / 2, 50.0), (0.3, 0.0)):
+            kf = Keyframe(0, Pose(0.0, 0.0, theta), {1: u_j})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert funnel_oracle(kf, world, CAM, grid) == loop_oracle(kf, world, CAM, grid)
+
+    @pytest.mark.parametrize("judge", [funnel_oracle, controller_inside_grid],
+                             ids=["funnel_oracle", "controller_inside_grid"])
+    def test_shipped_grid_peaks_under_2_mb(self, judge, scenario_dir):
+        # judged pose by pose from a list of Pose objects, the 200 x 200 grid
+        # peaked at about 7.5 MB
+        scn = load_scenario(scenario_dir / "funnel_two_features.yaml")
+        path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
+        kf = path.keyframes[scn.oracle_keyframe]
+        tracemalloc.start()
+        try:
+            verdicts = judge(kf, scn.world, scn.camera, scn.oracle_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(verdicts) == 200 * 200
+        assert peak < 2_000_000
+
     def test_pose_just_behind_keyframe_is_inside(self):
         world, kf = two_feature_keyframe()
         p = kf.pose_truth

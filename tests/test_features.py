@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funnelnav import features
@@ -86,6 +86,17 @@ class _FixedNormalRng:
         return self.draw
 
 
+class _ArrayNormalRng:
+    """Stub generator whose size-n normal() returns the given draws."""
+
+    def __init__(self, draws: list[float]):
+        self.draws = draws
+
+    def normal(self, loc, scale, size):
+        assert size == len(self.draws)
+        return np.array(self.draws)
+
+
 class TestPerturb:
     def test_zero_sigma_is_identity(self):
         rng = np.random.default_rng(0)
@@ -104,6 +115,26 @@ class TestPerturb:
         lim = 3.0 * sigma
         expected = u + float(np.clip(draw, -lim, lim))
         assert perturb(u, NoiseModel(pixel_sigma=sigma), _FixedNormalRng(draw)) == expected
+
+    @settings(max_examples=300)
+    @given(
+        u=st.floats(-200.0, 200.0),
+        sigma=st.floats(0.01, 5.0),
+        draws=st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from(["lim", "-lim", 0.0, -0.0])),
+            min_size=1, max_size=8,
+        ),
+    )
+    @example(u=-0.0, sigma=1.0, draws=["lim", "-lim", 0.0, -0.0])
+    def test_chained_clip_equals_min_max_clip(self, u, sigma, draws):
+        # -0.0 + 0.0 is 0.0, so a u of -0.0 shows the sign of a zero clip
+        noise, lim = NoiseModel(pixel_sigma=sigma), 3.0 * sigma
+        ds = [lim if d == "lim" else -lim if d == "-lim" else d for d in draws]
+        expected = [_bits(u + min(max(d, -lim), lim)) for d in ds]
+        assert [_bits(perturb(u, noise, _FixedNormalRng(d))) for d in ds] == expected
+        batch = perturb_all([u] * len(ds), noise, _ArrayNormalRng(ds))
+        assert [_bits(v) for v in batch] == expected
 
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
