@@ -3,10 +3,11 @@
 All matched features are summarized by one lane over each side's median plus
 two slopes: a pitch slope (one minus the spread ratio, large when far from the
 keyframe) that sets the turning radius, and a roll slope (normalized median
-offsets, summed over sides) that steers inside the lane.  evaluate_state
-computes the roll slope and the lane verdict from one pass that splits the
-pairs into sides; sloped_command takes the pitch slope from the spread ratio
-the navigator computed for the tick.
+offsets, summed over sides) that steers inside the lane.  Both functions take
+the tick's two coordinate columns uc and uj, paired by position in ascending
+id order.  evaluate_state computes the roll slope and the lane verdict from
+one pass that splits the pairs into sides; sloped_command takes the pitch
+slope from the spread ratio the navigator computed for the tick.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmptyMatchError
-from .features import MatchSet, median
+from .features import median
 # read only by perfbench/run.py, whose tracer wraps control_sloped.std_ratio
 from .features import std_ratio  # noqa: F401
 from .geometry import MotionCommand
@@ -55,9 +56,11 @@ def radius_policy(s_y: float, p: SlopedParams) -> float:
     return p.v_max * max(min(max(s_y, 0.0), 1.0), p.v_floor_frac)
 
 
-def evaluate_state(m: MatchSet, p: SlopedParams) -> tuple[float, tuple[bool, bool, bool, bool]]:
-    """The roll slope and the four lane constraints for one match set, as
-    (s_x, constraints): four bools, all True inside the lane.
+def evaluate_state(
+    uc: list[float], uj: list[float], p: SlopedParams
+) -> tuple[float, tuple[bool, bool, bool, bool]]:
+    """The roll slope and the four lane constraints for the pairs of uc and
+    uj, as (s_x, constraints): four bools, all True inside the lane.
 
     The pairs split by the sign of the keyframe coordinate: u_j < 0 is the
     left side, and u_j = 0 counts as right.  The roll slope sums, over sides,
@@ -67,13 +70,13 @@ def evaluate_state(m: MatchSet, p: SlopedParams) -> tuple[float, tuple[bool, boo
     side leaves its two constraints satisfied; a zero coordinate matches
     either sign.
     """
-    if len(m) == 0:
+    if len(uc) == 0:
         raise EmptyMatchError("evaluate_state on empty match set")
     left, right = ([], []), ([], [])  # each side's u_current and u_keyframe columns
-    for _, u_c, u_j in m:
-        uc, uj = left if u_j < 0 else right
-        uc.append(u_c)
-        uj.append(u_j)
+    for u_c, u_j in zip(uc, uj):
+        side_c, side_j = left if u_j < 0 else right
+        side_c.append(u_c)
+        side_j.append(u_j)
     mu_l_c, mu_l_j, mu_r_c, mu_r_j = map(median, (*left, *right))
 
     # non-strict at the boundary: landing exactly on the keyframe must read
@@ -93,7 +96,7 @@ def evaluate_state(m: MatchSet, p: SlopedParams) -> tuple[float, tuple[bool, boo
 
 
 def sloped_command(
-    m: MatchSet, p: SlopedParams, ratio: float | None
+    uc: list[float], uj: list[float], p: SlopedParams, ratio: float | None
 ) -> tuple[MotionCommand, float, float | None, bool]:
     """One control tick, as (cmd, s_x, s_y, inside): the command, the roll
     slope of evaluate_state, the pitch slope 1 - ratio and whether all four
@@ -106,7 +109,7 @@ def sloped_command(
     the roll slope decides again.  Every turn is at omega_max, with the
     forward speed of the pitch-slope radius policy.
     """
-    s_x, (c1, c2, c3, c4) = evaluate_state(m, p)
+    s_x, (c1, c2, c3, c4) = evaluate_state(uc, uj, p)
     s_y = None if ratio is None else 1.0 - ratio
     inside = c1 and c2 and c3 and c4
     # without a usable spread ratio there is no radius to modulate; inside

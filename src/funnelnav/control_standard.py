@@ -1,8 +1,10 @@
 """Baseline funnel-lane controller: per-feature constraints with majority vote.
 
 Each matched feature votes forward/left/right from two qualitative
-constraints on its image coordinates; the majority wins and the robot turns
-at a fixed preset radius.  The command's rotational speed is always one of
+constraints on its image coordinates, current u_c against keyframe u_j; the
+controller takes the tick's two columns uc and uj, paired by position in
+ascending id order.  The majority wins and the robot turns at a fixed preset
+radius.  The command's rotational speed is always one of
 {-omega0, 0, +omega0}: the constant-radius limitation is structural.  One
 tally gives both the command and the lane verdict (every vote forward).
 """
@@ -14,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EmptyMatchError
-from .features import MatchSet
 from .geometry import MotionCommand
 
 __all__ = ["StandardParams", "feature_vote", "standard_command", "inside_funnel"]
@@ -58,15 +59,18 @@ def feature_vote(u_c: float, u_j: float) -> str:
     return FORWARD
 
 
-def standard_command(m: MatchSet, p: StandardParams) -> tuple[MotionCommand, bool]:
+def standard_command(
+    uc: list[float], uj: list[float], p: StandardParams
+) -> tuple[MotionCommand, bool]:
     """Command for the majority direction at the preset speeds, and whether
-    m lies inside the funnel lane (every feature votes forward).
+    the pairs of uc and uj lie inside the funnel lane (every feature votes
+    forward).
 
     Ties break forward, then left.
     """
-    if len(m) == 0:
+    if len(uc) == 0:
         raise EmptyMatchError("standard controller needs at least one match")
-    tally = Counter(feature_vote(ua, ub) for _, ua, ub in m)
+    tally = Counter(map(feature_vote, uc, uj))
     forward, left, right = tally[FORWARD], tally[LEFT], tally[RIGHT]
     if forward >= max(left, right):
         omega = 0.0
@@ -74,11 +78,11 @@ def standard_command(m: MatchSet, p: StandardParams) -> tuple[MotionCommand, boo
         omega = p.omega0
     else:
         omega = -p.omega0
-    return MotionCommand(p.v0, omega), forward == len(m)
+    return MotionCommand(p.v0, omega), forward == len(uc)
 
 
-def inside_funnel(m: MatchSet) -> bool:
-    """True when every feature satisfies both of its funnel constraints."""
-    if len(m) == 0:
+def inside_funnel(uc: list[float], uj: list[float]) -> bool:
+    """True when every pair of uc and uj satisfies both funnel constraints."""
+    if len(uc) == 0:
         raise EmptyMatchError("inside_funnel on empty match set")
-    return all(feature_vote(ua, ub) == FORWARD for _, ua, ub in m)
+    return all(feature_vote(u_c, u_j) == FORWARD for u_c, u_j in zip(uc, uj))

@@ -126,13 +126,12 @@ def controller_inside_grid(
 ) -> list[bool]:
     """The controller's own "inside combined funnel lane" verdict on each grid
     pose: it sees every keyframe landmark, and their noise-free pairs are inside."""
-    observed = sorted(kf.observations.items())  # a MatchSet's ascending id order
+    ids, uj = zip(*sorted(kf.observations.items()))  # a tick's ascending id order
     seen = keyframe_world(world, kf)
     out = []
     for pose in grid_poses(grid, kf.pose_truth.theta):
         obs = visible_set(seen, pose, cam)  # seen holds only kf's landmarks
-        out.append(len(obs) == len(observed)
-                   and inside_funnel(tuple((i, obs[i], u_j) for i, u_j in observed)))
+        out.append(len(obs) == len(ids) and inside_funnel([obs[i] for i in ids], uj))
     return out
 
 

@@ -81,7 +81,8 @@ class NoiseModel:
 
 
 # Feature correspondences between a current image and a keyframe image, as
-# (id, u_current, u_keyframe) pairs in ascending id order.
+# (id, u_current, u_keyframe) triples in ascending id order: match's result,
+# which the navigator unzips into the tick's ids and two coordinate columns.
 MatchSet = tuple[tuple[int, float, float], ...]
 
 

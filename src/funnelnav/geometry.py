@@ -18,7 +18,6 @@ __all__ = [
     "World",
     "MotionCommand",
     "normalize_angle",
-    "project",
     "visible_set",
     "step",
     "in_collision",
@@ -110,32 +109,13 @@ class World:
                 raise ValueError(f"landmark {lm.id} outside world bounds")
 
 
-def project(landmark: Landmark, pose: Pose, cam: CameraModel):
-    """Horizontal image coordinate of a landmark, or None if not visible.
-
-    Positive coordinates mean the landmark appears on the right side of the
-    image.  Returns None when the landmark is closer than min_depth or falls
-    outside the image border.
-    """
-    dx = landmark.x - pose.x
-    dy = landmark.y - pose.y
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    depth = dx * c + dy * s
-    if depth < cam.min_depth:
-        return None
-    lat_left = -dx * s + dy * c
-    u = cam.focal_length * (-lat_left) / depth
-    if abs(u) > cam.half_width:
-        return None
-    return u
-
-
 def visible_set(world: World, pose: Pose, cam: CameraModel) -> dict[int, float]:
-    """Map of landmark id -> image coordinate for all currently visible landmarks.
+    """Map of landmark id -> image coordinate for all currently visible
+    landmarks, in world order.
 
-    Equal, float for float, to calling project() on each landmark: the
-    arithmetic is project's, in the same order, with the heading's cos/sin
-    taken once per call.
+    A landmark's coordinate is focal_length * lateral / depth, positive on the
+    right side of the image.  It is not visible when it lies closer than
+    min_depth along the heading or when |u| exceeds half_width.
     """
     c, s = math.cos(pose.theta), math.sin(pose.theta)
     x, y = pose.x, pose.y

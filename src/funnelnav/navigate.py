@@ -25,7 +25,6 @@ from .control_standard import inside_funnel  # noqa: F401
 from .errors import ConfigError
 from .features import (
     Keyframe,
-    MatchSet,
     NoiseModel,
     VisualPath,
     match,
@@ -151,17 +150,16 @@ def read_run(file: Path) -> RunTrace:
     return trace
 
 
-def tick_stats(m: MatchSet) -> dict:
-    """The image statistics of one tick's match set m, each computed once over
-    its coordinate columns uc and uj, as the dict {"ed": median_distance(uc, uj),
-    "mse": mse(uc, uj), "nmf": len(m), "std_ratio": std_ratio(uc, uj)}: the
-    keys and values of the tick's record.
+def tick_stats(uc: list[float], uj: list[float]) -> dict:
+    """The image statistics of one tick's coordinate columns uc and uj, each
+    computed once, as the dict {"ed": median_distance(uc, uj), "mse": mse(uc, uj),
+    "nmf": len(uc), "std_ratio": std_ratio(uc, uj)}: the keys and values of the
+    tick's record.
 
     std_ratio, ed and mse are None where undefined: the ratio for fewer than
     2 pairs or no keyframe spread, the other two on an empty match set.
     """
-    uc, uj = [p[1] for p in m], [p[2] for p in m]
-    return {"ed": median_distance(uc, uj), "mse": mse(uc, uj), "nmf": len(m),
+    return {"ed": median_distance(uc, uj), "mse": mse(uc, uj), "nmf": len(uc),
             "std_ratio": std_ratio(uc, uj)}
 
 
@@ -229,13 +227,13 @@ def navigate(
 
         if tracked is None:
             m = match(obs, kf, noise, rng)
-            tracked = [i for i, _, _ in m]
+            tracked, uc, uj = ([p[k] for p in m] for k in range(3))
         else:
             tracked = [i for i in tracked if i in obs]
-            us = perturb_all([obs[i] for i in tracked], noise, rng)
-            m = tuple(zip(tracked, us, [kf.observations[i] for i in tracked]))
+            uc = perturb_all([obs[i] for i in tracked], noise, rng)
+            uj = [kf.observations[i] for i in tracked]
 
-        stats = tick_stats(m)
+        stats = tick_stats(uc, uj)
         if stats["nmf"] < cfg.threshold2_features:
             # a starving match set never switches: the degenerate median-only
             # fallback of should_switch would fire spuriously on it
@@ -257,10 +255,10 @@ def navigate(
             event = "recovered" if stopped else ""
             stopped = 0
             if cfg.controller == "standard":
-                cmd, inside = standard_command(m, cfg.standard)
+                cmd, inside = standard_command(uc, uj, cfg.standard)
                 rec(tick, cmd, stats, event, inside=inside)
             else:
-                cmd, s_x, s_y, inside = sloped_command(m, cfg.sloped, stats["std_ratio"])
+                cmd, s_x, s_y, inside = sloped_command(uc, uj, cfg.sloped, stats["std_ratio"])
                 rec(tick, cmd, stats, event, s_x, s_y, inside)
             pose = step(pose, cmd, cfg.dt)
             if in_collision(world, pose):
@@ -269,6 +267,6 @@ def navigate(
             # per-tick tracking attrition
             tracked = survivors(tracked, noise, rng)
     else:  # no terminal event within max_ticks
-        rec(len(records), STOP, tick_stats(()), "timeout")
+        rec(len(records), STOP, tick_stats([], []), "timeout")
 
     return RunTrace(records=tuple(records), seed=noise.seed)

@@ -8,6 +8,8 @@ import pytest
 
 from funnelnav.features import MatchSet
 
+pytest_plugins = ["pytester"]
+
 PKG_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = PKG_ROOT / "scenarios"
 
@@ -20,7 +22,8 @@ def ms(*pairs) -> MatchSet:
 
 
 def cols(m: MatchSet) -> tuple[list[float], list[float]]:
-    """A match set's u_current and u_keyframe columns, the statistics' arguments."""
+    """A match set's u_current and u_keyframe columns: the arguments of the
+    statistics, tick_stats and the controllers."""
     return [p[1] for p in m], [p[2] for p in m]
 
 

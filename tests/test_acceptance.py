@@ -43,7 +43,7 @@ from funnelnav.geometry import (
 from funnelnav.navigate import NavigatorConfig, should_switch, tick_stats
 from funnelnav.teach import TeachScript, record
 
-from conftest import SCENARIO_DIR, ms
+from conftest import SCENARIO_DIR, cols, ms
 
 CAM = CameraModel()
 
@@ -112,7 +112,8 @@ class TestOracleEquivalence:
 
 def slopes(m):
     """The sloped controller's (s_x, s_y), with the navigator's spread ratio."""
-    _, s_x, s_y, _ = sloped_command(m, SlopedParams(0.5, 0.5), tick_stats(m)["std_ratio"])
+    uc, uj = cols(m)
+    _, s_x, s_y, _ = sloped_command(uc, uj, SlopedParams(0.5, 0.5), tick_stats(uc, uj)["std_ratio"])
     return s_x, s_y
 
 
@@ -132,8 +133,8 @@ class TestSlopeArithmetic:
         assert radius_policy(1.0, p) == p.v_max
         assert radius_policy(0.5, p) == 0.5 * p.v_max
         # a turn at pitch slope 0.5 has half the radius v_max / omega_max
-        m = ms((1, -10.0, -40.0), (2, 30.0, 40.0))
-        cmd, _, s_y, _ = sloped_command(m, p, tick_stats(m)["std_ratio"])
+        uc, uj = cols(ms((1, -10.0, -40.0), (2, 30.0, 40.0)))
+        cmd, _, s_y, _ = sloped_command(uc, uj, p, tick_stats(uc, uj)["std_ratio"])
         assert s_y == 0.5 and abs(cmd.omega) == p.omega_max
         assert cmd.v / abs(cmd.omega) == 0.5 * (p.v_max / p.omega_max)
 
@@ -167,9 +168,10 @@ class TestAmbiguityResolution:
             path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
             kf = path.keyframes[-1]
             obs = visible_set(scn.world, scn.repeat_start, scn.camera)
-            m = match(obs, kf, NoiseModel(), NoiseModel().make_rng())
-            std_cmd, _ = standard_command(m, scn.navigator.standard)
-            slo_cmd, *_ = sloped_command(m, scn.navigator.sloped, tick_stats(m)["std_ratio"])
+            uc, uj = cols(match(obs, kf, NoiseModel(), NoiseModel().make_rng()))
+            std_cmd, _ = standard_command(uc, uj, scn.navigator.standard)
+            slo_cmd, *_ = sloped_command(uc, uj, scn.navigator.sloped,
+                                         tick_stats(uc, uj)["std_ratio"])
             commands[name] = (std_cmd, slo_cmd)
 
         std_rot, slo_rot = commands["ambiguity_rotation"]
@@ -283,7 +285,7 @@ class TestSwitchingCorrectness:
             fired_at = None
             for f, pose in enumerate(extended):
                 m = match(visible_set(world, pose, CAM), kf, quiet, quiet.make_rng())
-                if should_switch(tick_stats(m), cfg):
+                if should_switch(tick_stats(*cols(m)), cfg):
                     fired_at = f
                     break
             assert fired_at is not None, "switch never fired"

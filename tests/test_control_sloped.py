@@ -25,13 +25,14 @@ P = SlopedParams(v_max=0.5, omega_max=0.5)
 
 def state(m):
     """evaluate_state's (s_x, constraints)."""
-    return evaluate_state(m, P)
+    return evaluate_state(*cols(m), P)
 
 
 def command(m):
     """sloped_command's (cmd, s_x, s_y, inside) with the spread ratio the
     navigator passes for m."""
-    return sloped_command(m, P, tick_stats(m)["std_ratio"])
+    uc, uj = cols(m)
+    return sloped_command(uc, uj, P, tick_stats(uc, uj)["std_ratio"])
 
 
 class TestPitchSlope:
@@ -45,7 +46,7 @@ class TestPitchSlope:
         # the spread ratio is undefined; the navigator's tick stats carry its None
         m = ms((1, 1.0, 5.0))
         assert std_ratio(*cols(m)) is None
-        assert tick_stats(m)["std_ratio"] is None
+        assert tick_stats(*cols(m))["std_ratio"] is None
         assert command(m)[2] is None
 
 
@@ -150,7 +151,7 @@ class TestConstraints:
         assert state(m)[1] == (True, True, True, True)
         assert command(m)[3]
         # the constraints never read the spread ratio
-        assert sloped_command(m, P, None)[3]
+        assert sloped_command(*cols(m), P, None)[3]
 
     def test_magnitude_violations(self):
         # right median grew: c1 false; left median grew: c2 false
@@ -177,7 +178,7 @@ class TestConstraints:
     def test_s_y_is_one_minus_the_ratio_passed_in(self):
         m = ms((1, -20.0, -40.0), (2, 20.0, 40.0))
         assert command(m)[2] == 1.0 - std_ratio(*cols(m)) == 0.5
-        assert sloped_command(m, P, 0.25)[2] == 0.75
+        assert sloped_command(*cols(m), P, 0.25)[2] == 0.75
 
     def test_s_y_none_when_spread_degenerate(self):
         assert command(ms((1, 5.0, 10.0)))[2] is None

@@ -24,7 +24,7 @@ from funnelnav.geometry import MotionCommand
 from funnelnav.navigate import navigate
 from funnelnav.teach import record
 
-from conftest import SCENARIO_DIR, ms
+from conftest import SCENARIO_DIR, cols, ms
 
 P = StandardParams(v0=0.5, omega0=0.4)
 
@@ -70,25 +70,25 @@ class TestMajorityVote:
         m = ms((1, 30.0, 20.0), (2, 25.0, 20.0), (3, 22.0, 20.0), (4, -2.0, 10.0), (5, 5.0, 10.0))
         votes = Counter(feature_vote(ua, ub) for _, ua, ub in m)
         assert votes == {FORWARD: 1, LEFT: 1, RIGHT: 3}
-        assert standard_command(m, P) == (MotionCommand(P.v0, -P.omega0), False)
+        assert standard_command(*cols(m), P) == (MotionCommand(P.v0, -P.omega0), False)
 
     def test_tie_breaks_forward_first(self):
         m = ms((1, 5.0, 10.0), (2, -2.0, 10.0))
-        assert standard_command(m, P)[0] == MotionCommand(P.v0, 0.0)
+        assert standard_command(*cols(m), P)[0] == MotionCommand(P.v0, 0.0)
 
     def test_tie_breaks_left_before_right(self):
         m = ms((1, -2.0, 10.0), (2, 25.0, 20.0))
-        assert standard_command(m, P)[0] == MotionCommand(P.v0, P.omega0)
+        assert standard_command(*cols(m), P)[0] == MotionCommand(P.v0, P.omega0)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMatchError):
-            standard_command((), P)
+            standard_command(*cols(()), P)
 
 
 class TestStandardCommand:
     def test_all_forward(self):
         m = ms((1, 5.0, 10.0), (2, -3.0, -10.0))
-        assert standard_command(m, P) == (MotionCommand(P.v0, 0.0), True)
+        assert standard_command(*cols(m), P) == (MotionCommand(P.v0, 0.0), True)
 
     def test_majority_turns_right(self):
         m = ms(
@@ -98,11 +98,11 @@ class TestStandardCommand:
             (4, -2.0, 10.0),
             (5, 5.0, 10.0),
         )
-        assert standard_command(m, P)[0] == MotionCommand(P.v0, -P.omega0)
+        assert standard_command(*cols(m), P)[0] == MotionCommand(P.v0, -P.omega0)
 
     def test_left_turn(self):
         m = ms((1, -2.0, 10.0), (2, -3.0, 10.0), (3, 5.0, 10.0))
-        assert standard_command(m, P)[0] == MotionCommand(P.v0, P.omega0)
+        assert standard_command(*cols(m), P)[0] == MotionCommand(P.v0, P.omega0)
 
     @settings(max_examples=100)
     @given(
@@ -114,27 +114,27 @@ class TestStandardCommand:
     )
     def test_omega_is_always_preset(self, coords):
         m = tuple((i, a, b) for i, (a, b) in enumerate(coords))
-        cmd, _ = standard_command(m, P)
+        cmd, _ = standard_command(*cols(m), P)
         assert cmd.v == P.v0
         assert cmd.omega in (-P.omega0, 0.0, P.omega0)
 
 
 class TestInsideFunnel:
     def test_all_forward_is_inside(self):
-        assert inside_funnel(ms((1, 5.0, 10.0), (2, -3.0, -10.0)))
+        assert inside_funnel(*cols(ms((1, 5.0, 10.0), (2, -3.0, -10.0))))
 
     def test_one_violation_is_outside(self):
-        assert not inside_funnel(ms((1, 5.0, 10.0), (2, 30.0, 20.0)))
+        assert not inside_funnel(*cols(ms((1, 5.0, 10.0), (2, 30.0, 20.0))))
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMatchError):
-            inside_funnel(())
+            inside_funnel(*cols(()))
 
     @settings(max_examples=300)
     @given(st.lists(PAIR, min_size=1, max_size=8))
     def test_command_verdict_equals_inside_funnel(self, coords):
         m = tuple((i, a, b) for i, (a, b) in enumerate(coords))
-        assert standard_command(m, P)[1] == inside_funnel(m)
+        assert standard_command(*cols(m), P)[1] == inside_funnel(*cols(m))
 
 
 class TestOneVotePerPair:

@@ -14,7 +14,6 @@ from funnelnav.geometry import (
     World,
     in_collision,
     normalize_angle,
-    project,
     step,
     visible_set,
 )
@@ -43,36 +42,53 @@ class TestNormalizeAngle:
         assert -math.pi < w <= math.pi
 
 
+def project(landmark, pose, cam):
+    """One landmark's image coordinate, or None if not visible: the reference
+    that visible_set's loop must equal, landmark by landmark."""
+    dx = landmark.x - pose.x
+    dy = landmark.y - pose.y
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    depth = dx * c + dy * s
+    if depth < cam.min_depth:
+        return None
+    lat_left = -dx * s + dy * c
+    u = cam.focal_length * (-lat_left) / depth
+    if abs(u) > cam.half_width:
+        return None
+    return u
+
+
+def seen_at(x, y, pose=Pose(0, 0, 0), cam=CAM):
+    """visible_set's coordinate for a world of one landmark at (x, y), or None."""
+    world = World(landmarks=(Landmark(1, x, y),), bounds=(-5, -5, 5, 5))
+    return visible_set(world, pose, cam).get(1)
+
+
 class TestProjection:
     def test_landmark_dead_ahead_projects_to_center(self):
-        u = project(Landmark(1, 5.0, 0.0), Pose(0, 0, 0), CAM)
-        assert u == pytest.approx(0.0)
+        assert seen_at(5.0, 0.0) == pytest.approx(0.0)
 
     def test_mirrored_landmarks_project_to_negatives(self):
-        ua = project(Landmark(1, 4.0, 1.0), Pose(0, 0, 0), CAM)
-        ub = project(Landmark(2, 4.0, -1.0), Pose(0, 0, 0), CAM)
-        assert ua == pytest.approx(-ub)
+        assert seen_at(4.0, 1.0) == pytest.approx(-seen_at(4.0, -1.0))
 
     def test_right_side_landmark_hand_value(self):
         cam = CameraModel(focal_length=200.0, half_width=160.0)
         # 4 m ahead, 1 m to the robot's right: u = 200 * 1 / 4
-        u = project(Landmark(1, 4.0, -1.0), Pose(0, 0, 0), cam)
-        assert u == pytest.approx(50.0)
+        assert seen_at(4.0, -1.0, cam=cam) == pytest.approx(50.0)
 
     def test_landmark_behind_is_invisible(self):
-        assert project(Landmark(1, -1.0, 0.0), Pose(0, 0, 0), CAM) is None
+        assert seen_at(-1.0, 0.0) is None
 
     def test_landmark_too_close_is_invisible(self):
-        assert project(Landmark(1, 0.05, 0.0), Pose(0, 0, 0), CAM) is None
+        assert seen_at(0.05, 0.0) is None
 
     def test_landmark_outside_border_is_invisible(self):
         # |u| = 277 * 2 / 1 far beyond the 160 px half width
-        assert project(Landmark(1, 1.0, 2.0), Pose(0, 0, 0), CAM) is None
+        assert seen_at(1.0, 2.0) is None
 
     def test_rotated_pose(self):
         # robot facing +y, landmark straight along +y projects to center
-        u = project(Landmark(1, 0.0, 3.0), Pose(0, 0, math.pi / 2), CAM)
-        assert u == pytest.approx(0.0, abs=1e-9)
+        assert seen_at(0.0, 3.0, pose=Pose(0, 0, math.pi / 2)) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestVisibleSet:

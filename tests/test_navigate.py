@@ -69,7 +69,7 @@ class TestTickStats:
     )
     def test_equals_the_feature_statistics(self, m):
         uc, uj = cols(m)
-        assert tick_stats(m) == {
+        assert tick_stats(uc, uj) == {
             "ed": median_distance(uc, uj), "mse": mse(uc, uj), "nmf": len(m),
             "std_ratio": std_ratio(uc, uj),
         }
@@ -79,23 +79,23 @@ class TestShouldSwitch:
     def test_ratio_and_distance_both_met(self):
         cfg = NavigatorConfig(threshold1_ed=5.0)
         m = ms((1, -21.0, -20.0), (2, 21.0, 20.0))  # ratio 1.05, ed 0
-        assert should_switch(tick_stats(m), cfg)
+        assert should_switch(tick_stats(*cols(m)), cfg)
 
     def test_ratio_not_crossed(self):
         m = ms((1, -18.0, -20.0), (2, 18.0, 20.0))  # ratio 0.9, ed 0
-        assert not should_switch(tick_stats(m), CFG)
+        assert not should_switch(tick_stats(*cols(m)), CFG)
 
     def test_distance_too_large(self):
         m = ms((1, -21.0 + 40.0, -20.0), (2, 21.0 + 40.0, 20.0))  # ratio 1.05, ed 40
-        assert not should_switch(tick_stats(m), CFG)
+        assert not should_switch(tick_stats(*cols(m)), CFG)
 
     def test_degenerate_fallback_uses_half_threshold(self):
         cfg = NavigatorConfig(threshold1_ed=10.0)
-        assert should_switch(tick_stats(ms((1, 22.0, 20.0))), cfg)  # ed 2 < 5
-        assert not should_switch(tick_stats(ms((1, 27.0, 20.0))), cfg)  # ed 7 >= 5
+        assert should_switch(tick_stats(*cols(ms((1, 22.0, 20.0)))), cfg)  # ed 2 < 5
+        assert not should_switch(tick_stats(*cols(ms((1, 27.0, 20.0)))), cfg)  # ed 7 >= 5
 
     def test_empty_never_switches(self):
-        assert not should_switch(tick_stats(()), CFG)
+        assert not should_switch(tick_stats(*cols(())), CFG)
 
     def test_exact_keyframe_then_one_tick_past(self):
         world = corridor_world()
@@ -106,10 +106,10 @@ class TestShouldSwitch:
         from funnelnav.geometry import step, visible_set
 
         at_kf = match(visible_set(world, kf.pose_truth, CAM), kf, quiet, quiet.make_rng())
-        assert not should_switch(tick_stats(at_kf), CFG)  # ratio exactly 1 is not past
+        assert not should_switch(tick_stats(*cols(at_kf)), CFG)  # ratio exactly 1 is not past
         past = step(kf.pose_truth, MotionCommand(0.5, 0.0), 0.1)
         past_m = match(visible_set(world, past, CAM), kf, quiet, quiet.make_rng())
-        assert should_switch(tick_stats(past_m), CFG)
+        assert should_switch(tick_stats(*cols(past_m)), CFG)
 
 
 class TestNavigateOutcomes:
