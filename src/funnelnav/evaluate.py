@@ -58,6 +58,9 @@ def repeatability(points) -> float:
 
 # --- funnel-lane oracle ------------------------------------------------------
 
+MAX_GRID_POSES = 1_000_000  # 25 times the shipped 200 x 200; the oracle holds arrays of this size
+
+
 @dataclass(frozen=True)
 class GridSpec:
     x0: float
@@ -73,6 +76,9 @@ class GridSpec:
             raise ValueError("grid bounds and their spans x1 - x0 and y1 - y0 must be finite")
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"grid needs at least 1 x 1 poses, got {self.nx} x {self.ny}")
+        if self.nx * self.ny > MAX_GRID_POSES:
+            raise ValueError(f"a grid has at most {MAX_GRID_POSES} poses, "
+                             f"not {self.nx} x {self.ny}")
 
 
 def _grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -222,6 +228,12 @@ def report(scenario: Scenario, controller: str, path: VisualPath, traces) -> Met
 
 
 # --- scenario config files ---------------------------------------------------
+
+MAX_DEPTH = 32  # collections nested in a scenario file; the schema nests 5 deep
+# libyaml's loader, where PyYAML is built with it, reads the same documents
+# several times faster than the pure-Python one
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 def _int(value, ctx: str) -> int:
     # a bool is an int to Python, and int() would truncate a fraction
@@ -459,17 +471,37 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ConfigError(f"scenario: {e}") from e
 
 
-def load_scenario(path) -> Scenario:
-    """Parse a scenario YAML file; an unreadable file or a parse error is a ConfigError."""
+def _yaml_data(text: str, source):
+    """The YAML document in text, read by _LOADER; source names the text in errors.
+
+    Raises ConfigError for a parse error, naming its line, or for a collection
+    nested more than MAX_DEPTH deep.  The nesting is checked on the parse
+    events first: libyaml builds the document by recursion in C, which a deep
+    enough nest crashes, and its parser slows down on one.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            d = yaml.safe_load(fh)
+        depth = 0
+        for event in yaml.parse(text, Loader=_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise ConfigError(f"{source}: nested more than {MAX_DEPTH} deep "
+                                      f"at line {event.start_mark.line + 1}")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+        return yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark else ""
-        raise ConfigError(f"{path}: YAML parse error{where}: {e}") from e
+        raise ConfigError(f"{source}: YAML parse error{where}: {e}") from e
+
+
+def load_scenario(path) -> Scenario:
+    """Parse a scenario YAML file; an unreadable file, a parse error or a
+    collection nested more than MAX_DEPTH (32) deep is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: cannot read: {e}") from e
-    except RecursionError as e:
-        raise ConfigError(f"{path}: nested too deeply to parse") from e
-    return scenario_from_dict(d)
+    return scenario_from_dict(_yaml_data(text, path))

@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+import yaml
 
 from funnelnav.features import MatchSet
 
@@ -25,6 +26,15 @@ def cols(m: MatchSet) -> tuple[list[float], list[float]]:
     """A match set's u_current and u_keyframe columns: the arguments of the
     statistics, tick_stats and the controllers."""
     return [p[1] for p in m], [p[2] for p in m]
+
+
+def nest(depth: int, block: bool) -> str:
+    """A YAML text of mappings (block style) or lists (flow style), one
+    inside the next, depth deep."""
+    d = 1
+    for _ in range(depth):
+        d = {"k": d} if block else [d]
+    return yaml.safe_dump(d, default_flow_style=not block)
 
 
 @pytest.fixture(scope="session")

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from funnelnav import cli
 from funnelnav.cli import main
-from funnelnav.evaluate import controller_inside_grid, load_scenario, report
+from funnelnav.evaluate import MAX_DEPTH, controller_inside_grid, load_scenario, report
 from funnelnav.navigate import RunTrace, read_run
 from funnelnav.teach import record
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, nest
 
 LINE = {"x0": 0.5, "y0": -2.0, "x1": 12.0, "y1": -2.0, "n": 12}
 TEACH = {"start": [0.0, 0.0, 0.0], "dt": 0.1, "steps": [{"v": 0.5, "omega": 0.0, "duration": 6.0}]}
@@ -149,6 +149,8 @@ class TestExitCodes:
             ({"teach": {**TEACH, "steps": [{"v": -0.5, "omega": 0.0, "duration": 1.0}]}},
              "teach.steps: translational speed must be non-negative"),
             ({"oracle": {"grid": {"nx": 0}}}, "oracle.grid.nx: must be at least 1, not 0"),
+            ({"oracle": {"grid": {"nx": 1_000_000, "ny": 1_000_000}}},
+             "oracle.grid: a grid has at most 1000000 poses"),
         ],
         ids=["repeat-list", "controllers-list", "misspelled-navigator", "noise-seed",
              "navigator-sloped", "generator-unknown-key", "two-generators", "max-ticks-1.5",
@@ -161,7 +163,7 @@ class TestExitCodes:
              "navigator-controller", "swapped-bounds", "negative-tolerance", "threshold1-zero",
              "half-width-negative", "norm-floor-zero", "grid-span-overflow",
              "sloped-without-v-max", "standard-without-omega0", "step-v-negative",
-             "grid-nx-0"],
+             "grid-nx-0", "grid-over-pose-cap"],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, named):
         cfg = small_config(tmp_path, **overrides)
@@ -198,7 +200,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "case",
         ["config-missing", "config-is-a-directory", "config-not-utf8", "config-nested-too-deep",
-         "out-is-a-file", "trace-is-a-directory", "trace-nested-too-deep", *OUTPUT_IN_THE_WAY],
+         "config-nested-100000-deep", "config-block-nested-past-max-depth", "out-is-a-file",
+         "trace-is-a-directory", "trace-nested-too-deep", *OUTPUT_IN_THE_WAY],
     )
     def test_unreadable_path_exits_2(self, tmp_path, capsys, case):
         cfg = small_config(tmp_path)
@@ -212,6 +215,10 @@ class TestExitCodes:
             cfg.write_bytes(b"name: caf\xe9\n")
         elif case == "config-nested-too-deep":
             cfg.write_text("name: " + "[" * 3000 + "]" * 3000 + "\n")
+        elif case == "config-nested-100000-deep":
+            cfg.write_text("name: " + "[" * 100_000 + "]" * 100_000 + "\n")
+        elif case == "config-block-nested-past-max-depth":
+            cfg.write_text(nest(MAX_DEPTH + 1, block=True))
         elif case == "out-is-a-file":
             out.write_text("x")
             named = out

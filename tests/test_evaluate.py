@@ -8,7 +8,8 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import yaml
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funnelnav.control_sloped import SlopedParams
@@ -16,11 +17,14 @@ from funnelnav.control_standard import StandardParams
 from funnelnav.errors import ConfigError
 from funnelnav.evaluate import (
     _KNOWN_KEYS,
+    MAX_DEPTH,
+    MAX_GRID_POSES,
     GridSpec,
     Scenario,
     _count,
     _finite,
     _int,
+    _yaml_data,
     accuracy,
     controller_inside_grid,
     funnel_oracle,
@@ -35,6 +39,8 @@ from funnelnav.features import Keyframe, NoiseModel
 from funnelnav.geometry import CameraModel, Landmark, MotionCommand, Pose, World
 from funnelnav.navigate import NavigatorConfig, navigate
 from funnelnav.teach import TeachScript, record
+
+from conftest import ALL_SCENARIOS, nest
 
 CAM = CameraModel()
 
@@ -74,6 +80,11 @@ class TestGrid:
     def test_empty_grid_rejected(self, nx, ny):
         with pytest.raises(ValueError, match="grid"):
             GridSpec(x0=0.0, x1=1.0, nx=nx, y0=0.0, y1=1.0, ny=ny)
+
+    def test_pose_count_capped(self):
+        GridSpec(x0=0.0, x1=1.0, nx=MAX_GRID_POSES, y0=0.0, y1=1.0, ny=1)
+        with pytest.raises(ValueError, match="at most"):
+            GridSpec(x0=0.0, x1=1.0, nx=MAX_GRID_POSES, y0=0.0, y1=1.0, ny=2)
 
     @pytest.mark.parametrize(
         "x0, x1, y0, y1", [(-1e308, 1e308, 0.0, 1.0), (0.0, 1.0, 1e308, -1e308)]
@@ -486,11 +497,73 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="line"):
             load_scenario(f)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["name: x\nworld: [unclosed\n", "name: x\nworld:\n  - 1\n - 2\n",
+         "name: x\nworld: *undefined\n", "name: x\n---\nname: y\n"],
+        ids=["unclosed-flow", "bad-indent", "undefined-alias", "two-documents"],
+    )
+    def test_yaml_parse_error_line_matches_pure_loader(self, tmp_path, text):
+        # the line the pure-Python loader reports, whichever loader reads the file
+        with pytest.raises(yaml.YAMLError) as pure:
+            yaml.safe_load(text)
+        f = tmp_path / "bad.yaml"
+        f.write_text(text)
+        with pytest.raises(ConfigError, match=f"at line {pure.value.problem_mark.line + 1}:"):
+            load_scenario(f)
+
     def test_non_mapping_top_level_rejected(self, tmp_path):
         f = tmp_path / "list.yaml"
         f.write_text("- 1\n- 2\n")
         with pytest.raises(ConfigError):
             load_scenario(f)
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+           | st.floats(allow_nan=False, allow_infinity=False))
+
+
+def yaml_values(depth: int):
+    """Scalars, and lists and string-keyed dicts of them, at most depth deep."""
+    if depth == 0:
+        return SCALARS
+    inner = yaml_values(depth - 1)
+    return SCALARS | st.lists(inner, max_size=2) | st.dictionaries(st.text(), inner, max_size=2)
+
+
+class TestScenarioYaml:
+    """_yaml_data, which load_scenario parses with, reads what yaml.safe_load reads."""
+
+    @pytest.mark.parametrize("f", ALL_SCENARIOS, ids=lambda f: f.stem)
+    def test_shipped_file_reads_as_safe_load(self, f):
+        text = f.read_text()
+        assert _yaml_data(text, f) == yaml.safe_load(text)
+
+    @settings(deadline=None)
+    @given(yaml_values(MAX_DEPTH))
+    @example(yaml.safe_load(nest(MAX_DEPTH, block=True)))
+    @example(yaml.safe_load(nest(MAX_DEPTH, block=False)))
+    def test_dumped_data_reads_as_safe_load(self, data):
+        text = yaml.safe_dump(data)
+        assert _yaml_data(text, "dump") == yaml.safe_load(text) == data
+
+    @pytest.mark.parametrize("block", [True, False], ids=["block", "flow"])
+    def test_nesting_past_max_depth_is_config_error(self, block):
+        assert _yaml_data(nest(MAX_DEPTH, block), "f") == yaml.safe_load(nest(MAX_DEPTH, block))
+        with pytest.raises(ConfigError, match=f"f: nested more than {MAX_DEPTH} deep"):
+            _yaml_data(nest(MAX_DEPTH + 1, block), "f")
+
+    def test_parses_with_libyaml_where_pyyaml_has_it(self, monkeypatch):
+        # a silent fall back to the pure-Python loader would fail no other test
+        loaders = []
+        for name in ("parse", "load"):
+            def spy(stream, Loader, real=getattr(yaml, name)):
+                loaders.append(Loader)
+                return real(stream, Loader)
+            monkeypatch.setattr(yaml, name, spy)
+        load_scenario(ALL_SCENARIOS[0])
+        want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert loaders == [want, want]
 
 
 class TestRunScenario:
