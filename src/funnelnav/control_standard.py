@@ -85,4 +85,7 @@ def inside_funnel(uc: list[float], uj: list[float]) -> bool:
     """True when every pair of uc and uj satisfies both funnel constraints."""
     if len(uc) == 0:
         raise EmptyMatchError("inside_funnel on empty match set")
-    return all(feature_vote(u_c, u_j) == FORWARD for u_c, u_j in zip(uc, uj))
+    for u_c, u_j in zip(uc, uj):
+        if feature_vote(u_c, u_j) != FORWARD:
+            return False
+    return True

@@ -4,6 +4,7 @@ batch execution of teach/repeat scenarios and the scenario file format."""
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from collections import Counter
 from collections.abc import Iterator
@@ -131,14 +132,14 @@ def controller_inside_grid(
     kf: Keyframe, world: World, cam: CameraModel, grid: GridSpec
 ) -> list[bool]:
     """The controller's own "inside combined funnel lane" verdict on each grid
-    pose: it sees every keyframe landmark, and their noise-free pairs are inside."""
+    pose, in grid_poses' order: it sees every keyframe landmark, and their
+    noise-free pairs are inside."""
     ids, uj = zip(*sorted(kf.observations.items()))  # a tick's ascending id order
-    seen = keyframe_world(world, kf)
-    out = []
-    for pose in grid_poses(grid, kf.pose_truth.theta):
-        obs = visible_set(seen, pose, cam)  # seen holds only kf's landmarks
-        out.append(len(obs) == len(ids) and inside_funnel([obs[i] for i in ids], uj))
-    return out
+    seen = keyframe_world(world, kf)  # only kf's landmarks
+    theta = kf.pose_truth.theta  # normalised already, so a Pose per cell would change no bit
+    xs, ys = (a.tolist() for a in _grid_axes(grid))
+    return [len(obs := visible_set(seen, x, y, theta, cam)) == len(ids)
+            and inside_funnel([obs[i] for i in ids], uj) for y in ys for x in xs]
 
 
 # --- scenarios ---------------------------------------------------------------
@@ -233,18 +234,26 @@ MAX_DEPTH = 32  # collections nested in a scenario file; the schema nests 5 deep
 # libyaml's loader, where PyYAML is built with it, reads the same documents
 # several times faster than the pure-Python one
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# a rejected value as its error shows it: 4 entries of a collection, 2
+# collections deep, 24 characters of a scalar, so at most about 1 KB.  Through
+# YAML aliases a small file can name a value whose full repr fills the memory
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel = 2
+_SHOWN.maxlist = _SHOWN.maxtuple = _SHOWN.maxdict = _SHOWN.maxset = 4
+_SHOWN.maxstring = _SHOWN.maxother = _SHOWN.maxlong = 24
+_shown = _SHOWN.repr
 
 
 def _int(value, ctx: str) -> int:
     # a bool is an int to Python, and int() would truncate a fraction
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{ctx}: must be an integer, not {type(value).__name__} {value!r}")
+        raise ConfigError(f"{ctx}: must be an integer, not {type(value).__name__} {_shown(value)}")
     return value
 
 
 def _count(value, ctx: str) -> int:
     if _int(value, ctx) < 1:
-        raise ConfigError(f"{ctx}: must be at least 1, not {value!r}")
+        raise ConfigError(f"{ctx}: must be at least 1, not {_shown(value)}")
     return value
 
 
@@ -253,13 +262,14 @@ def _finite(value, ctx: str) -> float:
     # fails NaN, an infinity and an int too large for a float
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (number and abs(value) <= sys.float_info.max):
-        raise ConfigError(f"{ctx}: must be a finite number, not {type(value).__name__} {value!r}")
+        raise ConfigError(
+            f"{ctx}: must be a finite number, not {type(value).__name__} {_shown(value)}")
     return float(value)
 
 
 def _list(value, ctx: str) -> list:
     if not isinstance(value, list):
-        raise ConfigError(f"{ctx}: must be a list, not {type(value).__name__} {value!r}")
+        raise ConfigError(f"{ctx}: must be a list, not {type(value).__name__} {_shown(value)}")
     return value
 
 
@@ -267,7 +277,7 @@ def _numbers(*names):
     """The reader of a list of len(names) finite numbers, read as a tuple."""
     def read(value, ctx: str) -> tuple:
         if not isinstance(value, (list, tuple)) or len(value) != len(names):
-            raise ConfigError(f"{ctx}: must be [{', '.join(names)}], not {value!r}")
+            raise ConfigError(f"{ctx}: must be [{', '.join(names)}], not {_shown(value)}")
         return tuple(_finite(v, ctx) for v in value)
     return read
 
@@ -275,7 +285,7 @@ def _numbers(*names):
 def _rect(value, ctx: str) -> tuple:
     xmin, ymin, xmax, ymax = _numbers("xmin", "ymin", "xmax", "ymax")(value, ctx)
     if xmin > xmax or ymin > ymax:
-        raise ConfigError(f"{ctx}: must have xmin <= xmax and ymin <= ymax, not {value!r}")
+        raise ConfigError(f"{ctx}: must have xmin <= xmax and ymin <= ymax, not {_shown(value)}")
     return xmin, ymin, xmax, ymax
 
 
@@ -413,7 +423,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         d = _section(d, "scenario", required=("name", "world", "teach"))
         name = d["name"]
         if not isinstance(name, str):
-            raise ConfigError(f"scenario.name: must be a string, not {name!r}")
+            raise ConfigError(f"scenario.name: must be a string, not {_shown(name)}")
         world = world_from_dict(d["world"])
         camera = _build(CameraModel, "camera", **_section(d.get("camera"), "camera"))
 
@@ -474,10 +484,11 @@ def scenario_from_dict(d: dict) -> Scenario:
 def _yaml_data(text: str, source):
     """The YAML document in text, read by _LOADER; source names the text in errors.
 
-    Raises ConfigError for a parse error, naming its line, or for a collection
-    nested more than MAX_DEPTH deep.  The nesting is checked on the parse
-    events first: libyaml builds the document by recursion in C, which a deep
-    enough nest crashes, and its parser slows down on one.
+    Raises ConfigError for a parse error, naming its line, for a value Python
+    refuses (an int of over 4300 digits, a date such as 2020-13-45), or for a
+    collection nested more than MAX_DEPTH deep.  The nesting is checked on the
+    parse events first: libyaml builds the document by recursion in C, which a
+    deep enough nest crashes, and its parser slows down on one.
     """
     try:
         depth = 0
@@ -490,7 +501,7 @@ def _yaml_data(text: str, source):
             elif isinstance(event, yaml.CollectionEndEvent):
                 depth -= 1
         return yaml.load(text, Loader=_LOADER)
-    except yaml.YAMLError as e:
+    except (yaml.YAMLError, ValueError) as e:
         mark = getattr(e, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark else ""
         raise ConfigError(f"{source}: YAML parse error{where}: {e}") from e

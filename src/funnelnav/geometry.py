@@ -109,16 +109,17 @@ class World:
                 raise ValueError(f"landmark {lm.id} outside world bounds")
 
 
-def visible_set(world: World, pose: Pose, cam: CameraModel) -> dict[int, float]:
-    """Map of landmark id -> image coordinate for all currently visible
-    landmarks, in world order.
+def visible_set(
+    world: World, x: float, y: float, theta: float, cam: CameraModel
+) -> dict[int, float]:
+    """Map of landmark id -> image coordinate for all landmarks visible from
+    position (x, y) at heading theta, in world order.
 
     A landmark's coordinate is focal_length * lateral / depth, positive on the
     right side of the image.  It is not visible when it lies closer than
     min_depth along the heading or when |u| exceeds half_width.
     """
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    x, y = pose.x, pose.y
+    c, s = math.cos(theta), math.sin(theta)
     f, half_width, min_depth = cam.focal_length, cam.half_width, cam.min_depth
     out = {}
     for lm in world.landmarks:

@@ -222,7 +222,7 @@ def navigate(
         })
 
     for tick in range(cfg.max_ticks):
-        obs = visible_set(seen[dest], pose, cam)
+        obs = visible_set(seen[dest], pose.x, pose.y, pose.theta, cam)
         kf = path.keyframes[dest]
 
         if tracked is None:

@@ -70,7 +70,7 @@ def record(
     the start pose sees fewer than min_features.
     """
     poses = script.poses()
-    frames = [visible_set(world, p, cam) for p in poses]
+    frames = [visible_set(world, p.x, p.y, p.theta, cam) for p in poses]
     for k, obs in enumerate(frames):
         if len(obs) < 2:
             raise TeachDegenerateError(f"frame {k} sees only {len(obs)} landmarks")

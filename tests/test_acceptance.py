@@ -146,12 +146,12 @@ class TestSlopeArithmetic:
             bounds=(-2, -4, 12, 4),
         )
         kf_pose = Pose(5.0, 0.0, 0.0)
-        kf = Keyframe(1, kf_pose, visible_set(world, kf_pose, CAM))
+        kf = Keyframe(1, kf_pose, visible_set(world, kf_pose.x, kf_pose.y, kf_pose.theta, CAM))
         quiet = NoiseModel()
         values = []
         rng = quiet.make_rng()
         for x in np.linspace(0.0, 4.9, 100):
-            m = match(visible_set(world, Pose(float(x), 0.0, 0.0), CAM), kf, quiet, rng)
+            m = match(visible_set(world, float(x), 0.0, 0.0, CAM), kf, quiet, rng)
             values.append(slopes(m)[1])
         assert all(b - a < -1e-9 for a, b in zip(values, values[1:]))
 
@@ -167,7 +167,8 @@ class TestAmbiguityResolution:
             scn = scenario(name)
             path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
             kf = path.keyframes[-1]
-            obs = visible_set(scn.world, scn.repeat_start, scn.camera)
+            start = scn.repeat_start
+            obs = visible_set(scn.world, start.x, start.y, start.theta, scn.camera)
             uc, uj = cols(match(obs, kf, NoiseModel(), NoiseModel().make_rng()))
             std_cmd, _ = standard_command(uc, uj, scn.navigator.standard)
             slo_cmd, *_ = sloped_command(uc, uj, scn.navigator.sloped,
@@ -284,7 +285,8 @@ class TestSwitchingCorrectness:
             ]
             fired_at = None
             for f, pose in enumerate(extended):
-                m = match(visible_set(world, pose, CAM), kf, quiet, quiet.make_rng())
+                obs = visible_set(world, pose.x, pose.y, pose.theta, CAM)
+                m = match(obs, kf, quiet, quiet.make_rng())
                 if should_switch(tick_stats(*cols(m)), cfg):
                     fired_at = f
                     break
@@ -395,7 +397,7 @@ class TestTeachRule:
             except TeachDegenerateError:
                 continue
             poses = script.poses()
-            frames = [visible_set(world, p, CAM) for p in poses]
+            frames = [visible_set(world, p.x, p.y, p.theta, CAM) for p in poses]
             expected = self._oracle_keyframes(frames)
             got = [
                 next(i for i, p in enumerate(poses) if p == kf.pose_truth)

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -241,6 +242,34 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(out), *force]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and str(named) in err
+
+    def test_alias_nest_exits_2_with_a_short_message(self, tmp_path, capsys):
+        # seven levels of ten aliases: about 1 KB of file, and a value whose
+        # full repr is 33 MB
+        nested = "&a0 [" + ", ".join(["1"] * 10) + "]"
+        for k in range(1, 8):
+            nested = f"&a{k} [{nested}" + f", *a{k - 1}" * 9 + "]"
+        cfg = small_config(tmp_path)
+        text = cfg.read_text()
+        assert text.count("runs: 2\n") == 1
+        cfg.write_text(text.replace("runs: 2\n", f"runs: {nested}\n"))
+        assert len(cfg.read_bytes()) < 1500
+        t0 = time.perf_counter()
+        assert main(["teach", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "config error" in err and "repeat.runs" in err
+        assert len(err.encode()) < 1000
+
+    @pytest.mark.parametrize("value", ["1" * 5000, "2020-13-45"], ids=["int-5000-digits", "date"])
+    def test_value_python_refuses_exits_2(self, tmp_path, capsys, value):
+        # an int past Python's 4300-digit limit and an impossible date raise
+        # ValueError while YAML builds the document
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(f"name: {value}\n")
+        assert main(["teach", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(cfg) in err
 
     def test_empty_landmark_world_oracle_check_exits_3(self, tmp_path):
         cfg = small_config(tmp_path, world={"bounds": [-5, -5, 20, 5], "landmarks": []})

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funnelnav.control_sloped import SlopedParams
-from funnelnav.control_standard import StandardParams
+from funnelnav.control_standard import StandardParams, feature_vote
 from funnelnav.errors import ConfigError
 from funnelnav.evaluate import (
     _KNOWN_KEYS,
@@ -36,7 +36,7 @@ from funnelnav.evaluate import (
     world_from_dict,
 )
 from funnelnav.features import Keyframe, NoiseModel
-from funnelnav.geometry import CameraModel, Landmark, MotionCommand, Pose, World
+from funnelnav.geometry import CameraModel, Landmark, MotionCommand, Pose, World, visible_set
 from funnelnav.navigate import NavigatorConfig, navigate
 from funnelnav.teach import TeachScript, record
 
@@ -145,6 +145,17 @@ def loop_oracle(kf, world, cam, grid):
     return out
 
 
+def loop_controller(kf, world, cam, grid):
+    """The controller's verdict pose by pose on the whole world, the reference
+    for controller_inside_grid's walk over the grid's floats."""
+    out = []
+    for pose in grid_poses(grid, kf.pose_truth.theta):
+        obs = visible_set(world, pose.x, pose.y, pose.theta, cam)
+        out.append(all(i in obs for i in kf.observations) and all(
+            feature_vote(obs[i], u_j) == "forward" for i, u_j in kf.observations.items()))
+    return out
+
+
 _COORD = st.floats(-10.0, 10.0)
 
 
@@ -171,6 +182,25 @@ class TestFunnelOracle:
     def test_array_oracle_equals_pose_loop(self, case):
         world, kf, grid = case
         assert funnel_oracle(kf, world, CAM, grid) == loop_oracle(kf, world, CAM, grid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=oracle_cases())
+    def test_controller_walk_equals_pose_loop(self, case):
+        world, kf, grid = case
+        assert controller_inside_grid(kf, world, CAM, grid) == loop_controller(kf, world, CAM, grid)
+
+    def test_controller_walk_builds_no_pose(self, monkeypatch):
+        world, kf = two_feature_keyframe()
+        p = kf.pose_truth
+        grid = GridSpec(x0=p.x - 2.0, x1=p.x - 0.01, nx=5, y0=-1.0, y1=1.0, ny=5)
+        expected = loop_controller(kf, world, CAM, grid)
+
+        def no_pose(self):
+            raise AssertionError("controller_inside_grid built a Pose")
+
+        monkeypatch.setattr(Pose, "__post_init__", no_pose)
+        assert controller_inside_grid(kf, world, CAM, grid) == expected
+        assert any(expected) and not all(expected)
 
     def test_overflowing_geometry_is_silent_and_equals_pose_loop(self):
         # dx overflows to inf on the left of the grid, and inf * 0.0 is NaN
@@ -378,6 +408,25 @@ def minimal_scenario_dict(**overrides):
     return d
 
 
+def tenfold(levels, leaf, as_dict=False):
+    """levels nested lists (or mappings), each of ten references to the one
+    below, as YAML aliases build them."""
+    for _ in range(levels):
+        leaf = {f"k{i}": leaf for i in range(10)} if as_dict else [leaf] * 10
+    return leaf
+
+
+# a value of seven tenfold levels at each key whose reader shows it
+BOMBS = [
+    ("repeat.runs", tenfold(7, 1)),  # _int
+    ("teach.dt", tenfold(7, 1.5)),  # _finite
+    ("world.landmarks", tenfold(7, 1, as_dict=True)),  # _list
+    ("repeat.start", tenfold(7, 0.0)),  # _numbers
+    ("world.obstacles", [tenfold(7, 0.0)]),  # _rect
+    ("scenario.name", tenfold(7, "x" * 100)),
+]
+
+
 class TestScenarioConfig:
     def test_minimal_dict_parses(self):
         scn = scenario_from_dict(minimal_scenario_dict())
@@ -479,6 +528,17 @@ class TestScenarioConfig:
         d["repeat"]["seed"] = -2
         with pytest.raises(ConfigError, match="seed"):
             scenario_from_dict(d)
+
+    @pytest.mark.parametrize("named, value", BOMBS, ids=[named for named, _ in BOMBS])
+    def test_rejected_value_is_shown_bounded(self, named, value):
+        # YAML aliases build such a value from a small file; its full repr has
+        # ten million entries
+        d = minimal_scenario_dict()
+        *block, key = named.removeprefix("scenario.").split(".")
+        (d[block[0]] if block else d)[key] = value
+        with pytest.raises(ConfigError, match=named) as e:
+            scenario_from_dict(d)
+        assert len(str(e.value)) < 1000
 
     def test_empty_optional_blocks_read_as_defaults(self):
         d = minimal_scenario_dict(

@@ -105,10 +105,12 @@ class TestShouldSwitch:
         from funnelnav.features import match
         from funnelnav.geometry import step, visible_set
 
-        at_kf = match(visible_set(world, kf.pose_truth, CAM), kf, quiet, quiet.make_rng())
+        p = kf.pose_truth
+        at_kf = match(visible_set(world, p.x, p.y, p.theta, CAM), kf, quiet, quiet.make_rng())
         assert not should_switch(tick_stats(*cols(at_kf)), CFG)  # ratio exactly 1 is not past
         past = step(kf.pose_truth, MotionCommand(0.5, 0.0), 0.1)
-        past_m = match(visible_set(world, past, CAM), kf, quiet, quiet.make_rng())
+        past_m = match(visible_set(world, past.x, past.y, past.theta, CAM), kf, quiet,
+                       quiet.make_rng())
         assert should_switch(tick_stats(*cols(past_m)), CFG)
 
 
@@ -283,7 +285,7 @@ class TestUnobservedLandmarks:
             assert more == plain
             # the run saw the lattice, so the check is not vacuous
             assert any(
-                visible_set(lattice, Pose(r["x"], r["y"], r["theta"]), scn.camera) for r in plain
+                visible_set(lattice, r["x"], r["y"], r["theta"], scn.camera) for r in plain
             )
 
         kf = path.keyframes[scn.oracle_keyframe]

@@ -9,17 +9,22 @@ naming its site, and that site must still be listed.
 
 import importlib.util
 import re
+from dataclasses import replace
 
 from conftest import PKG_ROOT
 
 
-def load_run_module():
+def load_perfbench_module(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_run", PKG_ROOT / "perfbench" / "run.py"
+        f"perfbench_{name}", PKG_ROOT / "perfbench" / f"{name}.py"
     )
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def load_run_module():
+    return load_perfbench_module("run")
 
 
 def test_every_tracer_site_resolves():
@@ -50,3 +55,27 @@ def test_tracer_only_imports_name_a_live_site():
             found.append(f"{module}.{attr}")
     assert found, "no tracer-only import comment found; the pattern is stale"
     assert [s for s in found if s not in names] == []
+
+
+def test_trace_hooks_read_the_sites_arguments(scenario_dir):
+    # --trace 1 wraps every site; its hooks read visible_set's world and
+    # match's observations and keyframe, so a changed signature breaks it
+    from funnelnav import evaluate
+
+    scn = replace(evaluate.load_scenario(scenario_dir / "funnel_two_features.yaml"), runs=1)
+    tracer = load_perfbench_module("tracer").Tracer(load_run_module().sites())
+    tracer.install()
+    try:
+        evaluate.run_scenario(scn)
+        path = evaluate.record(scn.world, scn.camera, scn.script, scn.min_teach_features)
+        kf = path.keyframes[-1]
+        p = kf.pose_truth
+        grid = evaluate.GridSpec(p.x - 2.0, p.x, 4, p.y - 1.0, p.y + 1.0, 4)
+        evaluate.controller_inside_grid(kf, scn.world, scn.camera, grid)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    calls = dict(zip(summary["names"], summary["calls"]))
+    assert calls["evaluate.controller_inside_grid"] == 1
+    assert calls["evaluate.visible_set"] == 16
+    assert summary["counts"]["tested"] > 0 and summary["counts"]["candidates"] > 0

@@ -100,7 +100,7 @@ class TestKeyframeSelection:
         path = record(world, CAM, script, min_features=4)
         assert len(path.keyframes) >= 3
         poses = script.poses()
-        frames = [visible_set(world, p, CAM) for p in poses]
+        frames = [visible_set(world, p.x, p.y, p.theta, CAM) for p in poses]
         kf_frames = [
             next(i for i, p in enumerate(poses) if p == kf.pose_truth)
             for kf in path.keyframes
