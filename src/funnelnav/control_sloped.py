@@ -7,7 +7,9 @@ offsets, summed over sides) that steers inside the lane.  Both functions take
 the tick's two coordinate columns uc and uj, paired by position in ascending
 id order.  evaluate_state computes the roll slope and the lane verdict from
 one pass that splits the pairs into sides; sloped_command takes the pitch
-slope from the spread ratio the navigator computed for the tick.
+slope from the spread ratio the navigator computed for the tick.  SlopedParams
+holds only the two speeds; the roll dead-band SX_EPSILON, the roll normaliser
+floor NORM_FLOOR and the turning speed floor V_FLOOR_FRAC are constants.
 """
 
 from __future__ import annotations
@@ -29,20 +31,20 @@ __all__ = [
 ]
 
 
+SX_EPSILON = 0.05  # dead-band around roll slope zero
+NORM_FLOOR = 5.0  # pixels; floors the roll normalizer near image center
+V_FLOOR_FRAC = 0.05  # fraction of v_max kept while turning, for liveness
+
+
 @dataclass(frozen=True)
 class SlopedParams:
     v_max: float
     omega_max: float
-    sx_epsilon: float = 0.05  # dead-band around roll slope zero
-    norm_floor: float = 5.0  # pixels; floors the roll normalizer near image center
-    v_floor_frac: float = 0.05  # fraction of v_max kept while turning, for liveness
 
     def __post_init__(self):
-        for name in ("v_max", "omega_max", "sx_epsilon", "norm_floor"):
+        for name in ("v_max", "omega_max"):
             if not 0 < (v := getattr(self, name)) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, not {v!r}")
-        if not 0.0 <= self.v_floor_frac < 1.0:
-            raise ValueError("v_floor_frac must lie in [0, 1)")
 
 
 def radius_policy(s_y: float, p: SlopedParams) -> float:
@@ -53,19 +55,17 @@ def radius_policy(s_y: float, p: SlopedParams) -> float:
     keeps the robot creeping forward; a pure in-place rotation can otherwise
     lock up when the lateral offset never changes.
     """
-    return p.v_max * max(min(max(s_y, 0.0), 1.0), p.v_floor_frac)
+    return p.v_max * max(min(max(s_y, 0.0), 1.0), V_FLOOR_FRAC)
 
 
-def evaluate_state(
-    uc: list[float], uj: list[float], p: SlopedParams
-) -> tuple[float, tuple[bool, bool, bool, bool]]:
+def evaluate_state(uc: list[float], uj: list[float]) -> tuple[float, tuple[bool, bool, bool, bool]]:
     """The roll slope and the four lane constraints for the pairs of uc and
     uj, as (s_x, constraints): four bools, all True inside the lane.
 
     The pairs split by the sign of the keyframe coordinate: u_j < 0 is the
     left side, and u_j = 0 counts as right.  The roll slope sums, over sides,
     (median_current - median_keyframe) divided by the keyframe median
-    magnitude floored at norm_floor; an absent side adds 0.  Constraint
+    magnitude floored at NORM_FLOOR; an absent side adds 0.  Constraint
     order: right magnitude, left magnitude, right sign, left sign.  A missing
     side leaves its two constraints satisfied; a zero coordinate matches
     either sign.
@@ -90,7 +90,7 @@ def evaluate_state(
     s_x = 0.0
     for mu_c, mu_j in ((mu_l_c, mu_l_j), (mu_r_c, mu_r_j)):
         if mu_c is not None:
-            s_x += (mu_c - mu_j) / max(abs(mu_j), p.norm_floor)
+            s_x += (mu_c - mu_j) / max(abs(mu_j), NORM_FLOOR)
 
     return s_x, (c1, c2, c3, c4)
 
@@ -109,12 +109,12 @@ def sloped_command(
     the roll slope decides again.  Every turn is at omega_max, with the
     forward speed of the pitch-slope radius policy.
     """
-    s_x, (c1, c2, c3, c4) = evaluate_state(uc, uj, p)
+    s_x, (c1, c2, c3, c4) = evaluate_state(uc, uj)
     s_y = None if ratio is None else 1.0 - ratio
     inside = c1 and c2 and c3 and c4
     # without a usable spread ratio there is no radius to modulate; inside
     # the lane the conservative fallback is plain forward motion
-    if inside and (abs(s_x) <= p.sx_epsilon or s_y is None):
+    if inside and (abs(s_x) <= SX_EPSILON or s_y is None):
         return MotionCommand(p.v_max, 0.0), s_x, s_y, inside
     drifted_left, drifted_right = not (c1 and c4), not (c2 and c3)
     if drifted_left != drifted_right:

@@ -231,9 +231,7 @@ def report(scenario: Scenario, controller: str, path: VisualPath, traces) -> Met
 # --- scenario config files ---------------------------------------------------
 
 MAX_DEPTH = 32  # collections nested in a scenario file; the schema nests 5 deep
-# libyaml's loader, where PyYAML is built with it, reads the same documents
-# several times faster than the pure-Python one
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+MAX_LANDMARKS = 10_000  # in one world; the largest shipped world, closed_loop, has 150
 # a rejected value as its error shows it: 4 entries of a collection, 2
 # collections deep, 24 characters of a scalar, so at most about 1 KB.  Through
 # YAML aliases a small file can name a value whose full repr fills the memory
@@ -242,6 +240,35 @@ _SHOWN.maxlevel = 2
 _SHOWN.maxlist = _SHOWN.maxtuple = _SHOWN.maxdict = _SHOWN.maxset = 4
 _SHOWN.maxstring = _SHOWN.maxother = _SHOWN.maxlong = 24
 _shown = _SHOWN.repr
+
+
+# libyaml's loader, where PyYAML is built with it, reads the same documents
+# several times faster than the pure-Python one
+class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """The safe loader, which refuses a mapping key written twice where PyYAML
+    would keep the last value; a key after a `<<` merge still overrides the merged key."""
+
+    def construct_document(self, root):
+        # each mapping as written, once (an alias shares its anchor's node),
+        # before construction flattens merges into the nodes
+        stack, visited = [root], set()
+        while stack:
+            node = stack.pop()
+            if isinstance(node, yaml.ScalarNode) or id(node) in visited:
+                continue
+            visited.add(id(node))
+            if isinstance(node, yaml.SequenceNode):
+                stack += node.value
+                continue
+            keys = set()
+            for key, value in node.value:
+                if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                    if (key.tag, key.value) in keys:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"duplicate key {_shown(key.value)}", key.start_mark)
+                    keys.add((key.tag, key.value))
+                stack += (key, value)
+        return super().construct_document(root)
 
 
 def _int(value, ctx: str) -> int:
@@ -298,8 +325,7 @@ _KNOWN_KEYS = {
     "scenario": dict.fromkeys(("name", "world", "camera", "teach", "repeat", "noise",
                                "navigator", "controllers", "oracle")),
     "world": {"bounds": _rect, **dict.fromkeys(("landmarks", "generated", "obstacles"), _list)},
-    "world.generated": dict.fromkeys(("grid", "ring", "line")),
-    "world.generated.grid": _GRID,
+    "world.generated": dict.fromkeys(("ring", "line")),
     "world.generated.ring": {**dict.fromkeys(("cx", "cy", "radius", "phase"), _finite),
                              "n": _count},
     "world.generated.line": {**dict.fromkeys(("x0", "y0", "x1", "y1"), _finite), "n": _count},
@@ -313,8 +339,7 @@ _KNOWN_KEYS = {
                   "dt": _finite, "max_ticks": _int},  # `repeat --controller` picks the controller
     "controllers": dict.fromkeys(("standard", "sloped")),
     "controllers.standard": dict.fromkeys(("v0", "omega0"), _finite),
-    "controllers.sloped": dict.fromkeys(
-        ("v_max", "omega_max", "sx_epsilon", "norm_floor", "v_floor_frac"), _finite),
+    "controllers.sloped": dict.fromkeys(("v_max", "omega_max"), _finite),
     "oracle": {"keyframe": _int, "grid": None},
     "oracle.grid": _GRID,
 }
@@ -357,11 +382,6 @@ def _steps(a: float, b: float, n: int) -> list[float]:
     return [a + (b - a) * (k / (n - 1) if n > 1 else 0.0) for k in range(n)]
 
 
-def _grid_points(g):
-    xs = _steps(g["x0"], g["x1"], g["nx"])
-    return [(x, y) for y in _steps(g["y0"], g["y1"], g["ny"]) for x in xs]
-
-
 def _ring_points(g):
     n, phase = g["n"], g.get("phase", 0.0)
     for k in range(n):
@@ -373,7 +393,7 @@ def _line_points(g):
     return zip(_steps(g["x0"], g["x1"], g["n"]), _steps(g["y0"], g["y1"], g["n"]))
 
 
-_GENERATORS = {"grid": _grid_points, "ring": _ring_points, "line": _line_points}
+_GENERATORS = {"ring": _ring_points, "line": _line_points}
 
 
 def world_from_dict(d: dict) -> World:
@@ -384,11 +404,11 @@ def world_from_dict(d: dict) -> World:
         bounds: [xmin, ymin, xmax, ymax]
         landmarks: [[id, x, y], ...]            # optional
         generated:                              # optional, ids auto-assigned
-          - grid: {x0, x1, nx, y0, y1, ny}
           - ring: {cx, cy, radius, n, phase}    # phase optional, radians
           - line: {x0, y0, x1, y1, n}           # n points, endpoints included
         obstacles: [[xmin, ymin, xmax, ymax], ...]   # optional
 
+    A world has at most MAX_LANDMARKS landmarks, explicit and generated.
     _section reads `bounds`, the three lists and the generators' parameters
     through _KNOWN_KEYS; the list entries are read here.  Each `generated`
     entry names one generator; generated ids count up from the largest
@@ -397,6 +417,9 @@ def world_from_dict(d: dict) -> World:
     try:
         d = _section(d, "world", required=("bounds",))
         landmarks = []
+        if len(d.get("landmarks", [])) > MAX_LANDMARKS:
+            raise ConfigError(f"world.landmarks: a world has at most {MAX_LANDMARKS} landmarks, "
+                              f"not {len(d['landmarks'])}")
         for lm in d.get("landmarks", []):
             _, x, y = _numbers("id", "x", "y")(lm, "world.landmarks")  # and an int id
             landmarks.append(Landmark(_int(lm[0], "world.landmarks"), x, y))
@@ -408,6 +431,9 @@ def world_from_dict(d: dict) -> World:
             ((kind, params),) = entry.items()
             ctx = f"world.generated.{kind}"
             params = _section(params, ctx, required=[k for k in _KNOWN_KEYS[ctx] if k != "phase"])
+            if len(landmarks) + params["n"] > MAX_LANDMARKS:  # checked before any is built
+                raise ConfigError(f"{ctx}.n: a world has at most {MAX_LANDMARKS} landmarks, "
+                                  f"not {len(landmarks)} + {params['n']}")
             for x, y in _GENERATORS[kind](params):
                 landmarks.append(Landmark(next_id, x, y))
                 next_id += 1
@@ -482,17 +508,18 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 
 def _yaml_data(text: str, source):
-    """The YAML document in text, read by _LOADER; source names the text in errors.
+    """The YAML document in text, read by _Loader; source names the text in errors.
 
-    Raises ConfigError for a parse error, naming its line, for a value Python
-    refuses (an int of over 4300 digits, a date such as 2020-13-45), or for a
-    collection nested more than MAX_DEPTH deep.  The nesting is checked on the
-    parse events first: libyaml builds the document by recursion in C, which a
-    deep enough nest crashes, and its parser slows down on one.
+    Raises ConfigError for a parse error or a mapping key written twice,
+    naming its line, for a value Python refuses (an int of over 4300 digits, a
+    date such as 2020-13-45), or for a collection nested more than MAX_DEPTH
+    deep.  The nesting is checked on the parse events first: libyaml builds
+    the document by recursion in C, which a deep enough nest crashes, and its
+    parser slows down on one.
     """
     try:
         depth = 0
-        for event in yaml.parse(text, Loader=_LOADER):
+        for event in yaml.parse(text, Loader=_Loader):
             if isinstance(event, yaml.CollectionStartEvent):
                 depth += 1
                 if depth > MAX_DEPTH:
@@ -500,7 +527,7 @@ def _yaml_data(text: str, source):
                                       f"at line {event.start_mark.line + 1}")
             elif isinstance(event, yaml.CollectionEndEvent):
                 depth -= 1
-        return yaml.load(text, Loader=_LOADER)
+        return yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError) as e:
         mark = getattr(e, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark else ""
@@ -508,8 +535,9 @@ def _yaml_data(text: str, source):
 
 
 def load_scenario(path) -> Scenario:
-    """Parse a scenario YAML file; an unreadable file, a parse error or a
-    collection nested more than MAX_DEPTH (32) deep is a ConfigError."""
+    """Parse a scenario YAML file; an unreadable file, a parse error, a repeated
+    mapping key or a collection nested more than MAX_DEPTH (32) deep is a
+    ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

@@ -139,11 +139,18 @@ class TestExitCodes:
             ({"repeat": {"tolerance": -1.0}}, "tolerance must be non-negative, got -1.0"),
             ({"navigator": {"threshold1_ed": 0}}, "threshold1_ed must be positive and finite"),
             ({"camera": {"half_width": -1.0}}, "half_width must be positive and finite, not -1.0"),
+            ({"controllers": {"sloped": {"v_max": 0.5, "omega_max": 0.0}}},
+             "omega_max must be positive and finite, not 0.0"),
             ({"controllers": {"sloped": {"v_max": 0.5, "omega_max": 0.5, "norm_floor": 0.0}}},
-             "norm_floor must be positive and finite, not 0.0"),
+             "controllers.sloped: unknown key 'norm_floor'"),
+            ({"controllers": {"sloped": {"v_max": 0.5, "omega_max": 0.5, "sx_epsilon": 0.1}}},
+             "controllers.sloped: unknown key 'sx_epsilon'"),
+            ({"world": {"bounds": BOUNDS, "generated": [
+                {"grid": {"x0": 0, "x1": 2, "nx": 3, "y0": 0, "y1": 1, "ny": 2}}]}},
+             "world.generated: unknown key 'grid'"),
             ({"oracle": {"grid": {"x0": -1e308, "x1": 1e308, "nx": 3, "ny": 3}}},
              "oracle.grid: grid bounds and their spans"),
-            ({"controllers": {"sloped": {"sx_epsilon": 0.1}}},
+            ({"controllers": {"sloped": {"omega_max": 0.9}}},
              "controllers.sloped: missing required key 'v_max'"),
             ({"controllers": {"standard": {"v0": 0.5}}},
              "controllers.standard: missing required key 'omega0'"),
@@ -162,7 +169,8 @@ class TestExitCodes:
              "teach-start-2-entries", "repeat-start-4-entries", "landmark-2-entries",
              "step-without-duration", "line-without-y1", "steps-int", "remove-landmarks-int",
              "navigator-controller", "swapped-bounds", "negative-tolerance", "threshold1-zero",
-             "half-width-negative", "norm-floor-zero", "grid-span-overflow",
+             "half-width-negative", "omega-max-zero", "norm-floor-zero", "sx-epsilon",
+             "grid-generator", "grid-span-overflow",
              "sloped-without-v-max", "standard-without-omega0", "step-v-negative",
              "grid-nx-0", "grid-over-pose-cap"],
     )
@@ -171,6 +179,31 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["repeat", "--config", str(cfg), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
+
+    def test_landmark_count_over_cap_exits_2_at_once(self, tmp_path, capsys):
+        # the cap is checked before the generator builds a landmark
+        cfg = small_config(tmp_path, world={"bounds": BOUNDS,
+                                            "generated": [{"line": {**LINE, "n": 10**9}}]})
+        start = time.process_time()
+        assert main(["teach", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert time.process_time() - start < 1.0
+        assert "world.generated.line.n: a world has at most" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "anchor, key",
+        [("name: cli_unit\n", "name"), ("  runs: 2\n", "runs"), ("    omega: 0.0\n", "omega")],
+        ids=["top-level", "repeat-block", "teach-step-entry"],
+    )
+    def test_repeated_key_exits_2_naming_it_and_its_line(self, tmp_path, capsys, anchor, key):
+        cfg = small_config(tmp_path)
+        text = cfg.read_text()
+        assert text.count(anchor) == 1
+        head = text[: text.index(anchor) + len(anchor)]
+        cfg.write_text(head + anchor + text[len(head):])  # the key again, on the next line
+        assert main(["teach", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        line = head.count("\n") + 1
+        assert f"{cfg}: YAML parse error at line {line}: duplicate key '{key}'" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize(
         "overrides, extra",
@@ -283,7 +316,6 @@ def contract_base() -> dict:
     d["world"]["generated"] = [
         {"line": {"x0": 7.0, "y0": 3.0, "x1": 7.5, "y1": 3.0, "n": 2}},
         {"ring": {"cx": 7.0, "cy": -3.0, "radius": 0.5, "n": 3, "phase": 0.1}},
-        {"grid": {"x0": -1.5, "x1": -1.0, "nx": 2, "y0": 3.0, "y1": 3.5, "ny": 2}},
     ]
     d["world"]["obstacles"] = [[3.0, 2.5, 3.5, 3.0]]  # beside the taught path
     d["camera"] = {"focal_length": 277.0, "half_width": 160.0, "min_depth": 0.1}

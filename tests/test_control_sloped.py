@@ -8,6 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from funnelnav.control_sloped import (
+    NORM_FLOOR,
+    SX_EPSILON,
+    V_FLOOR_FRAC,
     SlopedParams,
     evaluate_state,
     radius_policy,
@@ -25,7 +28,7 @@ P = SlopedParams(v_max=0.5, omega_max=0.5)
 
 def state(m):
     """evaluate_state's (s_x, constraints)."""
-    return evaluate_state(*cols(m), P)
+    return evaluate_state(*cols(m))
 
 
 def command(m):
@@ -62,7 +65,7 @@ class TestRollSlope:
 
     def test_norm_floor_applies_near_center(self):
         m = ms((1, 3.0, 2.0))
-        assert state(m)[0] == pytest.approx((3.0 - 2.0) / 5.0)
+        assert state(m)[0] == pytest.approx((3.0 - 2.0) / NORM_FLOOR)
 
     def test_absent_side_contributes_zero(self):
         m = ms((1, 25.0, 20.0))
@@ -77,7 +80,7 @@ class TestRollSlope:
             state(())
 
 
-def reference_state(m, p):
+def reference_state(m):
     """evaluate_state restated over the two sides as filtered pair lists."""
     sides = []
     for side in ([q for q in m if q[2] < 0], [q for q in m if q[2] >= 0]):
@@ -90,7 +93,7 @@ def reference_state(m, p):
     s_x = 0.0
     for mu_c, mu_j in sides:
         if mu_c is not None:
-            s_x += (mu_c - mu_j) / max(abs(mu_j), p.norm_floor)
+            s_x += (mu_c - mu_j) / max(abs(mu_j), NORM_FLOOR)
     return s_x, (r_c is None or abs(r_c) <= abs(r_j), l_c is None or abs(l_c) <= abs(l_j),
                  r_c is None or r_c * r_j >= 0, l_c is None or l_c * l_j >= 0)
 
@@ -114,7 +117,7 @@ class TestSides:
         # left it would have broken the left one
         s_x, c = state(ms((1, 1.0, 0.0)))
         assert c == (False, True, True, True)
-        assert s_x == 1.0 / P.norm_floor
+        assert s_x == 1.0 / NORM_FLOOR
 
     @settings(max_examples=200)
     @given(
@@ -127,7 +130,7 @@ class TestSides:
     )
     def test_equals_filtered_reference(self, coords):
         m = tuple((i, a, b) for i, (a, b) in enumerate(coords))
-        assert state(m) == reference_state(m, P)
+        assert state(m) == reference_state(m)
 
 
 class TestRadiusPolicy:
@@ -138,11 +141,11 @@ class TestRadiusPolicy:
         assert radius_policy(0.5, P) == pytest.approx(0.5 * P.v_max)
 
     def test_zero_slope_keeps_liveness_floor(self):
-        assert radius_policy(0.0, P) == pytest.approx(P.v_floor_frac * P.v_max)
+        assert radius_policy(0.0, P) == pytest.approx(V_FLOOR_FRAC * P.v_max)
 
     def test_clamped_outside_unit_interval(self):
         assert radius_policy(3.0, P) == pytest.approx(P.v_max)
-        assert radius_policy(-2.0, P) == pytest.approx(P.v_floor_frac * P.v_max)
+        assert radius_policy(-2.0, P) == pytest.approx(V_FLOOR_FRAC * P.v_max)
 
 
 class TestConstraints:
@@ -196,7 +199,7 @@ class TestSlopedCommand:
         m = ms((1, -10.0, -10.0), (2, 14.0, 20.0))
         cmd, s_x, _, inside = command(m)
         assert inside
-        assert s_x < -P.sx_epsilon
+        assert s_x < -SX_EPSILON
         assert cmd.omega > 0
 
     def test_inside_positive_roll_turns_right(self):
@@ -204,7 +207,7 @@ class TestSlopedCommand:
         m = ms((1, -4.0, -10.0), (2, 20.0, 20.0))
         cmd, s_x, _, inside = command(m)
         assert inside
-        assert s_x > P.sx_epsilon
+        assert s_x > SX_EPSILON
         assert cmd.omega < 0
 
     def test_right_magnitude_violation_turns_right(self):
@@ -293,10 +296,6 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             SlopedParams(v_max=0.0, omega_max=0.5)
-        with pytest.raises(ValueError):
-            SlopedParams(v_max=0.5, omega_max=0.5, norm_floor=0.0)
-        with pytest.raises(ValueError):
-            SlopedParams(v_max=0.5, omega_max=0.5, v_floor_frac=1.0)
         with pytest.raises(ValueError, match="finite"):
             SlopedParams(v_max=0.5, omega_max=math.inf)
         with pytest.raises(ValueError):

@@ -19,11 +19,13 @@ from funnelnav.evaluate import (
     _KNOWN_KEYS,
     MAX_DEPTH,
     MAX_GRID_POSES,
+    MAX_LANDMARKS,
     GridSpec,
     Scenario,
     _count,
     _finite,
     _int,
+    _Loader,
     _yaml_data,
     accuracy,
     controller_inside_grid,
@@ -262,17 +264,6 @@ class TestWorldFromDict:
         )
         assert w.landmarks == (Landmark(7, 1.0, 2.0),)
 
-    def test_grid_generator_count(self):
-        w = world_from_dict(
-            {
-                "bounds": [-5, -5, 5, 5],
-                "generated": [{"grid": {"x0": 0, "x1": 2, "nx": 3, "y0": 0, "y1": 1, "ny": 2}}],
-            }
-        )
-        assert len(w.landmarks) == 6
-        xs = sorted({lm.x for lm in w.landmarks})
-        assert xs == pytest.approx([0.0, 1.0, 2.0])
-
     def test_ring_generator_with_phase(self):
         w = world_from_dict(
             {
@@ -309,8 +300,10 @@ class TestWorldFromDict:
         assert [lm.id for lm in w.landmarks] == [7, 3, 8, 9, 10, 11]
 
     def test_unknown_generator_rejected(self):
-        with pytest.raises(ConfigError, match="'spiral'"):
-            world_from_dict({"bounds": [-5, -5, 5, 5], "generated": [{"spiral": {}}]})
+        # oracle.grid is a block of its own, not a landmark generator
+        for kind in ("spiral", "grid"):
+            with pytest.raises(ConfigError, match=f"world.generated: unknown key '{kind}'"):
+                world_from_dict({"bounds": [-5, -5, 5, 5], "generated": [{kind: {}}]})
 
     LINE = {"x0": 0, "y0": 0, "x1": 1, "y1": 0, "n": 2}
 
@@ -334,15 +327,33 @@ class TestWorldFromDict:
             ({"line": {**LINE, "n": 0}}, "world.generated.line.n: must be at least 1, not 0"),
             ({"ring": {"cx": 0, "cy": 0, "radius": 2.0, "n": -3}},
              "world.generated.ring.n: must be at least 1, not -3"),
-            ({"grid": {"x0": 0, "x1": 2, "nx": 0, "y0": 0, "y1": 1, "ny": 2}},
-             "world.generated.grid.nx: must be at least 1, not 0"),
         ],
-        ids=["line-n-0", "ring-n-minus-3", "grid-nx-0"],
+        ids=["line-n-0", "ring-n-minus-3"],
     )
     def test_generator_count_below_one_rejected(self, entry, named):
         # a count below 1 would silently add no landmarks
         with pytest.raises(ConfigError, match=named):
             world_from_dict({"bounds": [-5, -5, 5, 5], "generated": [entry]})
+
+    RING = {"cx": 0, "cy": 0, "radius": 2.0}
+
+    @pytest.mark.parametrize(
+        "world, named",
+        [({"generated": [{"line": {**LINE, "n": MAX_LANDMARKS + 1}}]}, "world.generated.line.n"),
+         ({"landmarks": [[1, 0.0, 0.0]], "generated": [{"ring": {**RING, "n": MAX_LANDMARKS}}]},
+          "world.generated.ring.n"),
+         ({"landmarks": [[i, 0.0, 0.0] for i in range(MAX_LANDMARKS + 1)]}, "world.landmarks")],
+        ids=["one-generator", "running-total", "explicit"],
+    )
+    def test_landmark_count_capped(self, world, named):
+        with pytest.raises(ConfigError,
+                           match=f"^{named}: a world has at most {MAX_LANDMARKS} landmarks"):
+            world_from_dict({"bounds": [-5, -5, 5, 5], **world})
+
+    def test_landmark_cap_admits_its_count(self):
+        w = world_from_dict({"bounds": [-5, -5, 5, 5], "landmarks": [[1, 0.0, 0.0]],
+                             "generated": [{"ring": {**self.RING, "n": MAX_LANDMARKS - 1}}]})
+        assert len(w.landmarks) == MAX_LANDMARKS
 
     @pytest.mark.parametrize("obstacle", [[0, 0, 1], [], [1.5, 0.5, 1.0, -0.5]])
     def test_obstacle_must_be_four_numbers(self, obstacle):
@@ -366,7 +377,38 @@ CONSTRUCTOR_BLOCKS = [
 ]
 
 
+def set_keys(block: dict, ctx="scenario"):
+    """The (block, key) pairs of _KNOWN_KEYS that a scenario document sets."""
+    for key, value in block.items():
+        yield ctx, key
+        inner = key if ctx == "scenario" else f"{ctx}.{key}"
+        if inner in _KNOWN_KEYS:
+            for entry in value if isinstance(value, list) else [value]:
+                yield from set_keys(entry, inner)
+
+
+# the keys that no shipped scenario sets, each kept for a stated reason
+UNSET_KEYS = {
+    # the simulated sensor, not a lane parameter: a varied camera is what would
+    # test the paper's claim that the lanes need no calibration, and
+    # perfbench/run.py reads scn.camera
+    ("scenario", "camera"),
+    *(("camera", key) for key in ("focal_length", "half_width", "min_depth")),
+    # navigator settings whose use in a scenario is not yet decided
+    ("navigator", "dt"),
+    ("navigator", "threshold3_time"),
+}
+
+
 class TestKnownKeys:
+    def test_every_key_is_set_by_a_shipped_scenario(self):
+        # a key that no shipped file sets is config surface that nothing runs
+        set_by_files = {pair for f in ALL_SCENARIOS
+                        for pair in set_keys(yaml.safe_load(f.read_text()))}
+        known = {(block, key) for block, keys in _KNOWN_KEYS.items() for key in keys}
+        assert set_by_files <= known
+        assert known - set_by_files == UNSET_KEYS
+
     @pytest.mark.parametrize("block, cls, not_in_files", CONSTRUCTOR_BLOCKS)
     def test_constructor_blocks_list_every_settable_field(self, block, cls, not_in_files):
         # a dataclass field missing from the table could not be set from a file
@@ -374,7 +416,7 @@ class TestKnownKeys:
 
     @pytest.mark.parametrize(
         "block, cls", [(block, cls) for block, cls, _ in CONSTRUCTOR_BLOCKS]
-        + [("oracle.grid", GridSpec), ("world.generated.grid", GridSpec)]
+        + [("oracle.grid", GridSpec)]
     )
     def test_each_key_is_read_as_its_fields_type(self, block, cls):
         # an int field read by _finite would get a float; a float field read by
@@ -598,6 +640,30 @@ class TestScenarioYaml:
     def test_shipped_file_reads_as_safe_load(self, f):
         text = f.read_text()
         assert _yaml_data(text, f) == yaml.safe_load(text)
+        assert load_scenario(f) == scenario_from_dict(yaml.safe_load(text))
+
+    @pytest.mark.parametrize(
+        "text, m",
+        [("base: &b {x: 1, y: 2}\nm:\n  <<: *b\n  x: 3\n", {"x": 3, "y": 2}),
+         # b overrides c's x, and m merges b before b itself is built
+         ("c: &c {x: 0, y: 0}\na:\n- k: &b\n    <<: *c\n    x: 1\nm:\n  <<: *b\n",
+          {"x": 1, "y": 0})],
+        ids=["override", "merge-of-a-merge"],
+    )
+    def test_key_after_a_merge_overrides_the_merged_key(self, text, m):
+        assert _yaml_data(text, "f") == yaml.safe_load(text)
+        assert _yaml_data(text, "f")["m"] == m
+
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [("a: {b: 1, 'b': 2}\n", "b", 1), ("a:\n  <<: {b: 1, b: 2}\n", "b", 2)],
+        ids=["quoted", "inside-a-merge"],
+    )
+    def test_repeated_key_is_config_error_naming_it_and_its_line(self, text, key, line):
+        # beside tests/test_cli.py's repeated keys in a scenario file
+        with pytest.raises(ConfigError,
+                           match=f"^f: YAML parse error at line {line}: duplicate key '{key}'"):
+            _yaml_data(text, "f")
 
     @settings(deadline=None)
     @given(yaml_values(MAX_DEPTH))
@@ -623,7 +689,7 @@ class TestScenarioYaml:
             monkeypatch.setattr(yaml, name, spy)
         load_scenario(ALL_SCENARIOS[0])
         want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-        assert loaders == [want, want]
+        assert loaders == [_Loader, _Loader] and issubclass(_Loader, want)
 
 
 class TestRunScenario:
