@@ -21,7 +21,7 @@ from .features import Keyframe, NoiseModel, VisualPath
 from .features import match  # noqa: F401
 from .geometry import CameraModel, Landmark, MotionCommand, Pose, World, visible_set
 from .navigate import NavigatorConfig, RunTrace, keyframe_world, navigate
-from .teach import TeachScript, record
+from .teach import START, TeachScript, record
 
 __all__ = [
     "accuracy",
@@ -316,7 +316,6 @@ def _rect(value, ctx: str) -> tuple:
     return xmin, ymin, xmax, ymax
 
 
-_pose = _numbers("x", "y", "theta")
 _GRID = {"x0": _finite, "x1": _finite, "nx": _count, "y0": _finite, "y1": _finite, "ny": _count}
 
 # the scenario schema: each block's keys, each with the reader that _section
@@ -330,13 +329,13 @@ _KNOWN_KEYS = {
                              "n": _count},
     "world.generated.line": {**dict.fromkeys(("x0", "y0", "x1", "y1"), _finite), "n": _count},
     "camera": dict.fromkeys(("focal_length", "half_width", "min_depth"), _finite),
-    "teach": {"start": _pose, "steps": _list, "dt": _finite, "min_features": _int},
+    "teach": {"steps": _list, "min_features": _int},  # every drive starts at teach.START
     "teach.steps": dict.fromkeys(("v", "omega", "duration"), _finite),
-    "repeat": {"start": _pose, "runs": _int, "seed": _int, "tolerance": _finite,
-               "remove_landmarks": _list},
+    "repeat": {"start": _numbers("x", "y", "theta"), "runs": _int, "seed": _int,
+               "tolerance": _finite, "remove_landmarks": _list},
     "noise": dict.fromkeys(("dropout_prob", "pixel_sigma"), _finite),  # repeat.seed seeds runs
-    "navigator": {"threshold1_ed": _finite, "threshold2_features": _int, "threshold3_time": _int,
-                  "dt": _finite, "max_ticks": _int},  # `repeat --controller` picks the controller
+    "navigator": {"threshold1_ed": _finite, "threshold2_features": _int,
+                  "max_ticks": _int},  # `repeat --controller` picks the controller
     "controllers": dict.fromkeys(("standard", "sloped")),
     "controllers.standard": dict.fromkeys(("v0", "omega0"), _finite),
     "controllers.sloped": dict.fromkeys(("v_max", "omega_max"), _finite),
@@ -453,15 +452,14 @@ def scenario_from_dict(d: dict) -> Scenario:
         world = world_from_dict(d["world"])
         camera = _build(CameraModel, "camera", **_section(d.get("camera"), "camera"))
 
-        t = _section(d["teach"], "teach", required=("start", "steps"))
-        start = Pose(*t["start"])
+        t = _section(d["teach"], "teach", required=("steps",))
         raw_steps = [_section(s, "teach.steps", ("v", "omega", "duration")) for s in t["steps"]]
         steps = tuple((_build(MotionCommand, "teach.steps", s["v"], s["omega"]), s["duration"])
                       for s in raw_steps)
-        script = _build(TeachScript, "teach", steps=steps, start_pose=start, dt=t.get("dt", 0.1))
+        script = _build(TeachScript, "teach", steps=steps)
 
         r = _section(d.get("repeat"), "repeat")
-        repeat_start = Pose(*r["start"]) if "start" in r else start
+        repeat_start = Pose(*r["start"]) if "start" in r else START
         noise = _build(NoiseModel, "noise", **_section(d.get("noise"), "noise"))
 
         nav = _section(d.get("navigator"), "navigator")
@@ -529,9 +527,10 @@ def _yaml_data(text: str, source):
                 depth -= 1
         return yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError) as e:
+        # PyYAML's own str(e) adds the mark's lines, which name "<unicode string>"
         mark = getattr(e, "problem_mark", None)
-        where = f" at line {mark.line + 1}" if mark else ""
-        raise ConfigError(f"{source}: YAML parse error{where}: {e}") from e
+        what = f" at line {mark.line + 1}: {e.problem}" if mark else f": {e}"
+        raise ConfigError(f"{source}: YAML parse error{what}") from e
 
 
 def load_scenario(path) -> Scenario:

@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+DT = 0.1  # s, the frame period of the camera: one teach frame, one repeat tick
 
 
 def normalize_angle(a: float) -> float:

@@ -3,11 +3,11 @@
 Each tick the robot senses, matches against the destination keyframe of the
 active segment, and either switches segment (spread ratio above 1 and median
 distance under threshold), issues a controller command, or stops to recover
-lost features.  A tick senses only the destination keyframe's landmarks: no
-other landmark can enter a match, so projecting it would be wasted work.
-Tracking inside a segment is simulated as persistence of the matched id set
-with per-tick dropout; a full re-match happens only on a switch or during
-recovery.
+lost features; STOP_LIMIT stopped ticks in a row end the run as lost.  A tick
+senses only the destination keyframe's landmarks: no other landmark can enter
+a match, so projecting it would be wasted work.  Tracking inside a segment is
+simulated as persistence of the matched id set with per-tick dropout; a full
+re-match happens only on a switch or during recovery.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .features import (
 # read only by perfbench/run.py, whose tracer wraps navigate.perturb
 from .features import perturb  # noqa: F401
 from .geometry import (
+    DT,
     CameraModel,
     MotionCommand,
     Pose,
@@ -50,6 +51,7 @@ __all__ = ["NavigatorConfig", "RunTrace", "read_run", "tick_stats", "should_swit
            "keyframe_world", "navigate"]
 
 STOP = MotionCommand(0.0, 0.0)
+STOP_LIMIT = 50  # consecutive stopped ticks after which a run is lost
 
 TERMINAL_EVENTS = ("done", "lost", "timeout", "collision")
 
@@ -58,17 +60,14 @@ TERMINAL_EVENTS = ("done", "lost", "timeout", "collision")
 class NavigatorConfig:
     threshold1_ed: float = 10.0  # px, switch bound on the median distance
     threshold2_features: int = 4  # minimum matches to keep driving
-    threshold3_time: int = 50  # stopped ticks before giving up
-    dt: float = 0.1
     controller: str = "sloped"  # or "standard"
     max_ticks: int = 5000
     standard: StandardParams = field(default_factory=lambda: StandardParams(0.5, 0.5))
     sloped: SlopedParams = field(default_factory=lambda: SlopedParams(0.5, 0.5))
 
     def __post_init__(self):
-        for name in ("threshold1_ed", "threshold3_time", "dt"):
-            if not 0 < (v := getattr(self, name)) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, not {v!r}")
+        if not 0 < (ed := self.threshold1_ed) < math.inf:
+            raise ValueError(f"threshold1_ed must be positive and finite, not {ed!r}")
         if not 2 <= self.threshold2_features < math.inf:
             raise ValueError("threshold2_features must be at least 2 and finite")
         if self.controller not in ("standard", "sloped"):
@@ -238,7 +237,7 @@ def navigate(
             # a starving match set never switches: the degenerate median-only
             # fallback of should_switch would fire spuriously on it
             stopped += 1
-            if stopped >= cfg.threshold3_time:
+            if stopped >= STOP_LIMIT:
                 rec(tick, STOP, stats, "lost")
                 break
             rec(tick, STOP, stats, "stopped")
@@ -260,7 +259,7 @@ def navigate(
             else:
                 cmd, s_x, s_y, inside = sloped_command(uc, uj, cfg.sloped, stats["std_ratio"])
                 rec(tick, cmd, stats, event, s_x, s_y, inside)
-            pose = step(pose, cmd, cfg.dt)
+            pose = step(pose, cmd, DT)
             if in_collision(world, pose):
                 rec(tick, STOP, stats, "collision")
                 break

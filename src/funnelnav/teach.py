@@ -14,45 +14,41 @@ from dataclasses import dataclass
 
 from .errors import TeachDegenerateError
 from .features import Keyframe, VisualPath
-from .geometry import CameraModel, MotionCommand, Pose, World, step, visible_set
+from .geometry import DT, CameraModel, MotionCommand, Pose, World, step, visible_set
 
 __all__ = ["TeachScript", "record"]
 
 MAX_FRAMES = 100_000  # the longest shipped drive, closed_loop, has 360
+START = Pose(0.0, 0.0, 0.0)  # every drive's first pose; floats, as the outputs print 0.0
 
 
 @dataclass(frozen=True)
 class TeachScript:
-    """A scripted teach drive: piecewise-constant commands integrated at fixed dt."""
+    """A scripted teach drive from START: piecewise-constant commands, one frame per DT."""
 
     steps: tuple[tuple[MotionCommand, float], ...]
-    start_pose: Pose
-    dt: float
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
         for cmd, duration in self.steps:
-            # duration / dt is the step's frame count, which must be finite
-            if not (duration > 0 and math.isfinite(duration / self.dt)):
-                raise ValueError("step durations must be positive, and duration / dt finite")
+            # duration / DT is the step's frame count, which must be finite
+            if not (duration > 0 and math.isfinite(duration / DT)):
+                raise ValueError("step durations must be positive, and duration / DT finite")
             if not (math.isfinite(cmd.v) and math.isfinite(cmd.omega)):
                 raise ValueError("step speeds v and omega must be finite")
         # poses() appends one pose per frame, so a finite but huge count would
         # fill memory before the drive ended
-        frames = sum(max(1, round(duration / self.dt)) for _, duration in self.steps)
+        frames = sum(max(1, round(duration / DT)) for _, duration in self.steps)
         if frames > MAX_FRAMES:
             raise ValueError(f"a teach drive has at most {MAX_FRAMES} frames, the sum over "
-                             "steps of max(1, round(duration / dt))")
+                             "steps of max(1, round(duration / DT))")
 
     def poses(self) -> list[Pose]:
-        """The full frame-by-frame pose sequence, starting at start_pose."""
-        out = [self.start_pose]
-        pose = self.start_pose
+        """The full frame-by-frame pose sequence, starting at START."""
+        out = [START]
+        pose = START
         for cmd, duration in self.steps:
-            n = max(1, round(duration / self.dt))
-            for _ in range(n):
-                pose = step(pose, cmd, self.dt)
+            for _ in range(max(1, round(duration / DT))):
+                pose = step(pose, cmd, DT)
                 out.append(pose)
         return out
 

@@ -41,7 +41,7 @@ from funnelnav.geometry import (
     visible_set,
 )
 from funnelnav.navigate import NavigatorConfig, should_switch, tick_stats
-from funnelnav.teach import TeachScript, record
+from funnelnav.teach import START, TeachScript, record
 
 from conftest import SCENARIO_DIR, cols, ms
 
@@ -211,8 +211,8 @@ class TestOffsetStart:
 
     def test_start_is_two_meters_ahead(self):
         scn = scenario("offset_start")
-        assert scn.repeat_start.x - scn.script.start_pose.x == pytest.approx(2.0)
-        assert scn.repeat_start.y == scn.script.start_pose.y
+        assert scn.repeat_start.x - START.x == pytest.approx(2.0)
+        assert scn.repeat_start.y == START.y
 
     def test_sloped_recovers(self):
         rep = report("offset_start", "sloped")
@@ -263,11 +263,7 @@ class TestSwitchingCorrectness:
                     nid += 1
             world = World(landmarks=tuple(lms), bounds=(-5, -6, length + 5, 6))
             duration = float(rng.uniform(4.0, 8.0))
-            script = TeachScript(
-                steps=((MotionCommand(v, 0.0), duration),),
-                start_pose=Pose(0, 0, 0),
-                dt=0.1,
-            )
+            script = TeachScript(steps=((MotionCommand(v, 0.0), duration),))
             try:
                 path = record(world, CAM, script, min_features=4)
             except TeachDegenerateError:
@@ -387,11 +383,8 @@ class TestTeachRule:
             )
             v = float(rng.uniform(0.4, 1.0))
             omega = float(rng.uniform(-0.05, 0.05))
-            script = TeachScript(
-                steps=((MotionCommand(v, omega), float(rng.uniform(4.0, 9.0))),),
-                start_pose=Pose(0, 0, 0),
-                dt=0.1,
-            )
+            duration = float(rng.uniform(4.0, 9.0))
+            script = TeachScript(steps=((MotionCommand(v, omega), duration),))
             try:
                 path = record(world, CAM, script, min_features=4)
             except TeachDegenerateError:

@@ -20,7 +20,7 @@ from funnelnav.teach import record
 from conftest import SCENARIO_DIR, nest
 
 LINE = {"x0": 0.5, "y0": -2.0, "x1": 12.0, "y1": -2.0, "n": 12}
-TEACH = {"start": [0.0, 0.0, 0.0], "dt": 0.1, "steps": [{"v": 0.5, "omega": 0.0, "duration": 6.0}]}
+TEACH = {"steps": [{"v": 0.5, "omega": 0.0, "duration": 6.0}]}
 BOUNDS = [-5, -5, 20, 5]
 
 
@@ -107,7 +107,8 @@ class TestExitCodes:
             ({"navigator": {"max_ticks": 1.5}}, "max_ticks"),
             ({"navigator": {"max_ticks": True}}, "navigator.max_ticks"),
             ({"navigator": {"threshold2_features": 2.5}}, "navigator.threshold2_features"),
-            ({"navigator": {"threshold3_time": 0.5}}, "navigator.threshold3_time"),
+            ({"navigator": {"threshold3_time": 0.5}},
+             "navigator: unknown key 'threshold3_time'"),
             ({"repeat": {"runs": 2.7}}, "repeat.runs"),
             ({"repeat": {"runs": "2"}}, "repeat.runs"),
             ({"repeat": {"seed": 1.5}}, "repeat.seed"),
@@ -115,14 +116,14 @@ class TestExitCodes:
             ({"repeat": {"remove_landmarks": [999]}}, "repeat.remove_landmarks"),
             ({"teach": {**TEACH, "min_features": 2.9}}, "teach.min_features"),
             ({"teach": {**TEACH, "steps": [{"v": 0.5, "omega": 0.0, "duration": 1e308}]}},
-             "duration / dt"),
-            ({"teach": {**TEACH, "dt": 1e-320}}, "duration / dt"),
+             "duration / DT"),
+            ({"teach": {**TEACH, "dt": 1e-320}}, "teach: unknown key 'dt'"),
             ({"oracle": {"keyframe": -1.5}}, "oracle.keyframe"),
             ({"oracle": {"grid": {"nx": 2.5}}}, "oracle.grid.nx"),
             ({"world": {"bounds": BOUNDS, "landmarks": [[1.5, 1.0, 2.0]]}}, "world.landmarks"),
             ({"world": {"bounds": BOUNDS, "generated": [{"line": {**LINE, "n": 12.5}}]}},
              "world.generated.line.n"),
-            ({"teach": {**TEACH, "start": [0, 0]}}, "teach.start"),
+            ({"teach": {**TEACH, "start": [0, 0]}}, "teach: unknown key 'start'"),
             ({"repeat": {"start": [0.0, 0.0, 0.0, 0.0]}}, "repeat.start"),
             ({"world": {"bounds": BOUNDS, "landmarks": [[1, 0.0]]}}, "world.landmarks"),
             ({"teach": {**TEACH, "steps": [{"v": 0.5, "omega": 0.0}]}},
@@ -204,6 +205,20 @@ class TestExitCodes:
         line = head.count("\n") + 1
         assert f"{cfg}: YAML parse error at line {line}: duplicate key '{key}'" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "text, line, problem",
+        [("name: a\nname: b\n", 2, "duplicate key 'name'"), ("name: a\nworld: [1, 2\n", 3, "")],
+        ids=["duplicate-key", "unclosed-flow-sequence"],
+    )
+    def test_yaml_error_is_one_line_naming_the_file(self, tmp_path, capsys, text, line, problem):
+        # PyYAML's own message adds a line naming "<unicode string>", not the file
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(text)
+        assert main(["teach", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "<unicode string>" not in err
+        assert err.startswith(f"config error: {cfg}: YAML parse error at line {line}: {problem}")
 
     @pytest.mark.parametrize(
         "overrides, extra",
@@ -348,8 +363,8 @@ def replaced(leaf, value) -> dict:
     return d
 
 
-# sampled, not arbitrary floats: a teach dt or step duration may still ask for
-# up to 100,000 teach frames, too slow for one example
+# sampled, not arbitrary floats: a step duration may still ask for up to
+# 100,000 teach frames, too slow for one example
 ODD_VALUES = [None, True, -1, 0, 1, 2, 1.5, -0.5, math.nan, math.inf, "x", [], {}, [1, 2, 3]]
 
 
@@ -357,9 +372,9 @@ class TestExitCodeContract:
     @settings(max_examples=150, deadline=None)
     @given(leaf=st.sampled_from(list(leaves(CONTRACT_BASE))), value=st.sampled_from(ODD_VALUES))
     @example(leaf=("repeat", "runs"), value=math.inf)  # int() overflow
-    @example(leaf=("teach", "start", 0), value="x")  # non-numeric start
-    @example(leaf=("teach", "dt"), value=math.nan)  # round() of NaN in the teach drive
-    @example(leaf=("teach", "dt"), value=1e-300)  # a finite frame count too large to drive
+    @example(leaf=("repeat", "start", 0), value="x")  # non-numeric start
+    @example(leaf=("teach", "steps", 0, "duration"), value=math.nan)  # round() of NaN
+    @example(leaf=("teach", "steps", 0, "duration"), value=1e300)  # finite, too many frames
     @example(leaf=("navigator", "max_ticks"), value=1.5)  # range() of a float
     @example(leaf=("world", "obstacles", 0), value=[1, 2, 3])  # unpacked on each tick
     def test_one_replaced_leaf_exits_0_2_3_or_4(self, tmp_path_factory, leaf, value):
@@ -378,19 +393,29 @@ def leaf_value(leaf):
 
 # every number in the file, of which none is a bool
 NUMERIC_LEAVES = [leaf for leaf in leaves(CONTRACT_BASE) if type(leaf_value(leaf)) in (int, float)]
-# and the one number key that the file leaves at its default
-NUMBER_KEYS = [*NUMERIC_LEAVES, ("navigator", "threshold3_time")]
+# the numbers that the simulator fixes (geometry.DT, navigate.STOP_LIMIT and
+# teach.START): a file that sets one names it as an unknown key, whatever its value
+REMOVED_LEAVES = [("teach", "dt"), *(("teach", "start", i) for i in range(3)),
+                  ("navigator", "dt"), ("navigator", "threshold3_time")]
+NUMBER_KEYS = [*NUMERIC_LEAVES, *REMOVED_LEAVES]
 
 
 def assert_exits_2_naming_key(tmp_path, capsys, leaf, value):
     """A scenario with value at leaf exits 2 with an error that names the key."""
+    if leaf in REMOVED_LEAVES:
+        d = copy.deepcopy(CONTRACT_BASE)
+        block, key, *index = leaf
+        d[block][key] = [value if [i] == index else 0.0 for i in range(3)] if index else value
+        named = f"{block}: unknown key {key!r}"
+    else:
+        d = replaced(leaf, value)
+        # the key's name is its path of mapping keys: list indices are not part of it
+        named = ".".join(k for k in leaf if isinstance(k, str))
     cfg = tmp_path / "scenario.yaml"
-    cfg.write_text(yaml.safe_dump(replaced(leaf, value)))
+    cfg.write_text(yaml.safe_dump(d))
     assert main(["repeat", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    # the key's name is its path of mapping keys: list indices are not part of it
-    key = ".".join(k for k in leaf if isinstance(k, str))
-    assert "config error" in err and key in err
+    assert "config error" in err and named in err
 
 
 # a number key refuses a bool (YAML's true is 1 to Python), NaN (every range

@@ -40,7 +40,7 @@ from funnelnav.evaluate import (
 from funnelnav.features import Keyframe, NoiseModel
 from funnelnav.geometry import CameraModel, Landmark, MotionCommand, Pose, World, visible_set
 from funnelnav.navigate import NavigatorConfig, navigate
-from funnelnav.teach import TeachScript, record
+from funnelnav.teach import START, TeachScript, record
 
 from conftest import ALL_SCENARIOS, nest
 
@@ -112,9 +112,7 @@ def two_feature_world():
 
 def two_feature_keyframe():
     world = two_feature_world()
-    script = TeachScript(
-        steps=((MotionCommand(0.5, 0.0), 6.0),), start_pose=Pose(0, 0, 0), dt=0.1
-    )
+    script = TeachScript(steps=((MotionCommand(0.5, 0.0), 6.0),))
     path = record(world, CAM, script, min_features=2)
     return world, path.keyframes[-1]
 
@@ -394,9 +392,6 @@ UNSET_KEYS = {
     # perfbench/run.py reads scn.camera
     ("scenario", "camera"),
     *(("camera", key) for key in ("focal_length", "half_width", "min_depth")),
-    # navigator settings whose use in a scenario is not yet decided
-    ("navigator", "dt"),
-    ("navigator", "threshold3_time"),
 }
 
 
@@ -438,11 +433,7 @@ def minimal_scenario_dict(**overrides):
                 {"line": {"x0": 0.5, "y0": 2.0, "x1": 12.0, "y1": 2.0, "n": 12}},
             ],
         },
-        "teach": {
-            "start": [0.0, 0.0, 0.0],
-            "dt": 0.1,
-            "steps": [{"v": 0.5, "omega": 0.0, "duration": 6.0}],
-        },
+        "teach": {"steps": [{"v": 0.5, "omega": 0.0, "duration": 6.0}]},
         "repeat": {"start": [0.0, 0.0, 0.0], "runs": 1, "seed": 0, "tolerance": 0.3},
         "noise": {"dropout_prob": 0.0, "pixel_sigma": 0.0},
     }
@@ -461,7 +452,7 @@ def tenfold(levels, leaf, as_dict=False):
 # a value of seven tenfold levels at each key whose reader shows it
 BOMBS = [
     ("repeat.runs", tenfold(7, 1)),  # _int
-    ("teach.dt", tenfold(7, 1.5)),  # _finite
+    ("repeat.tolerance", tenfold(7, 1.5)),  # _finite
     ("world.landmarks", tenfold(7, 1, as_dict=True)),  # _list
     ("repeat.start", tenfold(7, 0.0)),  # _numbers
     ("world.obstacles", [tenfold(7, 0.0)]),  # _rect
@@ -589,7 +580,7 @@ class TestScenarioConfig:
         scn = scenario_from_dict(d)
         assert scn.camera == CameraModel()
         assert scn.oracle_keyframe == -1
-        assert scn.repeat_start == scn.script.start_pose
+        assert scn.repeat_start == START
         assert (scn.runs, scn.seed, scn.tolerance) == (1, 0, 0.3)
         assert (scn.repeat_world, scn.min_teach_features) == (scn.world, 4)
 

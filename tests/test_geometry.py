@@ -1,5 +1,7 @@
 """Projection, kinematics and world-model unit tests."""
 
+import ast
+import inspect
 import math
 import struct
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from funnelnav import navigate, teach
 from funnelnav.geometry import (
     CameraModel,
     Landmark,
@@ -172,6 +175,13 @@ class TestVisibleSet:
 
 
 class TestStep:
+    @pytest.mark.parametrize("module", [teach, navigate], ids=lambda m: m.__name__)
+    def test_teach_and_navigate_step_by_the_frame_period(self, module):
+        # a teach frame and a repeat tick both last geometry.DT
+        calls = [node for node in ast.walk(ast.parse(inspect.getsource(module)))
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "step"]
+        assert calls and [ast.unparse(c.args[2]) for c in calls] == ["DT"] * len(calls)
+
     def test_zero_command_keeps_pose(self):
         p = Pose(1.0, 2.0, 0.5)
         assert step(p, MotionCommand(0.0, 0.0), 0.1) == p

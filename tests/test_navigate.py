@@ -19,6 +19,7 @@ from funnelnav.features import (
 )
 from funnelnav.geometry import CameraModel, Landmark, MotionCommand, Pose, World, visible_set
 from funnelnav.navigate import (
+    STOP_LIMIT,
     TERMINAL_EVENTS,
     NavigatorConfig,
     navigate,
@@ -50,9 +51,7 @@ def corridor_world():
 
 
 def straight_path(world, duration=10.0):
-    script = TeachScript(
-        steps=((MotionCommand(0.5, 0.0), duration),), start_pose=Pose(0, 0, 0), dt=0.1
-    )
+    script = TeachScript(steps=((MotionCommand(0.5, 0.0), duration),))
     return record(world, CAM, script, min_features=4)
 
 
@@ -127,6 +126,7 @@ class TestNavigateOutcomes:
             assert err < tol
 
     def test_lost_after_exactly_threshold3_stopped_ticks(self):
+        # the paper's third threshold, the time without features, is STOP_LIMIT ticks
         world = corridor_world()
         # keyframes reference ids that are never visible: every match is empty
         kfs = (
@@ -134,11 +134,11 @@ class TestNavigateOutcomes:
             Keyframe(1, Pose(1, 0, 0), {900: 5.0, 901: -5.0}),
         )
         path = VisualPath(keyframes=kfs)
-        cfg = NavigatorConfig(threshold3_time=7)
-        tr = navigate(world, CAM, path, Pose(0, 0, 0), cfg, NoiseModel())
+        tr = navigate(world, CAM, path, Pose(0, 0, 0), NavigatorConfig(), NoiseModel())
+        assert STOP_LIMIT == 50
         assert tr.outcome == "lost"
-        assert len(tr.records) == 7
-        assert [r["event"] for r in tr.records] == ["stopped"] * 6 + ["lost"]
+        assert len(tr.records) == STOP_LIMIT
+        assert [r["event"] for r in tr.records] == ["stopped"] * (STOP_LIMIT - 1) + ["lost"]
         assert all(r["v"] == 0.0 and r["omega"] == 0.0 for r in tr.records)
         assert tr.final_pose == Pose(0, 0, 0)
 
@@ -323,8 +323,3 @@ class TestConfigValidation:
     def test_max_ticks_must_be_an_integer(self, max_ticks):
         with pytest.raises(ValueError, match="max_ticks"):
             NavigatorConfig(max_ticks=max_ticks)
-
-    @pytest.mark.parametrize("dt", [math.nan, math.inf])
-    def test_dt_must_be_finite(self, dt):
-        with pytest.raises(ValueError, match="dt"):
-            NavigatorConfig(dt=dt)

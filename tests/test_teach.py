@@ -5,14 +5,14 @@ import math
 import pytest
 
 from funnelnav.errors import TeachDegenerateError
-from funnelnav.geometry import CameraModel, Landmark, MotionCommand, Pose, World, visible_set
-from funnelnav.teach import TeachScript, record
+from funnelnav.geometry import DT, CameraModel, Landmark, MotionCommand, Pose, World, visible_set
+from funnelnav.teach import MAX_FRAMES, START, TeachScript, record
 
 CAM = CameraModel()
 
 
-def straight(duration, v=0.5, start=Pose(0, 0, 0), dt=0.1):
-    return TeachScript(steps=((MotionCommand(v, 0.0), duration),), start_pose=start, dt=dt)
+def straight(duration, v=0.5):
+    return TeachScript(steps=((MotionCommand(v, 0.0), duration),))
 
 
 def corridor(x1=20.0):
@@ -31,35 +31,36 @@ class TestTeachScript:
         script = straight(2.0)
         assert len(script.poses()) == 21
 
-    def test_rejects_bad_dt_and_durations(self):
-        with pytest.raises(ValueError):
-            TeachScript(steps=(), start_pose=Pose(0, 0, 0), dt=0.0)
-        with pytest.raises(ValueError):
-            TeachScript(
-                steps=((MotionCommand(0.5, 0.0), -1.0),), start_pose=Pose(0, 0, 0), dt=0.1
-            )
+    def test_starts_at_the_origin_one_dt_per_frame(self):
+        poses = straight(0.3).poses()
+        assert poses[0] == START == Pose(0, 0, 0)
+        assert [type(v) for v in (START.x, START.y, START.theta)] == [float] * 3  # output bytes
+        assert [p.x for p in poses] == pytest.approx([0.5 * DT * k for k in range(4)])
+
+    def test_rejects_bad_durations(self):
+        for duration in (0.0, -1.0):
+            with pytest.raises(ValueError, match="durations must be positive"):
+                straight(duration)
 
     def test_rejects_more_than_max_frames(self):
-        # 1 / 1e-300 frames is finite, and poses() would fill memory appending them
-        step = (MotionCommand(0.5, 0.0), 1.0)
+        # 1e300 / DT frames is finite, and poses() would fill memory appending them
         with pytest.raises(ValueError, match="at most 100000 frames"):
-            TeachScript(steps=(step,), start_pose=Pose(0, 0, 0), dt=1e-300)
-        # the bound counts the frames of every step together
-        TeachScript(steps=(step,), start_pose=Pose(0, 0, 0), dt=1e-5)  # exactly 100,000
+            straight(1e300)
+        # the bound counts the frames of every step together: two steps of
+        # MAX_FRAMES / 2 frames pass, and a one-frame step more fails
+        half = (MotionCommand(0.5, 0.0), MAX_FRAMES / 2 * DT)
+        assert MAX_FRAMES == 100_000 and round(half[1] / DT) == MAX_FRAMES / 2
+        TeachScript(steps=(half, half))
         with pytest.raises(ValueError, match="at most 100000 frames"):
-            TeachScript(steps=(step,) * 2, start_pose=Pose(0, 0, 0), dt=1e-5)
+            TeachScript(steps=(half, half, (MotionCommand(0.5, 0.0), DT)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["dt", "duration", "v", "omega"])
+    @pytest.mark.parametrize("field", ["duration", "v", "omega"])
     def test_rejects_non_finite_values(self, field, bad):
         # each would end in round() or math.sin() on the first teach step
-        values = {"dt": 0.1, "duration": 1.0, "v": 0.5, "omega": 0.1, field: bad}
+        values = {"duration": 1.0, "v": 0.5, "omega": 0.1, field: bad}
         with pytest.raises(ValueError, match="finite"):
-            TeachScript(
-                steps=((MotionCommand(values["v"], values["omega"]), values["duration"]),),
-                start_pose=Pose(0, 0, 0),
-                dt=values["dt"],
-            )
+            TeachScript(steps=((MotionCommand(values["v"], values["omega"]), values["duration"]),))
 
 
 class TestKeyframeSelection:
