@@ -12,7 +12,7 @@ the keyframe.
 import sys
 from pathlib import Path
 
-from funnelnav.evaluate import GridSpec, funnel_oracle, grid_poses, load_scenario
+from funnelnav.evaluate import GridSpec, funnel_oracle, grid_axes, load_scenario
 from funnelnav.teach import record
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "funnel_two_features.yaml"
@@ -24,20 +24,19 @@ def main() -> int:
     kf = path.keyframes[-1]
     grid = GridSpec(x0=-1.5, x1=6.5, nx=72, y0=-2.4, y1=2.4, ny=33)
     inside = funnel_oracle(kf, scn.world, scn.camera, grid)
-    poses = list(grid_poses(grid, kf.pose_truth.theta))
+    xs, ys = grid_axes(grid)
 
     dx = (grid.x1 - grid.x0) / (grid.nx - 1)
     dy = (grid.y1 - grid.y0) / (grid.ny - 1)
     rows = []
-    for iy in range(grid.ny):
+    for iy, y in enumerate(ys):
         row = []
-        for ix in range(grid.nx):
-            p = poses[iy * grid.nx + ix]
+        for ix, x in enumerate(xs):
             ch = "#" if inside[iy * grid.nx + ix] else "."
-            if abs(p.x - kf.pose_truth.x) < dx / 2 and abs(p.y - kf.pose_truth.y) < dy / 2:
+            if abs(x - kf.pose_truth.x) < dx / 2 and abs(y - kf.pose_truth.y) < dy / 2:
                 ch = "K"
             for lm in scn.world.landmarks:
-                if abs(p.x - lm.x) < dx / 2 and abs(p.y - lm.y) < dy / 2:
+                if abs(x - lm.x) < dx / 2 and abs(y - lm.y) < dy / 2:
                     ch = "L"
             row.append(ch)
         rows.append("".join(row))

@@ -37,7 +37,7 @@ from .evaluate import (
     Scenario,
     controller_inside_grid,
     funnel_oracle,
-    grid_poses,
+    grid_axes,
     load_scenario,
     report,
     run_scenario,
@@ -139,9 +139,10 @@ def cmd_oracle_check(scn: Scenario, out: Path) -> int:
     oracle = funnel_oracle(kf, scn.world, scn.camera, grid)
     claimed = controller_inside_grid(kf, scn.world, scn.camera, grid)
     rows = ["x,y,oracle,controller"]
-    for p, a, b in zip(grid_poses(grid, kf.pose_truth.theta), oracle, claimed):
+    xs, ys = grid_axes(grid)
+    for (x, y), a, b in zip(((x, y) for y in ys for x in xs), oracle, claimed):
         if a != b:
-            rows.append(f"{p.x!r},{p.y!r},{int(a)},{int(b)}")
+            rows.append(f"{x!r},{y!r},{int(a)},{int(b)}")
     (out / "disagreements.csv").write_text("\n".join(rows) + "\n")
     n, n_disagree = len(oracle), len(rows) - 1
     agreement = 1.0 - n_disagree / n

@@ -7,7 +7,6 @@ import math
 import reprlib
 import sys
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +26,7 @@ __all__ = [
     "accuracy",
     "repeatability",
     "GridSpec",
-    "grid_poses",
+    "grid_axes",
     "funnel_oracle",
     "controller_inside_grid",
     "Scenario",
@@ -82,22 +81,16 @@ class GridSpec:
                              f"not {self.nx} x {self.ny}")
 
 
-def _grid_axes(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's x and y coordinates; pose k sits at (xs[k % nx], ys[k // nx])."""
-    return np.linspace(grid.x0, grid.x1, grid.nx), np.linspace(grid.y0, grid.y1, grid.ny)
-
-
-def grid_poses(grid: GridSpec, theta: float) -> Iterator[Pose]:
-    """All grid positions at a shared heading, row-major, one pose at a time."""
-    xs, ys = (a.tolist() for a in _grid_axes(grid))
-    for y in ys:
-        for x in xs:
-            yield Pose(x, y, theta)
+def grid_axes(grid: GridSpec) -> tuple[list[float], list[float]]:
+    """The grid's x and y coordinates.  The grid is walked row-major: cell k
+    sits at (xs[k % nx], ys[k // nx]), so x varies fastest."""
+    return (np.linspace(grid.x0, grid.x1, grid.nx).tolist(),
+            np.linspace(grid.y0, grid.y1, grid.ny).tolist())
 
 
 def funnel_oracle(kf: Keyframe, world: World, cam: CameraModel, grid: GridSpec) -> list[bool]:
     """Ground-truth membership in the combined funnel lane, by brute force,
-    one verdict per grid pose in grid_poses' order.
+    one verdict per grid cell in grid_axes' order.
 
     Works directly on world geometry (lateral/depth ratios), independent of
     the projection and voting code it is used to check.  A pose is inside iff
@@ -110,7 +103,7 @@ def funnel_oracle(kf: Keyframe, world: World, cam: CameraModel, grid: GridSpec) 
     """
     lms = {lm.id: lm for lm in world.landmarks}
     feats = [(lms[i], u_j) for i, u_j in sorted(kf.observations.items())]
-    xs, ys = _grid_axes(grid)
+    xs, ys = map(np.array, grid_axes(grid))
     ys = ys[:, np.newaxis]
     c, s = math.cos(kf.pose_truth.theta), math.sin(kf.pose_truth.theta)
     f, half_width = cam.focal_length, cam.half_width
@@ -132,12 +125,12 @@ def controller_inside_grid(
     kf: Keyframe, world: World, cam: CameraModel, grid: GridSpec
 ) -> list[bool]:
     """The controller's own "inside combined funnel lane" verdict on each grid
-    pose, in grid_poses' order: it sees every keyframe landmark, and their
+    cell, in grid_axes' order: it sees every keyframe landmark, and their
     noise-free pairs are inside."""
     ids, uj = zip(*sorted(kf.observations.items()))  # a tick's ascending id order
     seen = keyframe_world(world, kf)  # only kf's landmarks
     theta = kf.pose_truth.theta  # normalised already, so a Pose per cell would change no bit
-    xs, ys = (a.tolist() for a in _grid_axes(grid))
+    xs, ys = grid_axes(grid)
     return [len(obs := visible_set(seen, x, y, theta, cam)) == len(ids)
             and inside_funnel([obs[i] for i in ids], uj) for y in ys for x in xs]
 

@@ -15,7 +15,6 @@ from .geometry import Pose
 __all__ = [
     "Keyframe",
     "VisualPath",
-    "MatchSet",
     "NoiseModel",
     "match",
     "std_ratio",
@@ -80,12 +79,6 @@ class NoiseModel:
         return np.random.default_rng(self.seed)
 
 
-# Feature correspondences between a current image and a keyframe image, as
-# (id, u_current, u_keyframe) triples in ascending id order: match's result,
-# which the navigator unzips into the tick's ids and two coordinate columns.
-MatchSet = tuple[tuple[int, float, float], ...]
-
-
 def perturb(u: float, noise: NoiseModel, rng: np.random.Generator) -> float:
     """Apply truncated Gaussian pixel noise to one coordinate."""
     if noise.pixel_sigma == 0.0:
@@ -124,24 +117,25 @@ def match(
     kf: Keyframe,
     noise: NoiseModel,
     rng: np.random.Generator,
-) -> MatchSet:
-    """Simulated feature matching of the current image against a keyframe.
+) -> dict[int, float]:
+    """Simulated feature matching of the current image against a keyframe:
+    the kept ids' current coordinates, in ascending id order.
 
     Common ids survive with probability 1 - dropout_prob; surviving current
-    coordinates get pixel noise, keyframe coordinates are taken verbatim.
-    An empty result is a legal value (consumed as "lost" upstream).
+    coordinates get pixel noise.  A kept id's keyframe coordinate is
+    kf.observations[id].  An empty result is a legal value (consumed as
+    "lost" upstream).
     """
     common = sorted(set(current_obs) & set(kf.observations))
-    pairs = []
-    # a pair's dropout draw comes before its pixel-noise draw, so these stay
-    # scalar draws, one pair at a time
+    kept = {}
+    # an id's dropout draw comes before its pixel-noise draw, so these stay
+    # scalar draws, one id at a time
     noisy = noise.pixel_sigma != 0.0
     for i in common:
         if noise.dropout_prob > 0.0 and rng.random() < noise.dropout_prob:
             continue
-        u = perturb(current_obs[i], noise, rng) if noisy else current_obs[i]
-        pairs.append((i, u, kf.observations[i]))
-    return tuple(pairs)
+        kept[i] = perturb(current_obs[i], noise, rng) if noisy else current_obs[i]
+    return kept
 
 
 def _sum(xs: list[float]) -> float:

@@ -44,6 +44,9 @@ class Pose:
     theta: float
 
     def __post_init__(self):
+        # stored as floats, so an output's bytes never depend on the caller's number types
+        object.__setattr__(self, "x", float(self.x))
+        object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
 

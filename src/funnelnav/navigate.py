@@ -226,11 +226,11 @@ def navigate(
 
         if tracked is None:
             m = match(obs, kf, noise, rng)
-            tracked, uc, uj = ([p[k] for p in m] for k in range(3))
+            tracked, uc = list(m), list(m.values())
         else:
             tracked = [i for i in tracked if i in obs]
             uc = perturb_all([obs[i] for i in tracked], noise, rng)
-            uj = [kf.observations[i] for i in tracked]
+        uj = [kf.observations[i] for i in tracked]
 
         stats = tick_stats(uc, uj)
         if stats["nmf"] < cfg.threshold2_features:

@@ -19,7 +19,7 @@ from .geometry import DT, CameraModel, MotionCommand, Pose, World, step, visible
 __all__ = ["TeachScript", "record"]
 
 MAX_FRAMES = 100_000  # the longest shipped drive, closed_loop, has 360
-START = Pose(0.0, 0.0, 0.0)  # every drive's first pose; floats, as the outputs print 0.0
+START = Pose(0.0, 0.0, 0.0)  # every drive's first pose
 
 
 @dataclass(frozen=True)

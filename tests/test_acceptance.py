@@ -25,7 +25,6 @@ from funnelnav.evaluate import (
     accuracy,
     controller_inside_grid,
     funnel_oracle,
-    grid_poses,
     load_scenario,
     repeatability,
     run_scenario,
@@ -43,7 +42,7 @@ from funnelnav.geometry import (
 from funnelnav.navigate import NavigatorConfig, should_switch, tick_stats
 from funnelnav.teach import START, TeachScript, record
 
-from conftest import SCENARIO_DIR, cols, ms
+from conftest import SCENARIO_DIR, cols, match_cols, ms
 
 CAM = CameraModel()
 
@@ -110,9 +109,8 @@ class TestOracleEquivalence:
         assert combined == intersection
 
 
-def slopes(m):
+def slopes(uc, uj):
     """The sloped controller's (s_x, s_y), with the navigator's spread ratio."""
-    uc, uj = cols(m)
     _, s_x, s_y, _ = sloped_command(uc, uj, SlopedParams(0.5, 0.5), tick_stats(uc, uj)["std_ratio"])
     return s_x, s_y
 
@@ -121,12 +119,12 @@ class TestSlopeArithmetic:
     """The two slope statistics and the radius policy match hand values."""
 
     def test_pitch_slope_values(self):
-        assert slopes(ms((1, -20.0, -20.0), (2, 20.0, 20.0)))[1] == 0.0
-        assert slopes(ms((1, -20.0, -40.0), (2, 20.0, 40.0)))[1] == 0.5
+        assert slopes(*cols(ms((1, -20.0, -20.0), (2, 20.0, 20.0))))[1] == 0.0
+        assert slopes(*cols(ms((1, -20.0, -40.0), (2, 20.0, 40.0))))[1] == 0.5
 
     def test_roll_slope_values(self):
-        assert slopes(ms((1, -10.0, -10.0), (2, 20.0, 20.0)))[0] == 0.0
-        assert slopes(ms((1, -5.0, -10.0), (2, 25.0, 20.0)))[0] == 0.75
+        assert slopes(*cols(ms((1, -10.0, -10.0), (2, 20.0, 20.0))))[0] == 0.0
+        assert slopes(*cols(ms((1, -5.0, -10.0), (2, 25.0, 20.0))))[0] == 0.75
 
     def test_radius_policy_values(self):
         p = SlopedParams(0.5, 0.5)
@@ -152,7 +150,7 @@ class TestSlopeArithmetic:
         rng = quiet.make_rng()
         for x in np.linspace(0.0, 4.9, 100):
             m = match(visible_set(world, float(x), 0.0, 0.0, CAM), kf, quiet, rng)
-            values.append(slopes(m)[1])
+            values.append(slopes(*match_cols(m, kf))[1])
         assert all(b - a < -1e-9 for a, b in zip(values, values[1:]))
 
 
@@ -169,7 +167,7 @@ class TestAmbiguityResolution:
             kf = path.keyframes[-1]
             start = scn.repeat_start
             obs = visible_set(scn.world, start.x, start.y, start.theta, scn.camera)
-            uc, uj = cols(match(obs, kf, NoiseModel(), NoiseModel().make_rng()))
+            uc, uj = match_cols(match(obs, kf, NoiseModel(), NoiseModel().make_rng()), kf)
             std_cmd, _ = standard_command(uc, uj, scn.navigator.standard)
             slo_cmd, *_ = sloped_command(uc, uj, scn.navigator.sloped,
                                          tick_stats(uc, uj)["std_ratio"])
@@ -283,7 +281,7 @@ class TestSwitchingCorrectness:
             for f, pose in enumerate(extended):
                 obs = visible_set(world, pose.x, pose.y, pose.theta, CAM)
                 m = match(obs, kf, quiet, quiet.make_rng())
-                if should_switch(tick_stats(*cols(m)), cfg):
+                if should_switch(tick_stats(*match_cols(m, kf)), cfg):
                     fired_at = f
                     break
             assert fired_at is not None, "switch never fired"

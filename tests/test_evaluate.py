@@ -30,7 +30,7 @@ from funnelnav.evaluate import (
     accuracy,
     controller_inside_grid,
     funnel_oracle,
-    grid_poses,
+    grid_axes,
     load_scenario,
     repeatability,
     run_scenario,
@@ -97,10 +97,16 @@ class TestGrid:
             GridSpec(x0=x0, x1=x1, nx=3, y0=y0, y1=y1, ny=3)
 
     def test_row_major_order_and_heading(self):
-        grid = GridSpec(x0=0.0, x1=1.0, nx=2, y0=0.0, y1=1.0, ny=2)
-        poses = list(grid_poses(grid, 0.3))
-        assert [(p.x, p.y) for p in poses] == [(0, 0), (1, 0), (0, 1), (1, 1)]
-        assert all(p.theta == pytest.approx(0.3) for p in poses)
+        # the axes run from x0 to x1 and y0 to y1, endpoints included, and
+        # both verdict walks, at the keyframe's heading, take x fastest
+        grid = GridSpec(x0=0.0, x1=2.8, nx=3, y0=-0.6, y1=0.2, ny=2)
+        xs, ys = grid_axes(grid)
+        assert (xs, ys) == ([0.0, 1.4, 2.8], [-0.6, 0.2])
+        world, kf = two_feature_keyframe()
+        for walk in (funnel_oracle, controller_inside_grid):
+            cells = [walk(kf, world, CAM, GridSpec(x, x, 1, y, y, 1)) for y in ys for x in xs]
+            assert walk(kf, world, CAM, grid) == [c for (c,) in cells]
+            assert [c for (c,) in cells] == [True, False, False, True, True, False]
 
 
 def two_feature_world():
@@ -117,12 +123,20 @@ def two_feature_keyframe():
     return world, path.keyframes[-1]
 
 
+def reference_poses(grid, theta):
+    """The grid's poses at one heading, row-major, built from linspace here
+    rather than by the code under test."""
+    xs = np.linspace(grid.x0, grid.x1, grid.nx).tolist()
+    ys = np.linspace(grid.y0, grid.y1, grid.ny).tolist()
+    return [Pose(x, y, theta) for y in ys for x in xs]
+
+
 def loop_oracle(kf, world, cam, grid):
     """The oracle's pose-by-pose float loop, the reference for its array form."""
     lms = {lm.id: lm for lm in world.landmarks}
     feats = [(lms[i], u_j) for i, u_j in sorted(kf.observations.items())]
     out = []
-    for pose in grid_poses(grid, kf.pose_truth.theta):
+    for pose in reference_poses(grid, kf.pose_truth.theta):
         c, s = math.cos(pose.theta), math.sin(pose.theta)
         inside = True
         for lm, u_j in feats:
@@ -149,7 +163,7 @@ def loop_controller(kf, world, cam, grid):
     """The controller's verdict pose by pose on the whole world, the reference
     for controller_inside_grid's walk over the grid's floats."""
     out = []
-    for pose in grid_poses(grid, kf.pose_truth.theta):
+    for pose in reference_poses(grid, kf.pose_truth.theta):
         obs = visible_set(world, pose.x, pose.y, pose.theta, cam)
         out.append(all(i in obs for i in kf.observations) and all(
             feature_vote(obs[i], u_j) == "forward" for i, u_j in kf.observations.items()))

@@ -12,7 +12,6 @@ from funnelnav import features
 from funnelnav.errors import InvalidPathError
 from funnelnav.features import (
     Keyframe,
-    MatchSet,
     NoiseModel,
     VisualPath,
     match,
@@ -35,11 +34,17 @@ KF = Keyframe(index=0, pose_truth=Pose(0, 0, 0), observations={1: 10.0, 2: -5.0,
 class TestMatch:
     def test_disjoint_ids_give_empty_set(self):
         m = match({7: 1.0, 8: 2.0}, KF, NoiseModel(), NoiseModel().make_rng())
-        assert len(m) == 0
+        assert m == {}
 
     def test_identity_with_zero_noise(self):
         m = match(dict(KF.observations), KF, NoiseModel(), NoiseModel().make_rng())
-        assert m == ((1, 10.0, 10.0), (2, -5.0, -5.0), (3, 40.0, 40.0))
+        assert m == {1: 10.0, 2: -5.0, 3: 40.0}
+
+    def test_ascending_id_order(self):
+        # the current image lists its ids in any order; a match lists them ascending
+        obs = {3: 1.0, 1: 2.0, 2: 3.0}
+        m = match(obs, KF, NoiseModel(), NoiseModel().make_rng())
+        assert m == obs and list(m) == sorted(m)
 
     def test_noise_free_match_never_calls_perturb(self, monkeypatch):
         calls = 0
@@ -54,14 +59,14 @@ class TestMatch:
         kf = Keyframe(0, Pose(0, 0, 0), dict(obs))
         for noise in (NoiseModel(), NoiseModel(dropout_prob=0.5, seed=3)):
             m = match(obs, kf, noise, noise.make_rng())
-            assert all(u_c == u_j for _, u_c, u_j in m)
+            assert all(u_c == kf.observations[i] for i, u_c in m.items())
         assert calls == 0
         noisy = NoiseModel(pixel_sigma=1.0)
         assert len(match(obs, kf, noisy, noisy.make_rng())) == calls == 29
 
     def test_partial_overlap(self):
         m = match({1: 9.0, 9: 3.0}, KF, NoiseModel(), NoiseModel().make_rng())
-        assert m == ((1, 9.0, 10.0),)
+        assert m == {1: 9.0}
 
     def test_seeded_determinism(self):
         noise = NoiseModel(dropout_prob=0.3, pixel_sigma=2.0, seed=42)
@@ -221,7 +226,7 @@ class TestPythonMedian:
         assert median(xs) == float(np.median(xs)) == 0.0
 
 
-def _mixed_pairs(n: int, seed: int) -> MatchSet:
+def _mixed_pairs(n: int, seed: int) -> tuple:
     """n pairs of finite values of either sign at scales from 1e-4 to 1e5, so
     squares and their sums stay finite."""
     rng = np.random.default_rng(seed)

@@ -5,6 +5,7 @@ import inspect
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,15 @@ class TestNormalizeAngle:
         # sign included
         w = normalize_angle(a)
         assert struct.pack("d", normalize_angle(w)) == struct.pack("d", w)
+
+
+class TestPose:
+    @pytest.mark.parametrize("value", [1, True, np.float64(1.0)], ids=["int", "bool", "numpy"])
+    def test_fields_are_floats(self, value):
+        # an output prints a Pose's fields, so their type must not follow the caller's
+        p = Pose(value, value, value)
+        assert [type(v) for v in (p.x, p.y, p.theta)] == [float] * 3
+        assert (repr(p.x), repr(p.y)) == ("1.0", "1.0")
 
 
 def project(landmark, pose, cam):

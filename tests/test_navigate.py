@@ -28,7 +28,7 @@ from funnelnav.navigate import (
 )
 from funnelnav.teach import TeachScript, record
 
-from conftest import ALL_SCENARIOS, SCENARIO_DIR, cols, ms
+from conftest import ALL_SCENARIOS, SCENARIO_DIR, cols, match_cols, ms
 
 CAM = CameraModel()
 CFG = NavigatorConfig()
@@ -106,11 +106,11 @@ class TestShouldSwitch:
 
         p = kf.pose_truth
         at_kf = match(visible_set(world, p.x, p.y, p.theta, CAM), kf, quiet, quiet.make_rng())
-        assert not should_switch(tick_stats(*cols(at_kf)), CFG)  # ratio exactly 1 is not past
+        assert not should_switch(tick_stats(*match_cols(at_kf, kf)), CFG)  # ratio exactly 1 is not past
         past = step(kf.pose_truth, MotionCommand(0.5, 0.0), 0.1)
         past_m = match(visible_set(world, past.x, past.y, past.theta, CAM), kf, quiet,
                        quiet.make_rng())
-        assert should_switch(tick_stats(*cols(past_m)), CFG)
+        assert should_switch(tick_stats(*match_cols(past_m, kf)), CFG)
 
 
 class TestNavigateOutcomes:
@@ -227,6 +227,16 @@ class TestTraceInvariants:
         terminal = [r for r in tr.records if r["event"] in TERMINAL_EVENTS]
         assert len(terminal) == 1
         assert tr.records[-1]["event"] == tr.outcome
+
+    def test_int_start_writes_the_float_start_bytes(self):
+        scn = load_scenario(SCENARIO_DIR / "funnel_two_features.yaml")
+        path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
+
+        def lines(start):
+            return navigate(scn.world, scn.camera, path, start, scn.navigator,
+                            scn.noise).jsonl_lines()
+
+        assert lines(Pose(0, 0, 0)) == lines(Pose(0.0, 0.0, 0.0))
 
     def test_summary_record_fields(self):
         tr = self._noisy_trace()

@@ -28,12 +28,12 @@ def test_controllers_import_only_image_side_types():
         assert geometry_imports == ["from .geometry import MotionCommand"]
 
 
-def test_only_features_names_the_match_triples():
-    # match builds (id, u_c, u_j) triples and the navigator unzips them once;
-    # every other module works on the tick's two coordinate columns
+@pytest.mark.parametrize("name", ["MatchSet", "grid_poses"])
+def test_no_module_names_a_removed_shape(name):
+    # a match is an id -> u map like an image, and a grid is its two axes;
+    # neither the (id, u_c, u_j) triples nor a Pose per grid cell come back
     src_dir = Path(standard.__file__).parent
-    naming = sorted(f.name for f in src_dir.glob("*.py") if "MatchSet" in f.read_text())
-    assert naming == ["features.py"]
+    assert [f.name for f in sorted(src_dir.glob("*.py")) if name in f.read_text()] == []
 
 
 @pytest.mark.parametrize("fn", [standard.standard_command, standard.inside_funnel,
