@@ -137,6 +137,11 @@ def controller_inside_grid(
 
 # --- scenarios ---------------------------------------------------------------
 
+# a controller's records are all held until report, about 1 kB each; the
+# largest shipped product is 10 runs * 16,000 ticks
+MAX_RUN_TICKS = 1_000_000
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -157,6 +162,9 @@ class Scenario:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.runs * self.navigator.max_ticks > MAX_RUN_TICKS:
+            raise ValueError(f"repeat.runs * navigator.max_ticks is at most {MAX_RUN_TICKS}, "
+                             f"not {self.runs} * {self.navigator.max_ticks}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.tolerance >= 0:
@@ -476,7 +484,7 @@ def scenario_from_dict(d: dict) -> Scenario:
             raise ConfigError(f"repeat.remove_landmarks: no landmark has id {sorted(missing)}")
         kept = tuple(lm for lm in world.landmarks if lm.id not in drop)
 
-        return _build(  # Scenario checks only the repeat block's runs, seed and tolerance
+        return _build(  # Scenario checks the repeat block's runs, seed and tolerance
             Scenario,
             "repeat",
             name=name,

@@ -2,13 +2,15 @@
 
 The camera looks along the robot heading; landmarks project onto a single
 horizontal image axis.  Positive image coordinates are on the RIGHT side of
-the image, negative on the left.  All functions here are pure and operate on
-immutable values.
+the image, negative on the left.  sense projects any sequence of landmarks,
+such as the few a tracked frame still follows; visible_set projects a whole
+World.  All functions here are pure and operate on immutable values.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -18,6 +20,7 @@ __all__ = [
     "World",
     "MotionCommand",
     "normalize_angle",
+    "sense",
     "visible_set",
     "step",
     "in_collision",
@@ -113,20 +116,22 @@ class World:
                 raise ValueError(f"landmark {lm.id} outside world bounds")
 
 
-def visible_set(
-    world: World, x: float, y: float, theta: float, cam: CameraModel
+def sense(
+    landmarks: Sequence[Landmark], x: float, y: float, theta: float, cam: CameraModel
 ) -> dict[int, float]:
-    """Map of landmark id -> image coordinate for all landmarks visible from
-    position (x, y) at heading theta, in world order.
+    """Map of landmark id -> image coordinate for those of landmarks visible
+    from position (x, y) at heading theta, in the order given.
 
     A landmark's coordinate is focal_length * lateral / depth, positive on the
     right side of the image.  It is not visible when it lies closer than
-    min_depth along the heading or when |u| exceeds half_width.
+    min_depth along the heading or when |u| exceeds half_width.  Each landmark
+    is judged alone, so sensing a subset gives that subset's entries of
+    sensing the whole, float for float.
     """
     c, s = math.cos(theta), math.sin(theta)
     f, half_width, min_depth = cam.focal_length, cam.half_width, cam.min_depth
     out = {}
-    for lm in world.landmarks:
+    for lm in landmarks:
         dx = lm.x - x
         dy = lm.y - y
         depth = dx * c + dy * s
@@ -137,6 +142,15 @@ def visible_set(
             continue
         out[lm.id] = u
     return out
+
+
+def visible_set(
+    world: World, x: float, y: float, theta: float, cam: CameraModel
+) -> dict[int, float]:
+    """sense over all of world's landmarks, in world order."""
+    # kept only because perfbench's tracer wraps visible_set by name and
+    # counts args[0].landmarks; callers that hold a landmark sequence call sense
+    return sense(world.landmarks, x, y, theta, cam)
 
 
 def step(pose: Pose, cmd: MotionCommand, dt: float) -> Pose:

@@ -3,11 +3,13 @@
 Each tick the robot senses, matches against the destination keyframe of the
 active segment, and either switches segment (spread ratio above 1 and median
 distance under threshold), issues a controller command, or stops to recover
-lost features; STOP_LIMIT stopped ticks in a row end the run as lost.  A tick
-senses only the destination keyframe's landmarks: no other landmark can enter
-a match, so projecting it would be wasted work.  Tracking inside a segment is
-simulated as persistence of the matched id set with per-tick dropout; a full
-re-match happens only on a switch or during recovery.
+lost features; STOP_LIMIT stopped ticks in a row end the run as lost.
+Tracking inside a segment is simulated as persistence of the matched id set
+with per-tick dropout; a full re-match happens only on a switch or during
+recovery.  A tick projects only the landmarks it can use: a re-match senses
+the destination keyframe's landmarks, since no other landmark can enter a
+match, and a tracked tick senses only its tracked landmarks, since it reads
+only which of them stay in view, and where.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .geometry import (
     Pose,
     World,
     in_collision,
+    sense,
     step,
     visible_set,
 )
@@ -220,16 +223,17 @@ def navigate(
             "x": pose.x, "y": pose.y,
         })
 
-    for tick in range(cfg.max_ticks):
-        obs = visible_set(seen[dest], pose.x, pose.y, pose.theta, cam)
-        kf = path.keyframes[dest]
+    lm_of = {lm.id: lm for lm in world.landmarks}
 
+    for tick in range(cfg.max_ticks):
+        kf = path.keyframes[dest]
         if tracked is None:
-            m = match(obs, kf, noise, rng)
+            m = match(visible_set(seen[dest], pose.x, pose.y, pose.theta, cam), kf, noise, rng)
             tracked, uc = list(m), list(m.values())
         else:
-            tracked = [i for i in tracked if i in obs]
-            uc = perturb_all([obs[i] for i in tracked], noise, rng)
+            obs = sense([lm_of[i] for i in tracked], pose.x, pose.y, pose.theta, cam)
+            tracked = list(obs)  # ascending still: sense keeps the order given
+            uc = perturb_all(list(obs.values()), noise, rng)
         uj = [kf.observations[i] for i in tracked]
 
         stats = tick_stats(uc, uj)

@@ -5,6 +5,12 @@ the previous keyframe are still in view; the frame *before* the drop becomes
 the keyframe, so every keyframe still holds at least 50% of its segment's
 initial feature set.  Teaching is noiseless: a feature is tracked for as long
 as it stays inside the image.
+
+A frame projects only the landmarks still tracked, which is all the rule
+reads.  The whole world is projected, once per frame, only where it is read:
+at the first and last frames, at the two frames of each keyframe cut, and at
+a frame where fewer than 2 tracked landmarks stay in view, to tell whether it
+sees fewer than 2 at all.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import TeachDegenerateError
 from .features import Keyframe, VisualPath
-from .geometry import DT, CameraModel, MotionCommand, Pose, World, step, visible_set
+from .geometry import DT, CameraModel, MotionCommand, Pose, World, sense, step
 
 __all__ = ["TeachScript", "record"]
 
@@ -66,36 +72,48 @@ def record(
     the start pose sees fewer than min_features.
     """
     poses = script.poses()
-    frames = [visible_set(world, p.x, p.y, p.theta, cam) for p in poses]
-    for k, obs in enumerate(frames):
-        if len(obs) < 2:
-            raise TeachDegenerateError(f"frame {k} sees only {len(obs)} landmarks")
-    if len(frames[0]) < min_features:
-        raise TeachDegenerateError(
-            f"start pose sees {len(frames[0])} landmarks, need {min_features}"
-        )
+    lm_of = {lm.id: lm for lm in world.landmarks}
+    frames: dict[int, dict[int, float]] = {}  # frame -> the whole world's view
+
+    def whole(k: int) -> dict[int, float]:
+        """The whole world seen from frame k, projected once.  Every frame
+        before the loop's current one sees 2 or more landmarks, so a frame
+        found to see fewer is the first such frame."""
+        if k not in frames:
+            p = poses[k]
+            frames[k] = sense(world.landmarks, p.x, p.y, p.theta, cam)
+            if len(frames[k]) < 2:
+                raise TeachDegenerateError(f"frame {k} sees only {len(frames[k])} landmarks")
+        return frames[k]
 
     kf_frames = [0]
-    tracked = set(frames[0])
+    tracked = set(whole(0))
     initial = len(tracked)
 
-    for f in range(1, len(frames)):
-        new_tracked = tracked & set(frames[f])
+    for f in range(1, len(poses)):
+        p = poses[f]
+        new_tracked = set(sense([lm_of[i] for i in tracked], p.x, p.y, p.theta, cam))
+        if len(new_tracked) < 2:
+            whole(f)  # raises unless untracked landmarks make up the 2
         if len(new_tracked) / initial < 0.5:
             # the previous frame becomes the keyframe; never re-select a frame
             kf_frame = max(f - 1, kf_frames[-1] + 1)
             kf_frames.append(kf_frame)
-            tracked = set(frames[kf_frame]) & set(frames[f])
-            initial = len(set(frames[kf_frame]))
+            tracked = set(whole(kf_frame)) & set(whole(f))
+            initial = len(whole(kf_frame))
         else:
             tracked = new_tracked
+    if len(whole(0)) < min_features:  # after the loop: a degenerate frame's error wins
+        raise TeachDegenerateError(
+            f"start pose sees {len(whole(0))} landmarks, need {min_features}"
+        )
 
-    last = len(frames) - 1
+    last = len(poses) - 1
     if kf_frames[-1] != last:
         kf_frames.append(last)
 
     keyframes = tuple(
-        Keyframe(index=j, pose_truth=poses[fr], observations=dict(frames[fr]))
+        Keyframe(index=j, pose_truth=poses[fr], observations=dict(whole(fr)))
         for j, fr in enumerate(kf_frames)
     )
     return VisualPath(keyframes=keyframes)

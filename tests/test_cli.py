@@ -160,6 +160,12 @@ class TestExitCodes:
             ({"oracle": {"grid": {"nx": 0}}}, "oracle.grid.nx: must be at least 1, not 0"),
             ({"oracle": {"grid": {"nx": 1_000_000, "ny": 1_000_000}}},
              "oracle.grid: a grid has at most 1000000 poses"),
+            ({"repeat": {"runs": 1_000_000_000}},
+             "repeat: repeat.runs * navigator.max_ticks is at most 1000000, "
+             "not 1000000000 * 5000"),
+            ({"navigator": {"max_ticks": 10**12}},
+             "repeat: repeat.runs * navigator.max_ticks is at most 1000000, "
+             "not 2 * 1000000000000"),
         ],
         ids=["repeat-list", "controllers-list", "misspelled-navigator", "noise-seed",
              "navigator-sloped", "generator-unknown-key", "two-generators", "max-ticks-1.5",
@@ -173,7 +179,8 @@ class TestExitCodes:
              "half-width-negative", "omega-max-zero", "norm-floor-zero", "sx-epsilon",
              "grid-generator", "grid-span-overflow",
              "sloped-without-v-max", "standard-without-omega0", "step-v-negative",
-             "grid-nx-0", "grid-over-pose-cap"],
+             "grid-nx-0", "grid-over-pose-cap", "runs-over-run-tick-cap",
+             "max-ticks-over-run-tick-cap"],
     )
     def test_malformed_section_exits_2(self, tmp_path, capsys, overrides, named):
         cfg = small_config(tmp_path, **overrides)

@@ -20,6 +20,7 @@ from funnelnav.evaluate import (
     MAX_DEPTH,
     MAX_GRID_POSES,
     MAX_LANDMARKS,
+    MAX_RUN_TICKS,
     GridSpec,
     Scenario,
     _count,
@@ -586,6 +587,20 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=named) as e:
             scenario_from_dict(d)
         assert len(str(e.value)) < 1000
+
+    def test_run_ticks_capped_at_load(self):
+        # a controller's records are all held until report, so runs times
+        # max_ticks bounds its memory; the cap admits its own product
+        d = minimal_scenario_dict(navigator={"max_ticks": MAX_RUN_TICKS // 10})
+        d["repeat"]["runs"] = 10
+        scn = scenario_from_dict(d)
+        assert scn.runs * scn.navigator.max_ticks == MAX_RUN_TICKS == 10**6
+        d["repeat"]["runs"] = 11
+        with pytest.raises(ConfigError, match=r"^repeat: repeat\.runs \* navigator\.max_ticks "
+                                              r"is at most 1000000, not 11 \* 100000$"):
+            scenario_from_dict(d)
+        shipped = [load_scenario(f) for f in ALL_SCENARIOS]
+        assert max(s.runs * s.navigator.max_ticks for s in shipped) == 10 * 16_000
 
     def test_empty_optional_blocks_read_as_defaults(self):
         d = minimal_scenario_dict(

@@ -19,6 +19,7 @@ from funnelnav.geometry import (
     World,
     in_collision,
     normalize_angle,
+    sense,
     step,
     visible_set,
 )
@@ -171,17 +172,25 @@ class TestVisibleSet:
         points=st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)), max_size=30),
         keep=st.lists(st.booleans(), min_size=30, max_size=30),
         pose=st.builds(Pose, st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(-4.0, 4.0)),
+        shuffle=st.randoms(use_true_random=False),
     )
-    def test_a_subset_world_sees_the_subset_of_the_whole_world(self, points, keep, pose):
-        # a repeat tick senses only its keyframe's landmarks; this is why that
-        # changes no float of the trace
+    def test_a_subset_world_sees_the_subset_of_the_whole_world(self, points, keep, pose, shuffle):
+        # a repeat tick senses only its keyframe's landmarks, and a tracked
+        # frame or tick only its tracked ones; this is why that changes no
+        # float of a path or trace
         lms = tuple(Landmark(i, x, y) for i, (x, y) in enumerate(points))
         world = World(landmarks=lms, bounds=(-20, -20, 20, 20))
         subset = World(landmarks=tuple(lm for lm, k in zip(lms, keep) if k), bounds=world.bounds)
         ids = {lm.id for lm in subset.landmarks}
         at = (pose.x, pose.y, pose.theta)
-        expected = [(i, u) for i, u in visible_set(world, *at, CAM).items() if i in ids]
+        whole = visible_set(world, *at, CAM)
+        expected = [(i, u) for i, u in whole.items() if i in ids]
         assert repr(list(visible_set(subset, *at, CAM).items())) == repr(expected)
+        # sense keeps the order it is given
+        shuffled = list(subset.landmarks)
+        shuffle.shuffle(shuffled)
+        expected = [(lm.id, whole[lm.id]) for lm in shuffled if lm.id in whole]
+        assert repr(list(sense(shuffled, *at, CAM).items())) == repr(expected)
 
 
 class TestStep:

@@ -203,6 +203,37 @@ class TestStatisticsOncePerTick:
         assert calls == {"std_ratio": once, "median_distance": once, "mse": once}
 
 
+class TestSensingPerTick:
+    """A re-matching tick senses its destination keyframe's landmarks through
+    visible_set, and a tracked tick hands sense exactly its tracked landmarks:
+    the ids that the previous tick's tracking attrition kept."""
+
+    @pytest.mark.parametrize("run", ["sharp_turn-sloped", "sharp_turn-standard"])
+    def test_a_tracked_tick_senses_exactly_its_tracked_landmarks(self, monkeypatch, run):
+        args = navigate_args(run)
+        world_landmarks = set(args[0].landmarks)
+        events = []
+        for name, shown in (("visible_set", lambda args, out: None),
+                            ("sense", lambda args, out: [lm.id for lm in args[0]]),
+                            ("survivors", lambda args, out: list(out))):
+            def spying(*args, _name=name, _shown=shown, _fn=getattr(funnelnav.navigate, name)):
+                out = _fn(*args)
+                events.append((_name, _shown(args, out)))
+                if _name == "sense":  # the repeat world's own landmarks
+                    assert set(args[0]) <= world_landmarks
+                return out
+            monkeypatch.setattr(funnelnav.navigate, name, spying)
+        tr = navigate(*args)
+
+        sensed = [k for k, (name, _) in enumerate(events) if name == "sense"]
+        assert sensed and len(sensed) < len(events)  # both kinds of tick occur
+        for k in sensed:
+            assert events[k - 1] == ("survivors", events[k][1])
+        # one projection per loop tick, of one kind or the other
+        ticks = len({r["tick"] for r in tr.records}) - (tr.outcome == "timeout")
+        assert sum(name != "survivors" for name, _ in events) == ticks
+
+
 class TestTraceInvariants:
     def _noisy_trace(self, seed=3):
         world = corridor_world()

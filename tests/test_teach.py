@@ -3,8 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from funnelnav import teach
 from funnelnav.errors import TeachDegenerateError
+from funnelnav.features import Keyframe, VisualPath
 from funnelnav.geometry import DT, CameraModel, Landmark, MotionCommand, Pose, World, visible_set
 from funnelnav.teach import MAX_FRAMES, START, TeachScript, record
 
@@ -141,3 +145,111 @@ class TestDegenerateInputs:
         a = record(world, CAM, straight(20.0), min_features=4)
         b = record(world, CAM, straight(20.0), min_features=4)
         assert a == b
+
+
+def reference_record(world, cam, script, min_features):
+    """record as it was written first, projecting the whole world on every
+    frame: the reference that record, which projects only the tracked
+    landmarks, must equal."""
+    poses = script.poses()
+    frames = [visible_set(world, p.x, p.y, p.theta, cam) for p in poses]
+    for k, obs in enumerate(frames):
+        if len(obs) < 2:
+            raise TeachDegenerateError(f"frame {k} sees only {len(obs)} landmarks")
+    if len(frames[0]) < min_features:
+        raise TeachDegenerateError(
+            f"start pose sees {len(frames[0])} landmarks, need {min_features}"
+        )
+
+    kf_frames = [0]
+    tracked = set(frames[0])
+    initial = len(tracked)
+
+    for f in range(1, len(frames)):
+        new_tracked = tracked & set(frames[f])
+        if len(new_tracked) / initial < 0.5:
+            kf_frame = max(f - 1, kf_frames[-1] + 1)
+            kf_frames.append(kf_frame)
+            tracked = set(frames[kf_frame]) & set(frames[f])
+            initial = len(set(frames[kf_frame]))
+        else:
+            tracked = new_tracked
+
+    last = len(frames) - 1
+    if kf_frames[-1] != last:
+        kf_frames.append(last)
+
+    keyframes = tuple(
+        Keyframe(index=j, pose_truth=poses[fr], observations=dict(frames[fr]))
+        for j, fr in enumerate(kf_frames)
+    )
+    return VisualPath(keyframes=keyframes)
+
+
+def outcome(fn, *args):
+    """repr of fn's path, or the text of the TeachDegenerateError it raises."""
+    try:
+        return repr(fn(*args))
+    except TeachDegenerateError as e:
+        return f"TeachDegenerateError: {e}"
+
+
+class TestTrackedProjection:
+    @settings(max_examples=100)
+    @given(
+        # n landmarks evenly spaced in bearing around the start, at random
+        # ranges, with shuffled ids, so a set's order is not the world's; the
+        # drive turns, so that keyframes are cut
+        n=st.integers(2, 30),
+        ids=st.permutations(range(30)),
+        ranges=st.lists(st.floats(2.0, 8.0), min_size=30, max_size=30),
+        steps=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
+                                 st.floats(0.1, 3.0)), min_size=1, max_size=4),
+        min_features=st.integers(2, 8),
+    )
+    def test_equals_the_whole_frame_reference(self, n, ids, ranges, steps, min_features):
+        world = World(tuple(Landmark(i, r * math.cos(2 * math.pi * k / n),
+                                     r * math.sin(2 * math.pi * k / n))
+                            for k, (i, r) in enumerate(zip(ids[:n], ranges))),
+                      bounds=(-8, -8, 8, 8))
+        script = TeachScript(tuple((MotionCommand(v, w), d) for v, w, d in steps))
+        args = (world, CAM, script, min_features)
+        # repr compares every keyframe's pose and observations, floats to the bit
+        assert outcome(record, *args) == outcome(reference_record, *args)
+
+    @pytest.mark.parametrize(
+        "world, min_features, error",
+        [
+            # the start pose sees 4 of min_features 5, and the drive passes
+            # all 4, so a later frame sees fewer than 2: the frame's error
+            # wins, as in the reference
+            (World((Landmark(1, 1.0, 0.0), Landmark(2, 1.0, 0.1), Landmark(3, 1.0, -0.1),
+                    Landmark(4, 1.2, 0.0)), (-5, -5, 15, 5)), 5,
+             "frame 10 sees only 1 landmarks"),
+            # 1 of 2 tracked landmarks leaves view, which is no cut (half
+            # stay), yet the frame sees only 1 landmark in all
+            (World((Landmark(1, 1.0, 0.0), Landmark(2, 50.0, 0.0)), (-5, -5, 60, 5)), 2,
+             "frame 10 sees only 1 landmarks"),
+        ],
+        ids=["late-frame-and-start-pose", "one-of-two-left-without-a-cut"],
+    )
+    def test_a_degenerate_frame_raises_as_in_the_reference(self, world, min_features, error):
+        args = (world, CAM, straight(5.0, v=1.0), min_features)
+        assert outcome(record, *args) == f"TeachDegenerateError: {error}"
+        assert outcome(reference_record, *args) == outcome(record, *args)
+
+    def test_projects_the_whole_world_only_where_it_is_read(self, monkeypatch):
+        # frame 0, the two frames of each cut and the last frame; the corridor
+        # never leaves fewer than 2 tracked landmarks in view
+        calls, real = [], teach.sense
+
+        def counting(landmarks, *args):
+            calls.append(len(landmarks))
+            return real(landmarks, *args)
+
+        monkeypatch.setattr(teach, "sense", counting)
+        world = corridor()
+        path = record(world, CAM, straight(20.0), min_features=4)
+        whole = calls.count(len(world.landmarks))
+        assert whole <= 2 * (len(path.keyframes) - 2) + 2
+        assert len(calls) - whole == len(straight(20.0).poses()) - 1  # one per later frame
