@@ -18,8 +18,10 @@ from .errors import ConfigError
 from .features import Keyframe, NoiseModel, VisualPath
 # read only by perfbench/run.py, whose tracer wraps evaluate.match
 from .features import match  # noqa: F401
-from .geometry import CameraModel, Landmark, MotionCommand, Pose, World, visible_set
-from .navigate import NavigatorConfig, RunTrace, keyframe_world, navigate
+from .geometry import CameraModel, Landmark, MotionCommand, Pose, World, sense_row
+# read only by perfbench/run.py, whose tracer wraps evaluate.visible_set
+from .geometry import visible_set  # noqa: F401
+from .navigate import NavigatorConfig, RunTrace, navigate
 from .teach import START, TeachScript, record
 
 __all__ = [
@@ -126,13 +128,24 @@ def controller_inside_grid(
 ) -> list[bool]:
     """The controller's own "inside combined funnel lane" verdict on each grid
     cell, in grid_axes' order: it sees every keyframe landmark, and their
-    noise-free pairs are inside."""
+    noise-free pairs are inside.  A keyframe landmark that world lacks is
+    never seen, so then no cell is inside.
+
+    The grid is projected one row at a time by sense_row, so no more than a
+    row's coordinates are held at once.
+    """
     ids, uj = zip(*sorted(kf.observations.items()))  # a tick's ascending id order
-    seen = keyframe_world(world, kf)  # only kf's landmarks
-    theta = kf.pose_truth.theta  # normalised already, so a Pose per cell would change no bit
+    lm_of = {lm.id: lm for lm in world.landmarks}
     xs, ys = grid_axes(grid)
-    return [len(obs := visible_set(seen, x, y, theta, cam)) == len(ids)
-            and inside_funnel([obs[i] for i in ids], uj) for y in ys for x in xs]
+    if not lm_of.keys() >= set(ids):
+        return [False] * (len(xs) * len(ys))
+    lms = [lm_of[i] for i in ids]
+    theta = kf.pose_truth.theta  # normalised already, so a Pose per cell would change no bit
+    out = []
+    for y in ys:
+        seen, cols = sense_row(lms, xs, y, theta, cam)
+        out += [ok and inside_funnel(uc, uj) for ok, uc in zip(seen, cols)]
+    return out
 
 
 # --- scenarios ---------------------------------------------------------------

@@ -4,7 +4,8 @@ The camera looks along the robot heading; landmarks project onto a single
 horizontal image axis.  Positive image coordinates are on the RIGHT side of
 the image, negative on the left.  sense projects any sequence of landmarks,
 such as the few a tracked frame still follows; visible_set projects a whole
-World.  All functions here are pure and operate on immutable values.
+World; sense_row projects landmarks from a whole row of positions at once.
+All functions here are pure and operate on immutable values.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "Pose",
@@ -21,6 +24,7 @@ __all__ = [
     "MotionCommand",
     "normalize_angle",
     "sense",
+    "sense_row",
     "visible_set",
     "step",
     "in_collision",
@@ -142,6 +146,32 @@ def sense(
             continue
         out[lm.id] = u
     return out
+
+
+def sense_row(
+    landmarks: Sequence[Landmark], xs: Sequence[float], y: float, theta: float,
+    cam: CameraModel,
+) -> tuple[list[bool], list[list[float]]]:
+    """sense of landmarks from each position (xs[k], y) of a row at heading
+    theta, in one numpy pass: seen[k] says whether every landmark is visible
+    from there, and cols[k] holds their image coordinates in the order given.
+
+    The arithmetic and the visibility tests are sense's, elementwise in
+    float64, which fuses no operations, so each coordinate equals sense's float
+    bit for bit.  A row of many positions pays numpy's per-call cost once; for
+    one pose, sense's loop is faster.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    f = cam.focal_length
+    lx = np.array([lm.x for lm in landmarks], dtype=float)[:, np.newaxis]
+    ly = np.array([lm.y for lm in landmarks], dtype=float)[:, np.newaxis]
+    with np.errstate(all="ignore"):  # inf and NaN pass or fail the tests as in float math
+        dx = lx - np.asarray(xs, dtype=float)
+        dy = ly - y
+        depth = dx * c + dy * s
+        u = f * -(-dx * s + dy * c) / depth
+        hidden = (depth < cam.min_depth) | (abs(u) > cam.half_width)
+    return (~hidden.any(axis=0)).tolist(), u.T.tolist()
 
 
 def visible_set(

@@ -226,23 +226,41 @@ class TestFunnelOracle:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert funnel_oracle(kf, world, CAM, grid) == loop_oracle(kf, world, CAM, grid)
+                assert controller_inside_grid(kf, world, CAM, grid) == loop_controller(
+                    kf, world, CAM, grid)
+
+    def test_keyframe_landmark_missing_from_world_is_never_seen(self, scenario_dir):
+        # closed_loop's repeat world lacks ids 20-27, which its fifth keyframe
+        # observed: the controller never sees all of its landmarks there
+        scn = load_scenario(scenario_dir / "closed_loop.yaml")
+        path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
+        kf = path.keyframes[4]
+        assert {20, 21} <= kf.observations.keys()
+        p = kf.pose_truth
+        grid = GridSpec(p.x - 0.5, p.x + 0.5, 21, p.y - 0.5, p.y + 0.5, 21)
+        assert True in controller_inside_grid(kf, scn.world, scn.camera, grid)
+        verdicts = controller_inside_grid(kf, scn.repeat_world, scn.camera, grid)
+        assert verdicts == [False] * (21 * 21)
+        assert verdicts == loop_controller(kf, scn.repeat_world, scn.camera, grid)
 
     @pytest.mark.parametrize("judge", [funnel_oracle, controller_inside_grid],
                              ids=["funnel_oracle", "controller_inside_grid"])
     def test_shipped_grid_peaks_under_2_mb(self, judge, scenario_dir):
         # judged pose by pose from a list of Pose objects, the 200 x 200 grid
-        # peaked at about 7.5 MB
-        scn = load_scenario(scenario_dir / "funnel_two_features.yaml")
-        path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
-        kf = path.keyframes[scn.oracle_keyframe]
-        tracemalloc.start()
-        try:
-            verdicts = judge(kf, scn.world, scn.camera, scn.oracle_grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(verdicts) == 200 * 200
-        assert peak < 2_000_000
+        # peaked at about 7.5 MB.  almost_straight's keyframe has 18 landmarks,
+        # whose coordinates over the whole grid at once would take several MB
+        for name in ("funnel_two_features", "almost_straight"):
+            scn = load_scenario(scenario_dir / f"{name}.yaml")
+            path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
+            kf = path.keyframes[scn.oracle_keyframe]
+            tracemalloc.start()
+            try:
+                verdicts = judge(kf, scn.world, scn.camera, scn.oracle_grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(verdicts) == 200 * 200
+            assert peak < 2_000_000, name
 
     def test_pose_just_behind_keyframe_is_inside(self):
         world, kf = two_feature_keyframe()

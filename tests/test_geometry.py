@@ -20,6 +20,7 @@ from funnelnav.geometry import (
     in_collision,
     normalize_angle,
     sense,
+    sense_row,
     step,
     visible_set,
 )
@@ -191,6 +192,47 @@ class TestVisibleSet:
         shuffle.shuffle(shuffled)
         expected = [(lm.id, whole[lm.id]) for lm in shuffled if lm.id in whole]
         assert repr(list(sense(shuffled, *at, CAM).items())) == repr(expected)
+
+
+# Seen from a row position in _ROW_XS at heading 0 (the two subnormals round
+# away in lm.x - x), these coordinates put landmarks exactly at min_depth (1.5
+# from 1.0), a float either side of it, at depth 0 (where u would be 0 / 0 or
+# c / 0), behind the camera and exactly on the image border (|y| = 1 at
+# depth 2, so |u| = 100).
+_ROW_XS = st.sampled_from([0.0, 1.0, -1.0, 5e-324, -5e-324])
+_NEAR = [0.5, 1.5, 0.0, 1.0, 2.0, 3.0, -1.0, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
+
+
+class TestSenseRow:
+    @settings(max_examples=300)
+    @given(
+        points=st.lists(
+            st.tuples(st.one_of(st.floats(-20.0, 20.0), st.sampled_from(_NEAR)),
+                      st.one_of(st.floats(-20.0, 20.0), st.sampled_from([1.0, -1.0, 0.0, 0.25]))),
+            max_size=12,
+        ),
+        xs=st.lists(st.one_of(st.floats(-20.0, 20.0), _ROW_XS), min_size=1, max_size=12),
+        y=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
+        theta=st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),
+    )
+    @example(points=[(0.5, 0.0), (1.5, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, -1.0), (-1.0, 0.0)],
+             xs=[0.0, 1.0, -1.0, 5e-324], y=0.0, theta=0.0)
+    # all seen from x = 0, one at min_depth and two on the border
+    @example(points=[(0.5, 0.0), (2.0, 1.0), (2.0, -1.0)], xs=[0.0, 1.0], y=0.0, theta=0.0)
+    def test_each_cell_equals_sense_float_for_float(self, points, xs, y, theta):
+        # an equal verdict can hide a coordinate that differs but still votes
+        # forward, so every visible coordinate is compared to the bit
+        cam = CameraModel(focal_length=200.0, half_width=100.0, min_depth=0.5)
+        lms = [Landmark(i, x, ly) for i, (x, ly) in enumerate(points)]
+        seen, cols = sense_row(lms, xs, y, theta, cam)
+        assert len(seen) == len(cols) == len(xs)
+        for x, all_seen, col in zip(xs, seen, cols):
+            obs = sense(lms, x, y, theta, cam)
+            assert all_seen is (len(obs) == len(lms))
+            assert len(col) == len(lms)
+            # repr compares ids, order and every float to the bit, signed zeros included
+            shown = [(lm.id, u) for lm, u in zip(lms, col) if lm.id in obs]
+            assert repr(shown) == repr(list(obs.items()))
 
 
 class TestStep:
