@@ -6,14 +6,18 @@ controller takes the tick's two columns uc and uj, paired by position in
 ascending id order.  The majority wins and the robot turns at a fixed preset
 radius.  The command's rotational speed is always one of
 {-omega0, 0, +omega0}: the constant-radius limitation is structural.  One
-tally gives both the command and the lane verdict (every vote forward).
+tally gives both the command and the lane verdict (every vote forward);
+inside_funnel gives the same verdict for many poses at once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EmptyMatchError
 from .geometry import MotionCommand
@@ -81,11 +85,22 @@ def standard_command(
     return MotionCommand(p.v0, omega), forward == len(uc)
 
 
-def inside_funnel(uc: list[float], uj: list[float]) -> bool:
-    """True when every pair of uc and uj satisfies both funnel constraints."""
-    if len(uc) == 0:
+def inside_funnel(uc: np.ndarray, uj: Sequence[float]) -> np.ndarray:
+    """Whether each of m poses lies inside the funnel lane (every feature votes
+    forward): row j of the (n, m) array uc holds feature j's current
+    coordinate at each pose, and uj holds the n keyframe coordinates.
+
+    The forward test is feature_vote's two tests, each negated rather than
+    flipped, so NaN, infinities and signed zeros get feature_vote's verdicts.
+    """
+    uj = np.asarray(uj, dtype=float)
+    if len(uj) == 0:
         raise EmptyMatchError("inside_funnel on empty match set")
-    for u_c, u_j in zip(uc, uj):
-        if feature_vote(u_c, u_j) != FORWARD:
-            return False
-    return True
+    uc = np.asarray(uc, dtype=float)
+    if uc.ndim != 2 or len(uc) != len(uj):
+        # a 1-D column would broadcast against uj's column into n x n verdicts
+        raise ValueError(f"uc needs {len(uj)} rows, one per feature, not shape {uc.shape}")
+    uj = uj[:, np.newaxis]
+    with np.errstate(all="ignore"):  # inf * 0.0 is NaN, which votes forward as in float math
+        forward = ~(abs(uc) >= abs(uj)) & ~(uc * uj < 0)
+    return forward.all(axis=0)

@@ -131,10 +131,11 @@ def controller_inside_grid(
     noise-free pairs are inside.  A keyframe landmark that world lacks is
     never seen, so then no cell is inside.
 
-    The grid is projected one row at a time by sense_row, so no more than a
-    row's coordinates are held at once.
+    The grid is projected and judged one row at a time, by sense_row and
+    inside_funnel, so no more than a row's coordinates are held at once.
     """
     ids, uj = zip(*sorted(kf.observations.items()))  # a tick's ascending id order
+    uj = np.array(uj)
     lm_of = {lm.id: lm for lm in world.landmarks}
     xs, ys = grid_axes(grid)
     if not lm_of.keys() >= set(ids):
@@ -143,8 +144,8 @@ def controller_inside_grid(
     theta = kf.pose_truth.theta  # normalised already, so a Pose per cell would change no bit
     out = []
     for y in ys:
-        seen, cols = sense_row(lms, xs, y, theta, cam)
-        out += [ok and inside_funnel(uc, uj) for ok, uc in zip(seen, cols)]
+        seen, u = sense_row(lms, xs, y, theta, cam)
+        out += (seen & inside_funnel(u, uj)).tolist()
     return out
 
 

@@ -151,15 +151,17 @@ def sense(
 def sense_row(
     landmarks: Sequence[Landmark], xs: Sequence[float], y: float, theta: float,
     cam: CameraModel,
-) -> tuple[list[bool], list[list[float]]]:
-    """sense of landmarks from each position (xs[k], y) of a row at heading
-    theta, in one numpy pass: seen[k] says whether every landmark is visible
-    from there, and cols[k] holds their image coordinates in the order given.
+) -> tuple[np.ndarray, np.ndarray]:
+    """sense of n landmarks from each of the m positions (xs[k], y) of a row
+    at heading theta, in one numpy pass: the (m,) bool array seen says whether
+    every landmark is visible from each position, and column k of the (n, m)
+    float64 array u holds their image coordinates there, in the order given.
+    The entries of a landmark hidden from a position mean nothing.
 
     The arithmetic and the visibility tests are sense's, elementwise in
-    float64, which fuses no operations, so each coordinate equals sense's float
-    bit for bit.  A row of many positions pays numpy's per-call cost once; for
-    one pose, sense's loop is faster.
+    float64, which fuses no operations, so each visible coordinate equals
+    sense's float bit for bit.  A row of many positions pays numpy's per-call
+    cost once; for one pose, sense's loop is faster.
     """
     c, s = math.cos(theta), math.sin(theta)
     f = cam.focal_length
@@ -171,7 +173,7 @@ def sense_row(
         depth = dx * c + dy * s
         u = f * -(-dx * s + dy * c) / depth
         hidden = (depth < cam.min_depth) | (abs(u) > cam.half_width)
-    return (~hidden.any(axis=0)).tolist(), u.T.tolist()
+    return ~hidden.any(axis=0), u
 
 
 def visible_set(

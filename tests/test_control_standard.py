@@ -1,9 +1,12 @@
 """Majority-vote controller unit tests."""
 
+import itertools
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -30,10 +33,23 @@ P = StandardParams(v0=0.5, omega0=0.4)
 
 # zero coordinates (either sign) and |u_c| == |u_j| ties are the vote's edges
 COORD = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-150.0, 150.0))
-PAIR = st.one_of(
-    st.tuples(COORD, COORD),
-    COORD.flatmap(lambda u: st.tuples(st.sampled_from((u, -u)), st.just(u))),
-)
+
+
+@st.composite
+def poses(draw):
+    """n <= 8 keyframe coordinates uj and, for each of m <= 6 poses, the n
+    current coordinates there: each one any COORD, or equal in magnitude to
+    its keyframe coordinate."""
+    uj = draw(st.lists(COORD, min_size=1, max_size=8))
+    current = st.tuples(*(st.one_of(COORD, st.sampled_from((u, -u))) for u in uj))
+    return [list(c) for c in draw(st.lists(current, min_size=1, max_size=6))], uj
+
+
+def one_pose(pairs) -> tuple[np.ndarray, list[float]]:
+    """The (n, 1) column of current coordinates of (id, u_c, u_j) pairs, and
+    their keyframe coordinates: inside_funnel's arguments for one pose."""
+    uc, uj = cols(pairs)
+    return np.array(uc)[:, np.newaxis], uj
 
 
 class TestFeatureVote:
@@ -121,20 +137,47 @@ class TestStandardCommand:
 
 class TestInsideFunnel:
     def test_all_forward_is_inside(self):
-        assert inside_funnel(*cols(ms((1, 5.0, 10.0), (2, -3.0, -10.0))))
+        assert inside_funnel(*one_pose(ms((1, 5.0, 10.0), (2, -3.0, -10.0)))).tolist() == [True]
 
     def test_one_violation_is_outside(self):
-        assert not inside_funnel(*cols(ms((1, 5.0, 10.0), (2, 30.0, 20.0))))
+        assert inside_funnel(*one_pose(ms((1, 5.0, 10.0), (2, 30.0, 20.0)))).tolist() == [False]
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMatchError):
-            inside_funnel(*cols(()))
+            inside_funnel(*one_pose(()))
+
+    @pytest.mark.parametrize("uc", [[5.0, -3.0], [[5.0, -3.0]], [[5.0], [-3.0], [1.0]]],
+                             ids=["1-D", "one-row", "three-rows"])
+    def test_uc_without_one_row_per_feature_raises(self, uc):
+        # a 1-D column would broadcast against the two keyframe coordinates
+        # into a 2 x 2 matrix and give two verdicts without an error
+        with pytest.raises(ValueError, match="one per feature"):
+            inside_funnel(np.array(uc), [10.0, -10.0])
 
     @settings(max_examples=300)
-    @given(st.lists(PAIR, min_size=1, max_size=8))
-    def test_command_verdict_equals_inside_funnel(self, coords):
-        m = tuple((i, a, b) for i, (a, b) in enumerate(coords))
-        assert standard_command(*cols(m), P)[1] == inside_funnel(*cols(m))
+    @given(poses())
+    def test_command_verdict_equals_inside_funnel(self, case):
+        # the poses stand side by side as the columns of uc; each one's
+        # verdict is the tick's verdict on that column
+        current, uj = case
+        verdicts = inside_funnel(np.array(current).T, uj)
+        assert verdicts.shape == (len(current),)
+        for inside, uc in zip(verdicts.tolist(), current):
+            assert inside is standard_command(uc, uj, P)[1]
+            assert inside is all(feature_vote(a, b) == FORWARD for a, b in zip(uc, uj))
+
+    def test_nan_and_infinities_vote_as_feature_vote_does(self):
+        # every pairing of these values, inf * 0.0 among them, two features
+        # at a time: 49 keyframes, each judged at 49 poses
+        special = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5.0, -5.0)
+        current = list(itertools.product(special, repeat=2))
+        uc = np.array(current).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for uj in itertools.product(special, repeat=2):
+                expected = [all(feature_vote(a, b) == FORWARD for a, b in zip(col, uj))
+                            for col in current]
+                assert inside_funnel(uc, uj).tolist() == expected
 
 
 class TestOneVotePerPair:

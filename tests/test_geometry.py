@@ -224,8 +224,12 @@ class TestSenseRow:
         # forward, so every visible coordinate is compared to the bit
         cam = CameraModel(focal_length=200.0, half_width=100.0, min_depth=0.5)
         lms = [Landmark(i, x, ly) for i, (x, ly) in enumerate(points)]
-        seen, cols = sense_row(lms, xs, y, theta, cam)
-        assert len(seen) == len(cols) == len(xs)
+        seen, u = sense_row(lms, xs, y, theta, cam)
+        assert (seen.shape, seen.dtype) == ((len(xs),), bool)
+        assert (u.shape, u.dtype) == ((len(lms), len(xs)), np.float64)
+        # as Python values: numpy 2's repr of a float64 is not the float's, and
+        # np.bool_ is not bool
+        seen, cols = seen.tolist(), u.T.tolist()
         for x, all_seen, col in zip(xs, seen, cols):
             obs = sense(lms, x, y, theta, cam)
             assert all_seen is (len(obs) == len(lms))
