@@ -7,15 +7,13 @@ offsets, summed over sides) that steers inside the lane.  Both functions take
 the tick's two coordinate columns uc and uj, paired by position in ascending
 id order.  evaluate_state computes the roll slope and the lane verdict from
 one pass that splits the pairs into sides; sloped_command takes the pitch
-slope from the spread ratio the navigator computed for the tick.  SlopedParams
-holds only the two speeds; the roll dead-band SX_EPSILON, the roll normaliser
-floor NORM_FLOOR and the turning speed floor V_FLOOR_FRAC are constants.
+slope from the spread ratio the navigator computed for the tick.  The turn
+rate omega_max is the one setting; the forward speed V_MAX, the roll dead-band
+SX_EPSILON, the roll normaliser floor NORM_FLOOR and the turning speed floor
+V_FLOOR_FRAC are constants.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 from .errors import EmptyMatchError
 from .features import median
@@ -24,7 +22,6 @@ from .features import std_ratio  # noqa: F401
 from .geometry import MotionCommand
 
 __all__ = [
-    "SlopedParams",
     "radius_policy",
     "evaluate_state",
     "sloped_command",
@@ -33,21 +30,11 @@ __all__ = [
 
 SX_EPSILON = 0.05  # dead-band around roll slope zero
 NORM_FLOOR = 5.0  # pixels; floors the roll normalizer near image center
-V_FLOOR_FRAC = 0.05  # fraction of v_max kept while turning, for liveness
+V_MAX = 0.5  # m/s, the forward speed inside the lane and the top speed of a turn
+V_FLOOR_FRAC = 0.05  # fraction of V_MAX kept while turning, for liveness
 
 
-@dataclass(frozen=True)
-class SlopedParams:
-    v_max: float
-    omega_max: float
-
-    def __post_init__(self):
-        for name in ("v_max", "omega_max"):
-            if not 0 < (v := getattr(self, name)) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, not {v!r}")
-
-
-def radius_policy(s_y: float, p: SlopedParams) -> float:
+def radius_policy(s_y: float) -> float:
     """Map the pitch slope to the forward speed of a turn at |omega| = omega_max.
 
     Linear with clamping: turning radius v/|omega| shrinks with the pitch
@@ -55,7 +42,7 @@ def radius_policy(s_y: float, p: SlopedParams) -> float:
     keeps the robot creeping forward; a pure in-place rotation can otherwise
     lock up when the lateral offset never changes.
     """
-    return p.v_max * max(min(max(s_y, 0.0), 1.0), V_FLOOR_FRAC)
+    return V_MAX * max(min(max(s_y, 0.0), 1.0), V_FLOOR_FRAC)
 
 
 def evaluate_state(uc: list[float], uj: list[float]) -> tuple[float, tuple[bool, bool, bool, bool]]:
@@ -96,7 +83,7 @@ def evaluate_state(uc: list[float], uj: list[float]) -> tuple[float, tuple[bool,
 
 
 def sloped_command(
-    uc: list[float], uj: list[float], p: SlopedParams, ratio: float | None
+    uc: list[float], uj: list[float], omega_max: float, ratio: float | None
 ) -> tuple[MotionCommand, float, float | None, bool]:
     """One control tick, as (cmd, s_x, s_y, inside): the command, the roll
     slope of evaluate_state, the pitch slope 1 - ratio and whether all four
@@ -115,7 +102,7 @@ def sloped_command(
     # without a usable spread ratio there is no radius to modulate; inside
     # the lane the conservative fallback is plain forward motion
     if inside and (abs(s_x) <= SX_EPSILON or s_y is None):
-        return MotionCommand(p.v_max, 0.0), s_x, s_y, inside
+        return MotionCommand(V_MAX, 0.0), s_x, s_y, inside
     drifted_left, drifted_right = not (c1 and c4), not (c2 and c3)
     if drifted_left != drifted_right:
         # direction +1 = left (CCW), -1 = right: turn back toward the lane
@@ -124,5 +111,5 @@ def sloped_command(
         # inside the lane, or both sides complain (large heading offsets
         # shortly after a keyframe switch do this): the roll slope arbitrates
         turn = 1 if s_x < 0 else -1
-    v = 0.0 if s_y is None else radius_policy(s_y, p)
-    return MotionCommand(v, turn * p.omega_max), s_x, s_y, inside
+    v = 0.0 if s_y is None else radius_policy(s_y)
+    return MotionCommand(v, turn * omega_max), s_x, s_y, inside

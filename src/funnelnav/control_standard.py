@@ -3,43 +3,30 @@
 Each matched feature votes forward/left/right from two qualitative
 constraints on its image coordinates, current u_c against keyframe u_j; the
 controller takes the tick's two columns uc and uj, paired by position in
-ascending id order.  The majority wins and the robot turns at a fixed preset
-radius.  The command's rotational speed is always one of
-{-omega0, 0, +omega0}: the constant-radius limitation is structural.  One
-tally gives both the command and the lane verdict (every vote forward);
-inside_funnel gives the same verdict for many poses at once.
+ascending id order.  The majority wins, at the forward speed V0 and a turn
+rate of -omega0, 0 or +omega0, so every turn has the one radius V0 / omega0:
+the constant-radius limitation is structural.  One tally gives both the
+command and the lane verdict (every vote forward); inside_funnel gives the
+same verdict for many poses at once.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyMatchError
 from .geometry import MotionCommand
 
-__all__ = ["StandardParams", "feature_vote", "standard_command", "inside_funnel"]
+__all__ = ["feature_vote", "standard_command", "inside_funnel"]
 
 FORWARD = "forward"
 LEFT = "left"
 RIGHT = "right"
 
-
-@dataclass(frozen=True)
-class StandardParams:
-    """Fixed translational and rotational speeds for the whole run."""
-
-    v0: float
-    omega0: float
-
-    def __post_init__(self):
-        for name in ("v0", "omega0"):
-            if not 0 < (v := getattr(self, name)) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, not {v!r}")
+V0 = 0.5  # m/s, the forward speed of every command
 
 
 def feature_vote(u_c: float, u_j: float) -> str:
@@ -64,9 +51,9 @@ def feature_vote(u_c: float, u_j: float) -> str:
 
 
 def standard_command(
-    uc: list[float], uj: list[float], p: StandardParams
+    uc: list[float], uj: list[float], omega0: float
 ) -> tuple[MotionCommand, bool]:
-    """Command for the majority direction at the preset speeds, and whether
+    """Command for the majority direction at V0 and turn rate omega0, and whether
     the pairs of uc and uj lie inside the funnel lane (every feature votes
     forward).
 
@@ -79,10 +66,10 @@ def standard_command(
     if forward >= max(left, right):
         omega = 0.0
     elif left >= right:
-        omega = p.omega0
+        omega = omega0
     else:
-        omega = -p.omega0
-    return MotionCommand(p.v0, omega), forward == len(uc)
+        omega = -omega0
+    return MotionCommand(V0, omega), forward == len(uc)
 
 
 def inside_funnel(uc: np.ndarray, uj: Sequence[float]) -> np.ndarray:

@@ -12,8 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
-from .control_sloped import SlopedParams
-from .control_standard import StandardParams, inside_funnel
+from .control_standard import inside_funnel
 from .errors import ConfigError
 from .features import Keyframe, NoiseModel, VisualPath
 # read only by perfbench/run.py, whose tracer wraps evaluate.match
@@ -337,7 +336,7 @@ _GRID = {"x0": _finite, "x1": _finite, "nx": _count, "y0": _finite, "y1": _finit
 # passes its value through; None leaves the value to the block's own code
 _KNOWN_KEYS = {
     "scenario": dict.fromkeys(("name", "world", "camera", "teach", "repeat", "noise",
-                               "navigator", "controllers", "oracle")),
+                               "navigator", "oracle")),
     "world": {"bounds": _rect, **dict.fromkeys(("landmarks", "generated", "obstacles"), _list)},
     "world.generated": dict.fromkeys(("ring", "line")),
     "world.generated.ring": {**dict.fromkeys(("cx", "cy", "radius", "phase"), _finite),
@@ -349,11 +348,8 @@ _KNOWN_KEYS = {
     "repeat": {"start": _numbers("x", "y", "theta"), "runs": _int, "seed": _int,
                "tolerance": _finite, "remove_landmarks": _list},
     "noise": dict.fromkeys(("dropout_prob", "pixel_sigma"), _finite),  # repeat.seed seeds runs
-    "navigator": {"threshold1_ed": _finite, "threshold2_features": _int,
-                  "max_ticks": _int},  # `repeat --controller` picks the controller
-    "controllers": dict.fromkeys(("standard", "sloped")),
-    "controllers.standard": dict.fromkeys(("v0", "omega0"), _finite),
-    "controllers.sloped": dict.fromkeys(("v_max", "omega_max"), _finite),
+    "navigator": {"threshold1_ed": _finite, "threshold2_features": _int, "max_ticks": _int,
+                  "omega0": _finite, "omega_max": _finite},  # `repeat --controller` picks one
     "oracle": {"keyframe": _int, "grid": None},
     "oracle.grid": _GRID,
 }
@@ -478,12 +474,6 @@ def scenario_from_dict(d: dict) -> Scenario:
         noise = _build(NoiseModel, "noise", **_section(d.get("noise"), "noise"))
 
         nav = _section(d.get("navigator"), "navigator")
-        ctrl = _section(d.get("controllers"), "controllers")
-        for key, cls, required in (("standard", StandardParams, ("v0", "omega0")),
-                                   ("sloped", SlopedParams, ("v_max", "omega_max"))):
-            if key in ctrl:
-                ctx = f"controllers.{key}"
-                nav[key] = _build(cls, ctx, **_section(ctrl[key], ctx, required))
         navigator = _build(NavigatorConfig, "navigator", **nav)
 
         o = _section(d.get("oracle"), "oracle")

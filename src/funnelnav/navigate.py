@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .control_sloped import SlopedParams, sloped_command
-from .control_standard import StandardParams, standard_command
+from .control_sloped import sloped_command
+from .control_standard import standard_command
 # read only by perfbench/run.py, whose tracer wraps navigate.inside_funnel
 from .control_standard import inside_funnel  # noqa: F401
 from .errors import ConfigError
@@ -65,12 +65,13 @@ class NavigatorConfig:
     threshold2_features: int = 4  # minimum matches to keep driving
     controller: str = "sloped"  # or "standard"
     max_ticks: int = 5000
-    standard: StandardParams = field(default_factory=lambda: StandardParams(0.5, 0.5))
-    sloped: SlopedParams = field(default_factory=lambda: SlopedParams(0.5, 0.5))
+    omega0: float = 0.5  # rad/s, the standard controller's turn rate
+    omega_max: float = 0.5  # rad/s, the sloped controller's turn rate
 
     def __post_init__(self):
-        if not 0 < (ed := self.threshold1_ed) < math.inf:
-            raise ValueError(f"threshold1_ed must be positive and finite, not {ed!r}")
+        for name in ("threshold1_ed", "omega0", "omega_max"):
+            if not 0 < (v := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, not {v!r}")
         if not 2 <= self.threshold2_features < math.inf:
             raise ValueError("threshold2_features must be at least 2 and finite")
         if self.controller not in ("standard", "sloped"):
@@ -258,10 +259,10 @@ def navigate(
             event = "recovered" if stopped else ""
             stopped = 0
             if cfg.controller == "standard":
-                cmd, inside = standard_command(uc, uj, cfg.standard)
+                cmd, inside = standard_command(uc, uj, cfg.omega0)
                 rec(tick, cmd, stats, event, inside=inside)
             else:
-                cmd, s_x, s_y, inside = sloped_command(uc, uj, cfg.sloped, stats["std_ratio"])
+                cmd, s_x, s_y, inside = sloped_command(uc, uj, cfg.omega_max, stats["std_ratio"])
                 rec(tick, cmd, stats, event, s_x, s_y, inside)
             pose = step(pose, cmd, DT)
             if in_collision(world, pose):

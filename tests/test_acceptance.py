@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from funnelnav.cli import main
-from funnelnav.control_sloped import SlopedParams, radius_policy, sloped_command
-from funnelnav.control_standard import standard_command
+from funnelnav.control_sloped import V_MAX, radius_policy, sloped_command
+from funnelnav.control_standard import V0, standard_command
 from funnelnav.errors import TeachDegenerateError
 from funnelnav.evaluate import (
     GridSpec,
@@ -45,6 +45,7 @@ from funnelnav.teach import START, TeachScript, record
 from conftest import SCENARIO_DIR, cols, match_cols, ms
 
 CAM = CameraModel()
+OMEGA_MAX = 0.5  # rad/s, the sloped turn rate of NavigatorConfig's default
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +112,7 @@ class TestOracleEquivalence:
 
 def slopes(uc, uj):
     """The sloped controller's (s_x, s_y), with the navigator's spread ratio."""
-    _, s_x, s_y, _ = sloped_command(uc, uj, SlopedParams(0.5, 0.5), tick_stats(uc, uj)["std_ratio"])
+    _, s_x, s_y, _ = sloped_command(uc, uj, OMEGA_MAX, tick_stats(uc, uj)["std_ratio"])
     return s_x, s_y
 
 
@@ -127,14 +128,13 @@ class TestSlopeArithmetic:
         assert slopes(*cols(ms((1, -5.0, -10.0), (2, 25.0, 20.0))))[0] == 0.75
 
     def test_radius_policy_values(self):
-        p = SlopedParams(0.5, 0.5)
-        assert radius_policy(1.0, p) == p.v_max
-        assert radius_policy(0.5, p) == 0.5 * p.v_max
-        # a turn at pitch slope 0.5 has half the radius v_max / omega_max
+        assert radius_policy(1.0) == V_MAX
+        assert radius_policy(0.5) == 0.5 * V_MAX
+        # a turn at pitch slope 0.5 has half the radius V_MAX / omega_max
         uc, uj = cols(ms((1, -10.0, -40.0), (2, 30.0, 40.0)))
-        cmd, _, s_y, _ = sloped_command(uc, uj, p, tick_stats(uc, uj)["std_ratio"])
-        assert s_y == 0.5 and abs(cmd.omega) == p.omega_max
-        assert cmd.v / abs(cmd.omega) == 0.5 * (p.v_max / p.omega_max)
+        cmd, _, s_y, _ = sloped_command(uc, uj, OMEGA_MAX, tick_stats(uc, uj)["std_ratio"])
+        assert s_y == 0.5 and abs(cmd.omega) == OMEGA_MAX
+        assert cmd.v / abs(cmd.omega) == 0.5 * (V_MAX / OMEGA_MAX)
 
     def test_pitch_slope_strictly_decreases_on_straight_approach(self):
         world = World(
@@ -168,8 +168,8 @@ class TestAmbiguityResolution:
             start = scn.repeat_start
             obs = visible_set(scn.world, start.x, start.y, start.theta, scn.camera)
             uc, uj = match_cols(match(obs, kf, NoiseModel(), NoiseModel().make_rng()), kf)
-            std_cmd, _ = standard_command(uc, uj, scn.navigator.standard)
-            slo_cmd, *_ = sloped_command(uc, uj, scn.navigator.sloped,
+            std_cmd, _ = standard_command(uc, uj, scn.navigator.omega0)
+            slo_cmd, *_ = sloped_command(uc, uj, scn.navigator.omega_max,
                                          tick_stats(uc, uj)["std_ratio"])
             commands[name] = (std_cmd, slo_cmd)
 
@@ -225,6 +225,8 @@ class TestAccuracyOrdering:
     """Sharp turns separate the controllers; near-straight paths do not."""
 
     def test_sharp_turn_sloped_beats_standard(self):
+        # the lanes differ only in turning radius when both drive at one speed
+        assert V0 == V_MAX
         slo = report("sharp_turn", "sloped")
         std = report("sharp_turn", "standard")
         assert slo["accuracy"] < std["accuracy"]

@@ -96,7 +96,7 @@ class TestExitCodes:
         "overrides, named",
         [
             ({"repeat": [1]}, "repeat"),
-            ({"controllers": [1]}, "controllers"),
+            ({"controllers": [1]}, "scenario: unknown key 'controllers'"),
             ({"navigatr": {"max_ticks": 5}}, "navigatr"),
             ({"noise": {"seed": 7}}, "noise: unknown key 'seed'"),
             ({"navigator": {"sloped": {"v_max": 0.5, "omega_max": 0.5}}}, "'sloped'"),
@@ -140,21 +140,19 @@ class TestExitCodes:
             ({"repeat": {"tolerance": -1.0}}, "tolerance must be non-negative, got -1.0"),
             ({"navigator": {"threshold1_ed": 0}}, "threshold1_ed must be positive and finite"),
             ({"camera": {"half_width": -1.0}}, "half_width must be positive and finite, not -1.0"),
-            ({"controllers": {"sloped": {"v_max": 0.5, "omega_max": 0.0}}},
-             "omega_max must be positive and finite, not 0.0"),
-            ({"controllers": {"sloped": {"v_max": 0.5, "omega_max": 0.5, "norm_floor": 0.0}}},
-             "controllers.sloped: unknown key 'norm_floor'"),
-            ({"controllers": {"sloped": {"v_max": 0.5, "omega_max": 0.5, "sx_epsilon": 0.1}}},
-             "controllers.sloped: unknown key 'sx_epsilon'"),
+            ({"navigator": {"omega_max": 0.0}}, "omega_max must be positive and finite, not 0.0"),
+            ({"navigator": {"norm_floor": 0.0}}, "navigator: unknown key 'norm_floor'"),
+            ({"navigator": {"sx_epsilon": 0.1}}, "navigator: unknown key 'sx_epsilon'"),
             ({"world": {"bounds": BOUNDS, "generated": [
                 {"grid": {"x0": 0, "x1": 2, "nx": 3, "y0": 0, "y1": 1, "ny": 2}}]}},
              "world.generated: unknown key 'grid'"),
             ({"oracle": {"grid": {"x0": -1e308, "x1": 1e308, "nx": 3, "ny": 3}}},
              "oracle.grid: grid bounds and their spans"),
-            ({"controllers": {"sloped": {"omega_max": 0.9}}},
-             "controllers.sloped: missing required key 'v_max'"),
-            ({"controllers": {"standard": {"v0": 0.5}}},
-             "controllers.standard: missing required key 'omega0'"),
+            ({"controllers": {"standard": {"v0": 0.5, "omega0": 0.5},
+                              "sloped": {"v_max": 0.5, "omega_max": 0.5}}},
+             "scenario: unknown key 'controllers'"),
+            ({"navigator": {"v_max": 0.5}}, "navigator: unknown key 'v_max'"),
+            ({"navigator": {"v0": 0.5}}, "navigator: unknown key 'v0'"),
             ({"teach": {**TEACH, "steps": [{"v": -0.5, "omega": 0.0, "duration": 1.0}]}},
              "teach.steps: translational speed must be non-negative"),
             ({"oracle": {"grid": {"nx": 0}}}, "oracle.grid.nx: must be at least 1, not 0"),
@@ -178,7 +176,7 @@ class TestExitCodes:
              "navigator-controller", "swapped-bounds", "negative-tolerance", "threshold1-zero",
              "half-width-negative", "omega-max-zero", "norm-floor-zero", "sx-epsilon",
              "grid-generator", "grid-span-overflow",
-             "sloped-without-v-max", "standard-without-omega0", "step-v-negative",
+             "controllers-block", "navigator-v-max", "navigator-v0", "step-v-negative",
              "grid-nx-0", "grid-over-pose-cap", "runs-over-run-tick-cap",
              "max-ticks-over-run-tick-cap"],
     )
@@ -401,9 +399,14 @@ def leaf_value(leaf):
 # every number in the file, of which none is a bool
 NUMERIC_LEAVES = [leaf for leaf in leaves(CONTRACT_BASE) if type(leaf_value(leaf)) in (int, float)]
 # the numbers that the simulator fixes (geometry.DT, navigate.STOP_LIMIT and
-# teach.START): a file that sets one names it as an unknown key, whatever its value
+# teach.START): a file that sets one names it as an unknown key, whatever its
+# value; and the numbers of the former controllers block, whose speeds are now
+# control_standard.V0 and control_sloped.V_MAX and whose turn rates moved to
+# navigator: a file that sets one names the block
 REMOVED_LEAVES = [("teach", "dt"), *(("teach", "start", i) for i in range(3)),
-                  ("navigator", "dt"), ("navigator", "threshold3_time")]
+                  ("navigator", "dt"), ("navigator", "threshold3_time"),
+                  ("controllers", "standard", "v0"), ("controllers", "standard", "omega0"),
+                  ("controllers", "sloped", "v_max"), ("controllers", "sloped", "omega_max")]
 NUMBER_KEYS = [*NUMERIC_LEAVES, *REMOVED_LEAVES]
 
 
@@ -411,9 +414,13 @@ def assert_exits_2_naming_key(tmp_path, capsys, leaf, value):
     """A scenario with value at leaf exits 2 with an error that names the key."""
     if leaf in REMOVED_LEAVES:
         d = copy.deepcopy(CONTRACT_BASE)
-        block, key, *index = leaf
-        d[block][key] = [value if [i] == index else 0.0 for i in range(3)] if index else value
-        named = f"{block}: unknown key {key!r}"
+        block, key, *rest = leaf
+        if block not in d:  # the controllers block: rest is the key under `key`
+            d[block] = {key: {rest[0]: value}}
+            named = f"scenario: unknown key {block!r}"
+        else:  # rest is teach.start's index
+            d[block][key] = [value if [i] == rest else 0.0 for i in range(3)] if rest else value
+            named = f"{block}: unknown key {key!r}"
     else:
         d = replaced(leaf, value)
         # the key's name is its path of mapping keys: list indices are not part of it

@@ -11,7 +11,7 @@ from funnelnav.control_sloped import (
     NORM_FLOOR,
     SX_EPSILON,
     V_FLOOR_FRAC,
-    SlopedParams,
+    V_MAX,
     evaluate_state,
     radius_policy,
     sloped_command,
@@ -19,11 +19,11 @@ from funnelnav.control_sloped import (
 from funnelnav.errors import EmptyMatchError
 from funnelnav.features import std_ratio
 from funnelnav.geometry import MotionCommand
-from funnelnav.navigate import tick_stats
+from funnelnav.navigate import NavigatorConfig, tick_stats
 
 from conftest import cols, ms
 
-P = SlopedParams(v_max=0.5, omega_max=0.5)
+OMEGA_MAX = 0.9  # rad/s, apart from V_MAX and the 0.5 default
 
 
 def state(m):
@@ -35,7 +35,7 @@ def command(m):
     """sloped_command's (cmd, s_x, s_y, inside) with the spread ratio the
     navigator passes for m."""
     uc, uj = cols(m)
-    return sloped_command(uc, uj, P, tick_stats(uc, uj)["std_ratio"])
+    return sloped_command(uc, uj, OMEGA_MAX, tick_stats(uc, uj)["std_ratio"])
 
 
 class TestPitchSlope:
@@ -135,17 +135,17 @@ class TestSides:
 
 class TestRadiusPolicy:
     def test_max_slope_gives_max_speed(self):
-        assert radius_policy(1.0, P) == pytest.approx(P.v_max)
+        assert radius_policy(1.0) == pytest.approx(V_MAX)
 
     def test_half_slope_gives_half_speed(self):
-        assert radius_policy(0.5, P) == pytest.approx(0.5 * P.v_max)
+        assert radius_policy(0.5) == pytest.approx(0.5 * V_MAX)
 
     def test_zero_slope_keeps_liveness_floor(self):
-        assert radius_policy(0.0, P) == pytest.approx(V_FLOOR_FRAC * P.v_max)
+        assert radius_policy(0.0) == pytest.approx(V_FLOOR_FRAC * V_MAX)
 
     def test_clamped_outside_unit_interval(self):
-        assert radius_policy(3.0, P) == pytest.approx(P.v_max)
-        assert radius_policy(-2.0, P) == pytest.approx(V_FLOOR_FRAC * P.v_max)
+        assert radius_policy(3.0) == pytest.approx(V_MAX)
+        assert radius_policy(-2.0) == pytest.approx(V_FLOOR_FRAC * V_MAX)
 
 
 class TestConstraints:
@@ -154,7 +154,7 @@ class TestConstraints:
         assert state(m)[1] == (True, True, True, True)
         assert command(m)[3]
         # the constraints never read the spread ratio
-        assert sloped_command(*cols(m), P, None)[3]
+        assert sloped_command(*cols(m), OMEGA_MAX, None)[3]
 
     def test_magnitude_violations(self):
         # right median grew: c1 false; left median grew: c2 false
@@ -181,7 +181,7 @@ class TestConstraints:
     def test_s_y_is_one_minus_the_ratio_passed_in(self):
         m = ms((1, -20.0, -40.0), (2, 20.0, 40.0))
         assert command(m)[2] == 1.0 - std_ratio(*cols(m)) == 0.5
-        assert sloped_command(*cols(m), P, 0.25)[2] == 0.75
+        assert sloped_command(*cols(m), OMEGA_MAX, 0.25)[2] == 0.75
 
     def test_s_y_none_when_spread_degenerate(self):
         assert command(ms((1, 5.0, 10.0)))[2] is None
@@ -191,7 +191,7 @@ class TestSlopedCommand:
     def test_inside_with_small_roll_goes_straight(self):
         m = ms((1, -10.0, -10.0), (2, 20.0, 20.0))
         cmd, _, _, inside = command(m)
-        assert cmd == MotionCommand(P.v_max, 0.0)
+        assert cmd == MotionCommand(V_MAX, 0.0)
         assert inside
 
     def test_inside_negative_roll_turns_left(self):
@@ -243,29 +243,29 @@ class TestSlopedCommand:
         m = ms((1, -5.0, -10.0), (2, 25.0, 20.0))
         cmd, _, s_y, inside = command(m)
         assert not inside
-        assert cmd.v == pytest.approx(radius_policy(s_y, P))
-        assert abs(cmd.omega) == pytest.approx(P.omega_max)
+        assert cmd.v == pytest.approx(radius_policy(s_y))
+        assert abs(cmd.omega) == pytest.approx(OMEGA_MAX)
 
     def test_half_slope_turn_has_half_the_max_radius(self):
         # inside the lane, spread halved, roll slope past the dead-band
         m = ms((1, -10.0, -40.0), (2, 30.0, 40.0))
         cmd, _, s_y, inside = command(m)
         assert inside and s_y == pytest.approx(0.5)
-        assert cmd.omega == pytest.approx(-P.omega_max)
-        assert cmd.v / abs(cmd.omega) == pytest.approx(0.5 * P.v_max / P.omega_max)
+        assert cmd.omega == pytest.approx(-OMEGA_MAX)
+        assert cmd.v / abs(cmd.omega) == pytest.approx(0.5 * V_MAX / OMEGA_MAX)
 
     def test_degenerate_spread_outside_rotates_in_place(self):
         m = ms((1, 25.0, 20.0))  # one pair: no spread, c1 violated
         cmd, _, s_y, _ = command(m)
         assert s_y is None
         assert cmd.v == 0.0
-        assert abs(cmd.omega) == pytest.approx(P.omega_max)
+        assert abs(cmd.omega) == pytest.approx(OMEGA_MAX)
 
     def test_degenerate_spread_inside_goes_straight(self):
         m = ms((1, 15.0, 20.0))
         cmd, _, s_y, inside = command(m)
         assert inside and s_y is None
-        assert cmd == MotionCommand(P.v_max, 0.0)
+        assert cmd == MotionCommand(V_MAX, 0.0)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMatchError):
@@ -294,9 +294,7 @@ class TestSlopedCommand:
 
 class TestParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SlopedParams(v_max=0.0, omega_max=0.5)
-        with pytest.raises(ValueError, match="finite"):
-            SlopedParams(v_max=0.5, omega_max=math.inf)
-        with pytest.raises(ValueError):
-            SlopedParams(v_max=math.nan, omega_max=0.5)
+        # the controller's one setting is NavigatorConfig.omega_max; V_MAX is fixed
+        for bad in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="omega_max must be positive and finite"):
+                NavigatorConfig(omega_max=bad)

@@ -16,7 +16,7 @@ from funnelnav.control_standard import (
     FORWARD,
     LEFT,
     RIGHT,
-    StandardParams,
+    V0,
     feature_vote,
     inside_funnel,
     standard_command,
@@ -24,12 +24,12 @@ from funnelnav.control_standard import (
 from funnelnav.errors import EmptyMatchError
 from funnelnav.evaluate import load_scenario
 from funnelnav.geometry import MotionCommand
-from funnelnav.navigate import navigate
+from funnelnav.navigate import NavigatorConfig, navigate
 from funnelnav.teach import record
 
 from conftest import SCENARIO_DIR, cols, ms
 
-P = StandardParams(v0=0.5, omega0=0.4)
+OMEGA0 = 0.4  # rad/s, apart from V0 and the 0.5 default
 
 # zero coordinates (either sign) and |u_c| == |u_j| ties are the vote's edges
 COORD = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-150.0, 150.0))
@@ -86,25 +86,25 @@ class TestMajorityVote:
         m = ms((1, 30.0, 20.0), (2, 25.0, 20.0), (3, 22.0, 20.0), (4, -2.0, 10.0), (5, 5.0, 10.0))
         votes = Counter(feature_vote(ua, ub) for _, ua, ub in m)
         assert votes == {FORWARD: 1, LEFT: 1, RIGHT: 3}
-        assert standard_command(*cols(m), P) == (MotionCommand(P.v0, -P.omega0), False)
+        assert standard_command(*cols(m), OMEGA0) == (MotionCommand(V0, -OMEGA0), False)
 
     def test_tie_breaks_forward_first(self):
         m = ms((1, 5.0, 10.0), (2, -2.0, 10.0))
-        assert standard_command(*cols(m), P)[0] == MotionCommand(P.v0, 0.0)
+        assert standard_command(*cols(m), OMEGA0)[0] == MotionCommand(V0, 0.0)
 
     def test_tie_breaks_left_before_right(self):
         m = ms((1, -2.0, 10.0), (2, 25.0, 20.0))
-        assert standard_command(*cols(m), P)[0] == MotionCommand(P.v0, P.omega0)
+        assert standard_command(*cols(m), OMEGA0)[0] == MotionCommand(V0, OMEGA0)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMatchError):
-            standard_command(*cols(()), P)
+            standard_command(*cols(()), OMEGA0)
 
 
 class TestStandardCommand:
     def test_all_forward(self):
         m = ms((1, 5.0, 10.0), (2, -3.0, -10.0))
-        assert standard_command(*cols(m), P) == (MotionCommand(P.v0, 0.0), True)
+        assert standard_command(*cols(m), OMEGA0) == (MotionCommand(V0, 0.0), True)
 
     def test_majority_turns_right(self):
         m = ms(
@@ -114,11 +114,11 @@ class TestStandardCommand:
             (4, -2.0, 10.0),
             (5, 5.0, 10.0),
         )
-        assert standard_command(*cols(m), P)[0] == MotionCommand(P.v0, -P.omega0)
+        assert standard_command(*cols(m), OMEGA0)[0] == MotionCommand(V0, -OMEGA0)
 
     def test_left_turn(self):
         m = ms((1, -2.0, 10.0), (2, -3.0, 10.0), (3, 5.0, 10.0))
-        assert standard_command(*cols(m), P)[0] == MotionCommand(P.v0, P.omega0)
+        assert standard_command(*cols(m), OMEGA0)[0] == MotionCommand(V0, OMEGA0)
 
     @settings(max_examples=100)
     @given(
@@ -130,9 +130,9 @@ class TestStandardCommand:
     )
     def test_omega_is_always_preset(self, coords):
         m = tuple((i, a, b) for i, (a, b) in enumerate(coords))
-        cmd, _ = standard_command(*cols(m), P)
-        assert cmd.v == P.v0
-        assert cmd.omega in (-P.omega0, 0.0, P.omega0)
+        cmd, _ = standard_command(*cols(m), OMEGA0)
+        assert cmd.v == V0
+        assert cmd.omega in (-OMEGA0, 0.0, OMEGA0)
 
 
 class TestInsideFunnel:
@@ -163,7 +163,7 @@ class TestInsideFunnel:
         verdicts = inside_funnel(np.array(current).T, uj)
         assert verdicts.shape == (len(current),)
         for inside, uc in zip(verdicts.tolist(), current):
-            assert inside is standard_command(uc, uj, P)[1]
+            assert inside is standard_command(uc, uj, OMEGA0)[1]
             assert inside is all(feature_vote(a, b) == FORWARD for a, b in zip(uc, uj))
 
     def test_nan_and_infinities_vote_as_feature_vote_does(self):
@@ -202,11 +202,7 @@ class TestOneVotePerPair:
 
 class TestParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            StandardParams(v0=0.0, omega0=0.5)
-        with pytest.raises(ValueError):
-            StandardParams(v0=0.5, omega0=-0.1)
-        with pytest.raises(ValueError, match="finite"):
-            StandardParams(v0=0.5, omega0=math.inf)
-        with pytest.raises(ValueError):
-            StandardParams(v0=math.nan, omega0=0.5)
+        # the controller's one setting is NavigatorConfig.omega0; V0 is fixed
+        for bad in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="omega0 must be positive and finite"):
+                NavigatorConfig(omega0=bad)

@@ -12,8 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from funnelnav.control_sloped import SlopedParams
-from funnelnav.control_standard import StandardParams, feature_vote
+from funnelnav.control_standard import feature_vote
 from funnelnav.errors import ConfigError
 from funnelnav.evaluate import (
     _KNOWN_KEYS,
@@ -402,9 +401,7 @@ class TestWorldFromDict:
 CONSTRUCTOR_BLOCKS = [
     ("camera", CameraModel, set()),
     ("noise", NoiseModel, {"seed"}),
-    ("navigator", NavigatorConfig, {"standard", "sloped", "controller"}),
-    ("controllers.standard", StandardParams, set()),
-    ("controllers.sloped", SlopedParams, set()),
+    ("navigator", NavigatorConfig, {"controller"}),
 ]
 
 
@@ -512,7 +509,7 @@ class TestScenarioConfig:
             scenario_from_dict(d)
 
     def test_bad_controller_params_are_config_errors(self):
-        d = minimal_scenario_dict(controllers={"sloped": {"v_max": -1.0, "omega_max": 0.5}})
+        d = minimal_scenario_dict(navigator={"omega_max": -1.0})
         with pytest.raises(ConfigError):
             scenario_from_dict(d)
 
@@ -563,9 +560,9 @@ class TestScenarioConfig:
     @pytest.mark.parametrize(
         "path",
         [("navigatr",), ("world", "obstacle"), ("teach", "min_feature"), ("repeat", "seeds"),
-         ("controllers", "slopped"), ("oracle", "keyfrmae"), ("oracle", "grid", "nz"),
+         ("navigator", "omega_0"), ("oracle", "keyfrmae"), ("oracle", "grid", "nz"),
          ("camera", "focal"), ("noise", "seed"), ("navigator", "sloped"),
-         ("controllers", "sloped", "vmax")],
+         ("navigator", "omegamax")],
         ids=lambda p: ".".join(p),
     )
     def test_unknown_key_is_config_error_naming_it(self, path):
@@ -622,7 +619,7 @@ class TestScenarioConfig:
 
     def test_empty_optional_blocks_read_as_defaults(self):
         d = minimal_scenario_dict(
-            camera=None, repeat=None, noise=None, navigator=None, controllers=None, oracle=None
+            camera=None, repeat=None, noise=None, navigator=None, oracle=None
         )
         scn = scenario_from_dict(d)
         assert scn.camera == CameraModel()
