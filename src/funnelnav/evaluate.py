@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .features import Keyframe, NoiseModel, VisualPath
 # read only by perfbench/run.py, whose tracer wraps evaluate.match
 from .features import match  # noqa: F401
-from .geometry import CameraModel, Landmark, MotionCommand, Pose, World, sense_row
+from .geometry import CameraModel, Landmark, MotionCommand, Pose, World, sense_grid
 # read only by perfbench/run.py, whose tracer wraps evaluate.visible_set
 from .geometry import visible_set  # noqa: F401
 from .navigate import NavigatorConfig, RunTrace, navigate
@@ -59,7 +59,14 @@ def repeatability(points) -> float:
 
 # --- funnel-lane oracle ------------------------------------------------------
 
-MAX_GRID_POSES = 1_000_000  # 25 times the shipped 200 x 200; the oracle holds arrays of this size
+MAX_GRID_POSES = 1_000_000  # 25 times the shipped 200 x 200; funnel_oracle holds arrays of this size
+# controller_inside_grid holds only one block of at most GRID_BLOCK
+# landmark-position pairs at a time, whatever the grid: a row too long for a
+# block is split, and a world has fewer than GRID_BLOCK landmarks
+# (MAX_LANDMARKS), so even a row of MAX_GRID_POSES poses stays bounded.  A
+# block's float arrays, 256 KB each, are smaller than funnel_oracle's own over
+# the shipped 200 x 200 grid
+GRID_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -130,21 +137,28 @@ def controller_inside_grid(
     noise-free pairs are inside.  A keyframe landmark that world lacks is
     never seen, so then no cell is inside.
 
-    The grid is projected and judged one row at a time, by sense_row and
-    inside_funnel, so no more than a row's coordinates are held at once.
+    The grid is projected and judged in blocks of at most GRID_BLOCK
+    landmark-position pairs, each by one sense_grid and one inside_funnel
+    call: whole rows where a row fits in a block, else part of one row, so
+    the verdicts come out in grid_axes' order and the memory held stays
+    bounded whatever the grid's size.  No Pose is built per cell.
     """
     ids, uj = zip(*sorted(kf.observations.items()))  # a tick's ascending id order
     uj = np.array(uj)
     lm_of = {lm.id: lm for lm in world.landmarks}
-    xs, ys = grid_axes(grid)
+    xs, ys = map(np.array, grid_axes(grid))
     if not lm_of.keys() >= set(ids):
         return [False] * (len(xs) * len(ys))
     lms = [lm_of[i] for i in ids]
     theta = kf.pose_truth.theta  # normalised already, so a Pose per cell would change no bit
+    n = len(lms)
+    cols = max(1, min(len(xs), GRID_BLOCK // n))
+    rows = max(1, GRID_BLOCK // (n * cols))  # 1 unless a block holds whole rows
     out = []
-    for y in ys:
-        seen, u = sense_row(lms, xs, y, theta, cam)
-        out += (seen & inside_funnel(u, uj)).tolist()
+    for r in range(0, len(ys), rows):
+        for k in range(0, len(xs), cols):
+            seen, u = sense_grid(lms, xs[k:k + cols], ys[r:r + rows], theta, cam)
+            out += (seen & inside_funnel(u, uj)).tolist()
     return out
 
 

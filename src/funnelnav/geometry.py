@@ -4,7 +4,8 @@ The camera looks along the robot heading; landmarks project onto a single
 horizontal image axis.  Positive image coordinates are on the RIGHT side of
 the image, negative on the left.  sense projects any sequence of landmarks,
 such as the few a tracked frame still follows; visible_set projects a whole
-World; sense_row projects landmarks from a whole row of positions at once.
+World; sense_grid projects landmarks from a whole block of grid positions at
+once.
 All functions here are pure and operate on immutable values.
 """
 
@@ -24,7 +25,7 @@ __all__ = [
     "MotionCommand",
     "normalize_angle",
     "sense",
-    "sense_row",
+    "sense_grid",
     "visible_set",
     "step",
     "in_collision",
@@ -148,32 +149,39 @@ def sense(
     return out
 
 
-def sense_row(
-    landmarks: Sequence[Landmark], xs: Sequence[float], y: float, theta: float,
+def sense_grid(
+    landmarks: Sequence[Landmark], xs: Sequence[float], ys: Sequence[float], theta: float,
     cam: CameraModel,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sense of n landmarks from each of the m positions (xs[k], y) of a row
-    at heading theta, in one numpy pass: the (m,) bool array seen says whether
-    every landmark is visible from each position, and column k of the (n, m)
-    float64 array u holds their image coordinates there, in the order given.
-    The entries of a landmark hidden from a position mean nothing.
+    """sense of n landmarks from each of the m = len(ys) * len(xs) positions
+    of the block ys x xs at heading theta, in one numpy pass.  Position k is
+    (xs[k % len(xs)], ys[k // len(xs)]), row-major with x fastest.  The (m,)
+    bool array seen says whether every landmark is visible from each
+    position, and column k of the (n, m) float64 array u holds their image
+    coordinates there, in the order given.  The entries of a landmark hidden
+    from a position mean nothing.
 
-    The arithmetic and the visibility tests are sense's, elementwise in
-    float64, which fuses no operations, so each visible coordinate equals
-    sense's float bit for bit.  A row of many positions pays numpy's per-call
-    cost once; for one pose, sense's loop is faster.
+    Each landmark's x terms are computed once per block and its y terms once
+    per row, then broadcast against each other: these are sense's operations
+    in sense's order, elementwise in float64, which fuses no operations, so
+    each visible coordinate equals sense's float bit for bit.  A block of
+    many positions pays numpy's per-call cost once; for one pose, sense's
+    loop is faster.
     """
     c, s = math.cos(theta), math.sin(theta)
     f = cam.focal_length
     lx = np.array([lm.x for lm in landmarks], dtype=float)[:, np.newaxis]
     ly = np.array([lm.y for lm in landmarks], dtype=float)[:, np.newaxis]
     with np.errstate(all="ignore"):  # inf and NaN pass or fail the tests as in float math
-        dx = lx - np.asarray(xs, dtype=float)
-        dy = ly - y
-        depth = dx * c + dy * s
-        u = f * -(-dx * s + dy * c) / depth
+        dx = lx - np.asarray(xs, dtype=float)  # (n, nx)
+        dy = ly - np.asarray(ys, dtype=float)  # (n, ny)
+        dx_c, ndx_s = (dx * c)[:, np.newaxis, :], (-dx * s)[:, np.newaxis, :]
+        dy_s, dy_c = (dy * s)[:, :, np.newaxis], (dy * c)[:, :, np.newaxis]
+        depth = dx_c + dy_s  # (n, ny, nx)
+        u = f * -(ndx_s + dy_c) / depth
         hidden = (depth < cam.min_depth) | (abs(u) > cam.half_width)
-    return ~hidden.any(axis=0), u
+    shape = len(lx), dx.shape[1] * dy.shape[1]
+    return ~hidden.reshape(shape).any(axis=0), u.reshape(shape)
 
 
 def visible_set(

@@ -12,6 +12,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from funnelnav import evaluate
 from funnelnav.control_standard import feature_vote
 from funnelnav.errors import ConfigError
 from funnelnav.evaluate import (
@@ -38,7 +39,15 @@ from funnelnav.evaluate import (
     world_from_dict,
 )
 from funnelnav.features import Keyframe, NoiseModel
-from funnelnav.geometry import CameraModel, Landmark, MotionCommand, Pose, World, visible_set
+from funnelnav.geometry import (
+    CameraModel,
+    Landmark,
+    MotionCommand,
+    Pose,
+    World,
+    sense_grid,
+    visible_set,
+)
 from funnelnav.navigate import NavigatorConfig, navigate
 from funnelnav.teach import START, TeachScript, record
 
@@ -200,8 +209,44 @@ class TestFunnelOracle:
     @settings(max_examples=200, deadline=None)
     @given(case=oracle_cases())
     def test_controller_walk_equals_pose_loop(self, case):
+        # the shipped block holds every case whole; the smaller ones walk
+        # several blocks of whole rows, or split a row into blocks
         world, kf, grid = case
-        assert controller_inside_grid(kf, world, CAM, grid) == loop_controller(kf, world, CAM, grid)
+        expected = loop_controller(kf, world, CAM, grid)
+        for block in (1, 2, 5, 17, evaluate.GRID_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluate, "GRID_BLOCK", block)
+                assert controller_inside_grid(kf, world, CAM, grid) == expected, block
+
+    @pytest.mark.parametrize("block, blocks", [
+        (5, [(1, 2), (1, 2), (1, 2), (1, 1)] * 3),  # a row split into blocks of 2 positions
+        (14, [(1, 7)] * 3),  # one whole row per block
+        (30, [(2, 7), (1, 7)]),  # two whole rows per block
+    ])
+    def test_walk_holds_one_block_of_at_most_grid_block_pairs(self, block, blocks, monkeypatch):
+        # a grid row holds n * nx landmark-position pairs, and a scenario can
+        # set 10,000 landmarks and a row of 1,000,000 poses, so the walk
+        # splits such a row.  Checked on a small grid with small blocks
+        world, kf = two_feature_keyframe()
+        p = kf.pose_truth
+        grid = GridSpec(x0=p.x - 2.0, x1=p.x - 0.01, nx=7, y0=-1.0, y1=1.0, ny=3)
+        expected = loop_controller(kf, world, CAM, grid)
+        shapes = []
+
+        def spy(landmarks, xs, ys, theta, cam):
+            shapes.append((len(ys), len(xs)))
+            return sense_grid(landmarks, xs, ys, theta, cam)
+
+        monkeypatch.setattr(evaluate, "GRID_BLOCK", block)
+        monkeypatch.setattr(evaluate, "sense_grid", spy)
+        assert controller_inside_grid(kf, world, CAM, grid) == expected
+        assert shapes == blocks
+        assert any(expected) and not all(expected)
+
+    def test_a_block_holds_one_position_of_the_largest_world(self):
+        # a block of one position holds a landmark per pair, so a row split
+        # down to single positions stays within GRID_BLOCK pairs
+        assert MAX_LANDMARKS <= evaluate.GRID_BLOCK
 
     def test_controller_walk_builds_no_pose(self, monkeypatch):
         world, kf = two_feature_keyframe()

@@ -20,7 +20,7 @@ from funnelnav.geometry import (
     in_collision,
     normalize_angle,
     sense,
-    sense_row,
+    sense_grid,
     step,
     visible_set,
 )
@@ -194,16 +194,16 @@ class TestVisibleSet:
         assert repr(list(sense(shuffled, *at, CAM).items())) == repr(expected)
 
 
-# Seen from a row position in _ROW_XS at heading 0 (the two subnormals round
-# away in lm.x - x), these coordinates put landmarks exactly at min_depth (1.5
-# from 1.0), a float either side of it, at depth 0 (where u would be 0 / 0 or
-# c / 0), behind the camera and exactly on the image border (|y| = 1 at
-# depth 2, so |u| = 100).
-_ROW_XS = st.sampled_from([0.0, 1.0, -1.0, 5e-324, -5e-324])
+# Seen from a grid position whose x is in _AXIS at heading 0 (the two
+# subnormals round away in lm.x - x), these coordinates put landmarks exactly
+# at min_depth (1.5 from 1.0), a float either side of it, at depth 0 (where u
+# would be 0 / 0 or c / 0), behind the camera and exactly on the image border
+# (|y| = 1 at depth 2, so |u| = 100).
+_AXIS = st.sampled_from([0.0, 1.0, -1.0, 5e-324, -5e-324])
 _NEAR = [0.5, 1.5, 0.0, 1.0, 2.0, 3.0, -1.0, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
 
 
-class TestSenseRow:
+class TestSenseGrid:
     @settings(max_examples=300)
     @given(
         points=st.lists(
@@ -211,26 +211,33 @@ class TestSenseRow:
                       st.one_of(st.floats(-20.0, 20.0), st.sampled_from([1.0, -1.0, 0.0, 0.25]))),
             max_size=12,
         ),
-        xs=st.lists(st.one_of(st.floats(-20.0, 20.0), _ROW_XS), min_size=1, max_size=12),
-        y=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
+        xs=st.lists(st.one_of(st.floats(-20.0, 20.0), _AXIS), min_size=1, max_size=12),
+        ys=st.lists(st.one_of(st.just(0.0), st.floats(-20.0, 20.0), _AXIS),
+                    min_size=1, max_size=4),
         theta=st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),
     )
     @example(points=[(0.5, 0.0), (1.5, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, -1.0), (-1.0, 0.0)],
-             xs=[0.0, 1.0, -1.0, 5e-324], y=0.0, theta=0.0)
+             xs=[0.0, 1.0, -1.0, 5e-324], ys=[0.0], theta=0.0)
     # all seen from x = 0, one at min_depth and two on the border
-    @example(points=[(0.5, 0.0), (2.0, 1.0), (2.0, -1.0)], xs=[0.0, 1.0], y=0.0, theta=0.0)
-    def test_each_cell_equals_sense_float_for_float(self, points, xs, y, theta):
+    @example(points=[(0.5, 0.0), (2.0, 1.0), (2.0, -1.0)], xs=[0.0, 1.0], ys=[0.0], theta=0.0)
+    # subnormal rows (they round away in lm.y - y) and a third row: x must run fastest
+    @example(points=[(2.0, 1.0), (3.0, 0.5)], xs=[0.0, 0.5, 1.0], ys=[5e-324, -5e-324, 0.25],
+             theta=0.0)
+    def test_each_cell_equals_sense_float_for_float(self, points, xs, ys, theta):
         # an equal verdict can hide a coordinate that differs but still votes
         # forward, so every visible coordinate is compared to the bit
         cam = CameraModel(focal_length=200.0, half_width=100.0, min_depth=0.5)
         lms = [Landmark(i, x, ly) for i, (x, ly) in enumerate(points)]
-        seen, u = sense_row(lms, xs, y, theta, cam)
-        assert (seen.shape, seen.dtype) == ((len(xs),), bool)
-        assert (u.shape, u.dtype) == ((len(lms), len(xs)), np.float64)
+        seen, u = sense_grid(lms, xs, ys, theta, cam)
+        m = len(ys) * len(xs)
+        assert (seen.shape, seen.dtype) == ((m,), bool)
+        assert (u.shape, u.dtype) == ((len(lms), m), np.float64)
         # as Python values: numpy 2's repr of a float64 is not the float's, and
         # np.bool_ is not bool
         seen, cols = seen.tolist(), u.T.tolist()
-        for x, all_seen, col in zip(xs, seen, cols):
+        # row-major, x fastest: position k is (xs[k % len(xs)], ys[k // len(xs)])
+        positions = [(x, y) for y in ys for x in xs]
+        for (x, y), all_seen, col in zip(positions, seen, cols, strict=True):
             obs = sense(lms, x, y, theta, cam)
             assert all_seen is (len(obs) == len(lms))
             assert len(col) == len(lms)
