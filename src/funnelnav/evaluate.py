@@ -107,9 +107,12 @@ def funnel_oracle(kf: Keyframe, world: World, cam: CameraModel, grid: GridSpec) 
     positions broadcasts against a column of y positions, in the arithmetic
     order of a pose-by-pose float loop, so each verdict equals that loop's.
     Each test is negated rather than flipped, so a pose whose geometry
-    overflows to NaN fails no test, as in the loop.
+    overflows to NaN fails no test, as in the loop.  A keyframe landmark that
+    world lacks is visible from no pose, so then no cell is inside.
     """
     lms = {lm.id: lm for lm in world.landmarks}
+    if not lms.keys() >= kf.observations.keys():
+        return [False] * (grid.nx * grid.ny)
     feats = [(lms[i], u_j) for i, u_j in sorted(kf.observations.items())]
     xs, ys = map(np.array, grid_axes(grid))
     ys = ys[:, np.newaxis]

@@ -34,6 +34,9 @@ OMEGA0 = 0.4  # rad/s, apart from V0 and the 0.5 default
 # zero coordinates (either sign) and |u_c| == |u_j| ties are the vote's edges
 COORD = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-150.0, 150.0))
 
+# a vote's name for test ids: a bare 1 or -1 would not say which turn
+VOTE_NAME = {FORWARD: "forward", LEFT: "left", RIGHT: "right"}
+
 
 @st.composite
 def poses(draw):
@@ -67,6 +70,7 @@ class TestFeatureVote:
             (2.0, -10.0, RIGHT),
             (-10.0, -10.0, LEFT),
         ],
+        ids=lambda v: VOTE_NAME[v] if type(v) is int else None,
     )
     def test_vote_table(self, u_c, u_j, expected):
         assert feature_vote(u_c, u_j) == expected
@@ -74,11 +78,22 @@ class TestFeatureVote:
     @settings(max_examples=200)
     @given(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0))
     def test_mirror_symmetry(self, u_c, u_j):
-        # u_j = 0 is excluded: a centered keyframe feature is right-side by
-        # convention, which deliberately breaks the mirror there
+        # a vote is a turn's sign, so the mirror negates it.  u_j = 0 is
+        # excluded: see test_centred_keyframe_feature_votes_right
         assume(u_j != 0.0)
-        swap = {LEFT: RIGHT, RIGHT: LEFT, FORWARD: FORWARD}
-        assert feature_vote(-u_c, -u_j) == swap[feature_vote(u_c, u_j)]
+        assert feature_vote(-u_c, -u_j) == -feature_vote(u_c, u_j)
+
+    @settings(max_examples=200)
+    @given(st.floats(allow_nan=False), st.sampled_from((0.0, -0.0)),
+           st.lists(st.tuples(COORD, COORD), max_size=7))
+    def test_centred_keyframe_feature_votes_right(self, u_c, u_j, others):
+        # |u_c| >= |0.0| always holds and u_j >= 0 puts a centred feature on
+        # the right, so its mirror votes RIGHT too, not the negation; while
+        # it is tracked the lane's verdict is never inside
+        assert feature_vote(u_c, u_j) == feature_vote(-u_c, -u_j) == RIGHT
+        uc, uj = [u_c, *(a for a, _ in others)], [u_j, *(b for _, b in others)]
+        assert standard_command(uc, uj, OMEGA0)[1] is False
+        assert inside_funnel(np.array(uc)[:, np.newaxis], uj).tolist() == [False]
 
 
 class TestMajorityVote:
@@ -95,6 +110,16 @@ class TestMajorityVote:
     def test_tie_breaks_left_before_right(self):
         m = ms((1, -2.0, 10.0), (2, 25.0, 20.0))
         assert standard_command(*cols(m), OMEGA0)[0] == MotionCommand(V0, OMEGA0)
+
+    @pytest.mark.parametrize("m", [
+        ms((1, 5.0, 10.0), (2, -3.0, -10.0), (3, 30.0, 20.0)),
+        ms((1, 5.0, 10.0), (2, 30.0, 20.0)),
+    ], ids=["forward-majority", "forward-wins-tie"])
+    def test_forward_omega_is_positive_zero(self, m):
+        # a trace record writes omega's repr, so a -0.0 would change its bytes
+        cmd, _ = standard_command(*cols(m), OMEGA0)
+        assert math.copysign(1.0, cmd.omega) == 1.0
+        assert repr(cmd.omega) == "0.0"
 
     def test_empty_raises(self):
         with pytest.raises(EmptyMatchError):

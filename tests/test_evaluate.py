@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funnelnav import evaluate
-from funnelnav.control_standard import feature_vote
+from funnelnav.control_standard import FORWARD, feature_vote
 from funnelnav.errors import ConfigError
 from funnelnav.evaluate import (
     _KNOWN_KEYS,
@@ -143,12 +143,15 @@ def reference_poses(grid, theta):
 def loop_oracle(kf, world, cam, grid):
     """The oracle's pose-by-pose float loop, the reference for its array form."""
     lms = {lm.id: lm for lm in world.landmarks}
-    feats = [(lms[i], u_j) for i, u_j in sorted(kf.observations.items())]
+    feats = [(lms.get(i), u_j) for i, u_j in sorted(kf.observations.items())]
     out = []
     for pose in reference_poses(grid, kf.pose_truth.theta):
         c, s = math.cos(pose.theta), math.sin(pose.theta)
         inside = True
         for lm, u_j in feats:
+            if lm is None:  # a landmark the world lacks is never visible
+                inside = False
+                break
             dx, dy = lm.x - pose.x, lm.y - pose.y
             depth = dx * c + dy * s
             if depth < cam.min_depth:
@@ -175,7 +178,7 @@ def loop_controller(kf, world, cam, grid):
     for pose in reference_poses(grid, kf.pose_truth.theta):
         obs = visible_set(world, pose.x, pose.y, pose.theta, cam)
         out.append(all(i in obs for i in kf.observations) and all(
-            feature_vote(obs[i], u_j) == "forward" for i, u_j in kf.observations.items()))
+            feature_vote(obs[i], u_j) == FORWARD for i, u_j in kf.observations.items()))
     return out
 
 
@@ -273,19 +276,23 @@ class TestFunnelOracle:
                 assert controller_inside_grid(kf, world, CAM, grid) == loop_controller(
                     kf, world, CAM, grid)
 
-    def test_keyframe_landmark_missing_from_world_is_never_seen(self, scenario_dir):
+    @pytest.mark.parametrize("judge, reference", [(funnel_oracle, loop_oracle),
+                                                   (controller_inside_grid, loop_controller)],
+                             ids=["funnel_oracle", "controller_inside_grid"])
+    def test_keyframe_landmark_missing_from_world_is_never_seen(self, judge, reference,
+                                                                scenario_dir):
         # closed_loop's repeat world lacks ids 20-27, which its fifth keyframe
-        # observed: the controller never sees all of its landmarks there
+        # observed: no pose there sees all of its landmarks
         scn = load_scenario(scenario_dir / "closed_loop.yaml")
         path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
         kf = path.keyframes[4]
         assert {20, 21} <= kf.observations.keys()
         p = kf.pose_truth
         grid = GridSpec(p.x - 0.5, p.x + 0.5, 21, p.y - 0.5, p.y + 0.5, 21)
-        assert True in controller_inside_grid(kf, scn.world, scn.camera, grid)
-        verdicts = controller_inside_grid(kf, scn.repeat_world, scn.camera, grid)
+        assert True in judge(kf, scn.world, scn.camera, grid)
+        verdicts = judge(kf, scn.repeat_world, scn.camera, grid)
         assert verdicts == [False] * (21 * 21)
-        assert verdicts == loop_controller(kf, scn.repeat_world, scn.camera, grid)
+        assert verdicts == reference(kf, scn.repeat_world, scn.camera, grid)
 
     @pytest.mark.parametrize("judge", [funnel_oracle, controller_inside_grid],
                              ids=["funnel_oracle", "controller_inside_grid"])
