@@ -17,7 +17,8 @@ from .errors import ConfigError
 from .features import Keyframe, NoiseModel, VisualPath
 # read only by perfbench/run.py, whose tracer wraps evaluate.match
 from .features import match  # noqa: F401
-from .geometry import CameraModel, Landmark, MotionCommand, Pose, World, sense_grid
+from .geometry import (GRID_BLOCK, CameraModel, Landmark, MotionCommand, Pose, World,
+                       sense_grid)
 # read only by perfbench/run.py, whose tracer wraps evaluate.visible_set
 from .geometry import visible_set  # noqa: F401
 from .navigate import NavigatorConfig, RunTrace, navigate
@@ -60,13 +61,6 @@ def repeatability(points) -> float:
 # --- funnel-lane oracle ------------------------------------------------------
 
 MAX_GRID_POSES = 1_000_000  # 25 times the shipped 200 x 200; funnel_oracle holds arrays of this size
-# controller_inside_grid holds only one block of at most GRID_BLOCK
-# landmark-position pairs at a time, whatever the grid: a row too long for a
-# block is split, and a world has fewer than GRID_BLOCK landmarks
-# (MAX_LANDMARKS), so even a row of MAX_GRID_POSES poses stays bounded.  A
-# block's float arrays, 256 KB each, are smaller than funnel_oracle's own over
-# the shipped 200 x 200 grid
-GRID_BLOCK = 2**15
 
 
 @dataclass(frozen=True)

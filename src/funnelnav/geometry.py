@@ -3,9 +3,9 @@
 The camera looks along the robot heading; landmarks project onto a single
 horizontal image axis.  Positive image coordinates are on the RIGHT side of
 the image, negative on the left.  sense projects any sequence of landmarks,
-such as the few a tracked frame still follows; visible_set projects a whole
+such as the few a tracked tick still follows; visible_set projects a whole
 World; sense_grid projects landmarks from a whole block of grid positions at
-once.
+once, and sense_poses from a whole block of poses.
 All functions here are pure and operate on immutable values.
 """
 
@@ -26,6 +26,7 @@ __all__ = [
     "normalize_angle",
     "sense",
     "sense_grid",
+    "sense_poses",
     "visible_set",
     "step",
     "in_collision",
@@ -33,6 +34,13 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 DT = 0.1  # s, the frame period of the camera: one teach frame, one repeat tick
+# the most landmark-position pairs one sense_grid or sense_poses call is given
+# by the grid walk and by teach: each holds one block at a time, so the memory
+# held stays bounded whatever the grid's size or the drive's length.  A world
+# holds at most evaluate.MAX_LANDMARKS < GRID_BLOCK landmarks, so a block of
+# one position always fits.  A block's float arrays, 256 KB each, are smaller
+# than funnel_oracle's own over the shipped 200 x 200 grid
+GRID_BLOCK = 2**15
 
 
 def normalize_angle(a: float) -> float:
@@ -182,6 +190,35 @@ def sense_grid(
         hidden = (depth < cam.min_depth) | (abs(u) > cam.half_width)
     shape = len(lx), dx.shape[1] * dy.shape[1]
     return ~hidden.reshape(shape).any(axis=0), u.reshape(shape)
+
+
+def sense_poses(
+    landmarks: Sequence[Landmark], poses: Sequence[Pose], cam: CameraModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """sense of n landmarks from each of the m poses, in one numpy pass.
+    Entry (i, k) of the (n, m) bool array seen says whether landmark i is
+    visible from pose k, and that of the (n, m) float64 array u holds its
+    image coordinate there; the coordinate of a hidden landmark means nothing.
+
+    These are sense's operations in sense's order, elementwise in float64,
+    which fuses no operations, so every verdict and visible coordinate equals
+    sense's bit for bit.  Each pose's cos and sin come from math, as in
+    sense: numpy's float64 sin and cos are not guaranteed to round as libm
+    does.
+    """
+    c = np.array([math.cos(p.theta) for p in poses])
+    s = np.array([math.sin(p.theta) for p in poses])
+    px = np.array([p.x for p in poses])
+    py = np.array([p.y for p in poses])
+    lx = np.array([lm.x for lm in landmarks], dtype=float)[:, np.newaxis]
+    ly = np.array([lm.y for lm in landmarks], dtype=float)[:, np.newaxis]
+    with np.errstate(all="ignore"):  # inf and NaN pass or fail the tests as in float math
+        dx = lx - px
+        dy = ly - py
+        depth = dx * c + dy * s
+        u = cam.focal_length * -(-dx * s + dy * c) / depth
+        seen = ~((depth < cam.min_depth) | (abs(u) > cam.half_width))
+    return seen, u
 
 
 def visible_set(

@@ -6,11 +6,12 @@ the keyframe, so every keyframe still holds at least 50% of its segment's
 initial feature set.  Teaching is noiseless: a feature is tracked for as long
 as it stays inside the image.
 
-A frame projects only the landmarks still tracked, which is all the rule
-reads.  The whole world is projected, once per frame, only where it is read:
-at the first and last frames, at the two frames of each keyframe cut, and at
-a frame where fewer than 2 tracked landmarks stay in view, to tell whether it
-sees fewer than 2 at all.
+The drive is projected in blocks of frames, one sense_poses call over the
+whole world per block, so no array holds more than GRID_BLOCK landmark-frame
+pairs whatever the drive's length.  A landmark tracked since a segment's start
+stays tracked until its first hidden frame, so each segment's cut is read off
+the tracked landmarks' first hidden frames in the block, with no loop over
+frames, and each keyframe's observations are read off the block's columns.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import TeachDegenerateError
 from .features import Keyframe, VisualPath
-from .geometry import DT, CameraModel, MotionCommand, Pose, World, sense, step
+from .geometry import GRID_BLOCK, DT, CameraModel, MotionCommand, Pose, World, sense_poses, step
 
 __all__ = ["TeachScript", "record"]
 
@@ -72,48 +75,60 @@ def record(
     the start pose sees fewer than min_features.
     """
     poses = script.poses()
-    lm_of = {lm.id: lm for lm in world.landmarks}
-    frames: dict[int, dict[int, float]] = {}  # frame -> the whole world's view
+    ids = [lm.id for lm in world.landmarks]
+    width = max(1, GRID_BLOCK // max(1, len(ids)))  # frames per block
 
-    def whole(k: int) -> dict[int, float]:
-        """The whole world seen from frame k, projected once.  Every frame
-        before the loop's current one sees 2 or more landmarks, so a frame
-        found to see fewer is the first such frame."""
-        if k not in frames:
-            p = poses[k]
-            frames[k] = sense(world.landmarks, p.x, p.y, p.theta, cam)
-            if len(frames[k]) < 2:
-                raise TeachDegenerateError(f"frame {k} sees only {len(frames[k])} landmarks")
-        return frames[k]
+    def image(seen: np.ndarray, u: np.ndarray) -> dict[int, float]:
+        """A frame's column as sense returns it: visible id -> u, in world order."""
+        idx = np.flatnonzero(seen)
+        return dict(zip([ids[i] for i in idx.tolist()], u[idx].tolist()))
 
-    kf_frames = [0]
-    tracked = set(whole(0))
-    initial = len(tracked)
-
-    for f in range(1, len(poses)):
-        p = poses[f]
-        new_tracked = set(sense([lm_of[i] for i in tracked], p.x, p.y, p.theta, cam))
-        if len(new_tracked) < 2:
-            whole(f)  # raises unless untracked landmarks make up the 2
-        if len(new_tracked) / initial < 0.5:
-            # the previous frame becomes the keyframe; never re-select a frame
-            kf_frame = max(f - 1, kf_frames[-1] + 1)
-            kf_frames.append(kf_frame)
-            tracked = set(whole(kf_frame)) & set(whole(f))
-            initial = len(whole(kf_frame))
-        else:
-            tracked = new_tracked
-    if len(whole(0)) < min_features:  # after the loop: a degenerate frame's error wins
+    kf_frames: list[int] = []
+    images: list[dict[int, float]] = []
+    for a in range(0, len(poses), width):
+        seen, u = sense_poses(world.landmarks, poses[a:a + width], cam)
+        counts = seen.sum(axis=0)
+        if (few := np.flatnonzero(counts < 2)).size:
+            raise TeachDegenerateError(f"frame {a + few[0]} sees only {counts[few[0]]} landmarks")
+        m = seen.shape[1]
+        # first[i, j]: landmark i's first hidden column at or after column j, m if none
+        first = np.where(seen, m, np.arange(m))
+        first = np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1]
+        j = 0  # the segment is judged from column j on
+        if a == 0:
+            kf_frames.append(0)
+            images.append(image(seen[:, 0], u[:, 0]))
+            tracked, initial, j = np.flatnonzero(seen[:, 0]), len(images[0]), 1
+        while j < m:
+            # a tracked landmark stays alive until its first hidden frame, and
+            # the cut is the first frame where 2 * alive < initial: where the
+            # k-th largest first hidden column falls, or at once if fewer are tracked
+            k = (initial + 1) // 2
+            h = first[tracked, j]
+            cut = j if len(h) < k else int(np.partition(h, len(h) - k)[len(h) - k])
+            if cut == m:  # no cut in this block
+                tracked = tracked[h == m]
+                break
+            # the previous frame becomes the keyframe; never re-select a frame.
+            # It may be the previous block's last frame
+            kf = max(a + cut - 1, kf_frames[-1] + 1) - a
+            kf_seen, kf_u = (seen[:, kf], u[:, kf]) if kf >= 0 else carry
+            kf_frames.append(a + kf)
+            images.append(image(kf_seen, kf_u))
+            tracked, initial, j = np.flatnonzero(kf_seen & seen[:, cut]), len(images[-1]), cut + 1
+        carry = seen[:, -1], u[:, -1]
+    if len(images[0]) < min_features:  # after the loop: a degenerate frame's error wins
         raise TeachDegenerateError(
-            f"start pose sees {len(whole(0))} landmarks, need {min_features}"
+            f"start pose sees {len(images[0])} landmarks, need {min_features}"
         )
 
     last = len(poses) - 1
     if kf_frames[-1] != last:
         kf_frames.append(last)
+        images.append(image(*carry))
 
     keyframes = tuple(
-        Keyframe(index=j, pose_truth=poses[fr], observations=dict(whole(fr)))
-        for j, fr in enumerate(kf_frames)
+        Keyframe(index=j, pose_truth=poses[fr], observations=obs)
+        for j, (fr, obs) in enumerate(zip(kf_frames, images))
     )
     return VisualPath(keyframes=keyframes)

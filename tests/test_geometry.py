@@ -4,6 +4,7 @@ import ast
 import inspect
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from funnelnav.geometry import (
     normalize_angle,
     sense,
     sense_grid,
+    sense_poses,
     step,
     visible_set,
 )
@@ -244,6 +246,66 @@ class TestSenseGrid:
             # repr compares ids, order and every float to the bit, signed zeros included
             shown = [(lm.id, u) for lm, u in zip(lms, col) if lm.id in obs]
             assert repr(shown) == repr(list(obs.items()))
+
+
+# A pose and a landmark on opposite sides of this far overflow dx = lm.x - x,
+# or dy, to an infinity.  depth is then infinite, or NaN where dx * c and
+# dy * s are infinities of opposite sign; u is NaN either way, and sense keeps
+# the landmark unless depth is -inf, since NaN fails both of its tests
+_FAR = st.sampled_from([1.7e308, -1.7e308])
+
+
+class TestSensePoses:
+    """sense_poses takes each pose's cos and sin from math, as sense does:
+    numpy's float64 sin and cos are not guaranteed to round as libm does, so
+    a column computed from them could differ from sense in the last bit.
+    Every verdict and coordinate is compared to sense's, to the bit."""
+
+    @settings(max_examples=300)
+    @given(
+        points=st.lists(
+            st.tuples(st.one_of(st.floats(-20.0, 20.0), st.sampled_from(_NEAR), _FAR),
+                      st.one_of(st.floats(-20.0, 20.0), st.sampled_from([1.0, -1.0, 0.0, 0.25]),
+                                _FAR)),
+            max_size=12,
+        ),
+        poses=st.lists(
+            st.builds(Pose, st.one_of(st.floats(-20.0, 20.0), _AXIS, _FAR),
+                      st.one_of(st.just(0.0), st.floats(-20.0, 20.0), _FAR),
+                      st.one_of(st.just(0.0), st.floats(-4.0, 4.0),
+                                st.sampled_from([math.pi / 2, math.pi]))),
+            max_size=12,
+        ),
+    )
+    # all seen from x = 0, one at min_depth and two on the border
+    @example(points=[(0.5, 0.0), (2.0, 1.0), (2.0, -1.0)],
+             poses=[Pose(0.0, 0.0, 0.0), Pose(1.0, 0.0, 0.0)])
+    # dx overflows to inf, and dy to -inf: depth inf, or NaN at heading 0.3
+    @example(points=[(1.7e308, 0.0), (1.7e308, -1.7e308), (2.0, 1.0)],
+             poses=[Pose(-1.7e308, 0.0, 0.0), Pose(-1.7e308, 1.7e308, 0.3),
+                    Pose(-1.7e308, 0.0, math.pi / 2), Pose(0.0, 0.0, 0.0)])
+    def test_each_column_equals_sense_float_for_float(self, points, poses):
+        cam = CameraModel(focal_length=200.0, half_width=100.0, min_depth=0.5)
+        lms = [Landmark(i, x, y) for i, (x, y) in enumerate(points)]
+        seen, u = sense_poses(lms, poses, cam)
+        assert (seen.shape, seen.dtype) == ((len(lms), len(poses)), bool)
+        assert (u.shape, u.dtype) == ((len(lms), len(poses)), np.float64)
+        # as Python values: numpy 2's repr of a float64 is not the float's
+        for p, vis, col in zip(poses, seen.T.tolist(), u.T.tolist(), strict=True):
+            obs = sense(lms, p.x, p.y, p.theta, cam)
+            # repr compares ids, order and every float to the bit, signed zeros and NaN included
+            shown = [(lm.id, x) for lm, v, x in zip(lms, vis, col, strict=True) if v]
+            assert repr(shown) == repr(list(obs.items()))
+
+    @pytest.mark.parametrize("y, theta", [(0.0, 0.0), (0.0, math.pi / 2), (-1.7e308, 0.3)],
+                             ids=["depth-inf", "depth-inf-sideways", "depth-nan"])
+    def test_an_overflowing_landmark_is_kept_as_sense_keeps_it(self, y, theta):
+        lm, pose = Landmark(1, 1.7e308, y), Pose(-1.7e308, -y, theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seen, u = sense_poses([lm], [pose], CAM)
+        assert seen.tolist() == [[True]] and math.isnan(u[0, 0])
+        assert list(sense([lm], pose.x, pose.y, pose.theta, CAM)) == [1]
 
 
 class TestStep:

@@ -1,15 +1,19 @@
 """Teach-phase keyframe selection tests."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funnelnav import teach
+from funnelnav import geometry, teach
 from funnelnav.errors import TeachDegenerateError
-from funnelnav.features import Keyframe, VisualPath
-from funnelnav.geometry import DT, CameraModel, Landmark, MotionCommand, Pose, World, visible_set
+from funnelnav.features import Keyframe, NoiseModel, VisualPath
+from funnelnav.geometry import (DT, CameraModel, Landmark, MotionCommand, Pose, World, sense_poses,
+                                visible_set)
+from funnelnav.navigate import NavigatorConfig, navigate
 from funnelnav.teach import MAX_FRAMES, START, TeachScript, record
 
 CAM = CameraModel()
@@ -19,11 +23,11 @@ def straight(duration, v=0.5):
     return TeachScript(steps=((MotionCommand(v, 0.0), duration),))
 
 
-def corridor(x1=20.0):
+def corridor(x1=20.0, pairs=40):
     lms = []
     nid = 1
-    for k in range(40):
-        x = 0.5 + (x1 - 0.5) * k / 39
+    for k in range(pairs):
+        x = 0.5 + (x1 - 0.5) * k / (pairs - 1)
         for y in (-2.0, 2.0):
             lms.append(Landmark(nid, x, y))
             nid += 1
@@ -194,28 +198,41 @@ def outcome(fn, *args):
         return f"TeachDegenerateError: {e}"
 
 
+@st.composite
+def small_drives(draw):
+    """n landmarks evenly spaced in bearing around the start, at random
+    ranges, with shuffled ids, so a set's order is not the world's, and a
+    drive that turns, so that keyframes are cut."""
+    n = draw(st.integers(2, 30))
+    ids = draw(st.permutations(range(30)))
+    ranges = draw(st.lists(st.floats(2.0, 8.0), min_size=30, max_size=30))
+    steps = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
+                                    st.floats(0.1, 3.0)), min_size=1, max_size=4))
+    world = World(tuple(Landmark(i, r * math.cos(2 * math.pi * k / n),
+                                 r * math.sin(2 * math.pi * k / n))
+                        for k, (i, r) in enumerate(zip(ids[:n], ranges))),
+                  bounds=(-8, -8, 8, 8))
+    return world, TeachScript(tuple((MotionCommand(v, w), d) for v, w, d in steps))
+
+
+# one frame per block, a few frames per block, and the shipped bound: a cut on
+# a block's first frame takes its keyframe from the block before, and a
+# tracked set is carried from block to block
+BLOCKS = (1, 7, teach.GRID_BLOCK)
+
+
 class TestTrackedProjection:
     @settings(max_examples=100)
-    @given(
-        # n landmarks evenly spaced in bearing around the start, at random
-        # ranges, with shuffled ids, so a set's order is not the world's; the
-        # drive turns, so that keyframes are cut
-        n=st.integers(2, 30),
-        ids=st.permutations(range(30)),
-        ranges=st.lists(st.floats(2.0, 8.0), min_size=30, max_size=30),
-        steps=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
-                                 st.floats(0.1, 3.0)), min_size=1, max_size=4),
-        min_features=st.integers(2, 8),
-    )
-    def test_equals_the_whole_frame_reference(self, n, ids, ranges, steps, min_features):
-        world = World(tuple(Landmark(i, r * math.cos(2 * math.pi * k / n),
-                                     r * math.sin(2 * math.pi * k / n))
-                            for k, (i, r) in enumerate(zip(ids[:n], ranges))),
-                      bounds=(-8, -8, 8, 8))
-        script = TeachScript(tuple((MotionCommand(v, w), d) for v, w, d in steps))
+    @given(drive=small_drives(), min_features=st.integers(2, 8))
+    def test_equals_the_whole_frame_reference(self, drive, min_features):
+        world, script = drive
         args = (world, CAM, script, min_features)
         # repr compares every keyframe's pose and observations, floats to the bit
-        assert outcome(record, *args) == outcome(reference_record, *args)
+        expected = outcome(reference_record, *args)
+        for block in BLOCKS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(teach, "GRID_BLOCK", block)
+                assert outcome(record, *args) == expected, block
 
     @pytest.mark.parametrize(
         "world, min_features, error",
@@ -235,21 +252,89 @@ class TestTrackedProjection:
     )
     def test_a_degenerate_frame_raises_as_in_the_reference(self, world, min_features, error):
         args = (world, CAM, straight(5.0, v=1.0), min_features)
-        assert outcome(record, *args) == f"TeachDegenerateError: {error}"
-        assert outcome(reference_record, *args) == outcome(record, *args)
+        assert outcome(reference_record, *args) == f"TeachDegenerateError: {error}"
+        for block in BLOCKS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(teach, "GRID_BLOCK", block)
+                assert outcome(record, *args) == f"TeachDegenerateError: {error}", block
 
-    def test_projects_the_whole_world_only_where_it_is_read(self, monkeypatch):
-        # frame 0, the two frames of each cut and the last frame; the corridor
-        # never leaves fewer than 2 tracked landmarks in view
-        calls, real = [], teach.sense
+    def test_projects_each_block_once_and_no_frame_alone(self, monkeypatch):
+        # 201 frames of 80 landmarks in blocks of 20 frames: one sense_poses
+        # call per block, in frame order, and no sense call at all
+        world, script = corridor(), straight(20.0)
+        expected = repr(reference_record(world, CAM, script, 4))
+        blocks = []
 
-        def counting(landmarks, *args):
-            calls.append(len(landmarks))
-            return real(landmarks, *args)
+        def spy(landmarks, poses, cam):
+            blocks.append((len(landmarks), poses))
+            return sense_poses(landmarks, poses, cam)
 
-        monkeypatch.setattr(teach, "sense", counting)
-        world = corridor()
-        path = record(world, CAM, straight(20.0), min_features=4)
-        whole = calls.count(len(world.landmarks))
-        assert whole <= 2 * (len(path.keyframes) - 2) + 2
-        assert len(calls) - whole == len(straight(20.0).poses()) - 1  # one per later frame
+        def no_sense(*args):
+            raise AssertionError("record called sense")
+
+        monkeypatch.setattr(teach, "GRID_BLOCK", 20 * 80)
+        monkeypatch.setattr(teach, "sense_poses", spy)
+        monkeypatch.setattr(geometry, "sense", no_sense)
+        assert not hasattr(teach, "sense")
+        path = record(world, CAM, script, 4)
+        assert repr(path) == expected and len(path.keyframes) > 2
+        assert [(n, len(poses)) for n, poses in blocks] == [(80, 20)] * 10 + [(80, 1)]
+        assert [p for _, poses in blocks for p in poses] == script.poses()
+
+    def test_a_long_drive_peaks_under_5_mb(self):
+        # 1,000 landmarks over 5,001 frames, about 150 blocks: a pass over the
+        # whole drive would hold 40 MB per float array.  The walk peaked at
+        # 3.4 MB, 0.9 MB of it the drive's poses
+        world, script = corridor(x1=260.0, pairs=500), straight(500.0)
+        tracemalloc.start()
+        try:
+            path = record(world, CAM, script, min_features=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(world.landmarks) * len(script.poses()) > 150 * teach.GRID_BLOCK
+        assert len(path.keyframes) > 2
+        assert peak < 5_000_000
+
+
+class TestPixelUnit:
+    @settings(deadline=None)
+    @given(
+        drive=small_drives(),
+        min_features=st.integers(2, 8),
+        k=st.sampled_from([0.25, 0.5, 2.0, 4.0]),
+        start=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+        sigma=st.one_of(st.just(0.0), st.floats(0.01, 4.0)),
+        dropout=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_power_of_two_unit_scales_teach_and_the_standard_lane(
+            self, drive, min_features, k, start, sigma, dropout, seed):
+        # a power of two scales a product, a quotient, a median and a
+        # correctly rounded sqrt exactly, so changing the pixel unit changes
+        # no keyframe, pose, command or verdict: the paper's "no camera
+        # calibration" for teach and the standard lane
+        world, script = drive
+        cam_k = CameraModel(focal_length=CAM.focal_length * k, half_width=CAM.half_width * k)
+        try:
+            path = record(world, CAM, script, min_features)
+        except TeachDegenerateError as e:
+            assert outcome(record, world, cam_k, script, min_features) == \
+                f"TeachDegenerateError: {e}"
+            return
+        path_k = record(world, cam_k, script, min_features)
+        # repr compares poses, ids, order and every float to the bit
+        assert repr(path_k) == repr(VisualPath(tuple(
+            replace(kf, observations={i: u * k for i, u in kf.observations.items()})
+            for kf in path.keyframes)))
+
+        cfg = NavigatorConfig(controller="standard", max_ticks=100)
+        noise = NoiseModel(dropout_prob=dropout, pixel_sigma=sigma, seed=seed)
+        run = navigate(world, CAM, path, Pose(*start), cfg, noise)
+        run_k = navigate(world, cam_k, path_k, Pose(*start),
+                         replace(cfg, threshold1_ed=cfg.threshold1_ed * k),
+                         replace(noise, pixel_sigma=sigma * k))
+        scaled = tuple({**r, "ed": None if r["ed"] is None else r["ed"] * k,
+                        "mse": None if r["mse"] is None else r["mse"] * k * k}
+                       for r in run.records)
+        assert repr(run_k.records) == repr(scaled)
