@@ -18,7 +18,7 @@ from .features import Keyframe, NoiseModel, VisualPath
 # read only by perfbench/run.py, whose tracer wraps evaluate.match
 from .features import match  # noqa: F401
 from .geometry import (GRID_BLOCK, CameraModel, Landmark, MotionCommand, Pose, World,
-                       sense_grid)
+                       sense_block)
 # read only by perfbench/run.py, whose tracer wraps evaluate.visible_set
 from .geometry import visible_set  # noqa: F401
 from .navigate import NavigatorConfig, RunTrace, navigate
@@ -135,7 +135,7 @@ def controller_inside_grid(
     never seen, so then no cell is inside.
 
     The grid is projected and judged in blocks of at most GRID_BLOCK
-    landmark-position pairs, each by one sense_grid and one inside_funnel
+    landmark-position pairs, each by one sense_block and one inside_funnel
     call: whole rows where a row fits in a block, else part of one row, so
     the verdicts come out in grid_axes' order and the memory held stays
     bounded whatever the grid's size.  No Pose is built per cell.
@@ -154,8 +154,10 @@ def controller_inside_grid(
     out = []
     for r in range(0, len(ys), rows):
         for k in range(0, len(xs), cols):
-            seen, u = sense_grid(lms, xs[k:k + cols], ys[r:r + rows], theta, cam)
-            out += (seen & inside_funnel(u, uj)).tolist()
+            # a row of xs against a column of ys: (n, rows, cols), x fastest
+            seen, u = sense_block(lms, xs[k:k + cols], ys[r:r + rows, np.newaxis], theta, cam)
+            seen, u = seen.reshape(n, -1), u.reshape(n, -1)
+            out += (seen.all(axis=0) & inside_funnel(u, uj)).tolist()
     return out
 
 

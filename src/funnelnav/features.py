@@ -179,14 +179,16 @@ def std_ratio(uc: list[float], uj: list[float]) -> float | None:
     """Ratio of the population standard deviations of coordinate columns uc / uj.
 
     Crosses 1 when the robot passes the keyframe plane.  None where undefined:
-    fewer than 2 pairs or zero keyframe spread.
+    fewer than 2 pairs, zero keyframe spread, or a NaN quotient, as when the
+    coordinates' sums overflow.
     """
     if len(uc) < 2:
         return None
     sb = _pstd(uj)
     if sb == 0.0:
         return None
-    return _pstd(uc) / sb
+    ratio = _pstd(uc) / sb
+    return None if math.isnan(ratio) else ratio
 
 
 def median(xs: list[float]) -> float | None:

@@ -4,8 +4,8 @@ The camera looks along the robot heading; landmarks project onto a single
 horizontal image axis.  Positive image coordinates are on the RIGHT side of
 the image, negative on the left.  sense projects any sequence of landmarks,
 such as the few a tracked tick still follows; visible_set projects a whole
-World; sense_grid projects landmarks from a whole block of grid positions at
-once, and sense_poses from a whole block of poses.
+World; sense_block projects landmarks from a whole block of positions and
+headings at once, such as a block of oracle grid cells or of teach frames.
 All functions here are pure and operate on immutable values.
 """
 
@@ -25,8 +25,7 @@ __all__ = [
     "MotionCommand",
     "normalize_angle",
     "sense",
-    "sense_grid",
-    "sense_poses",
+    "sense_block",
     "visible_set",
     "step",
     "in_collision",
@@ -34,11 +33,11 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 DT = 0.1  # s, the frame period of the camera: one teach frame, one repeat tick
-# the most landmark-position pairs one sense_grid or sense_poses call is given
-# by the grid walk and by teach: each holds one block at a time, so the memory
-# held stays bounded whatever the grid's size or the drive's length.  A world
-# holds at most evaluate.MAX_LANDMARKS < GRID_BLOCK landmarks, so a block of
-# one position always fits.  A block's float arrays, 256 KB each, are smaller
+# the most landmark-position pairs one sense_block call is given by the grid
+# walk and by teach: each holds one block at a time, so the memory held stays
+# bounded whatever the grid's size or the drive's length.  A world holds at
+# most evaluate.MAX_LANDMARKS < GRID_BLOCK landmarks, so a block of one
+# position always fits.  A block's float arrays, 256 KB each, are smaller
 # than funnel_oracle's own over the shipped 200 x 200 grid
 GRID_BLOCK = 2**15
 
@@ -157,64 +156,37 @@ def sense(
     return out
 
 
-def sense_grid(
-    landmarks: Sequence[Landmark], xs: Sequence[float], ys: Sequence[float], theta: float,
-    cam: CameraModel,
+def sense_block(
+    landmarks: Sequence[Landmark], x: np.typing.ArrayLike, y: np.typing.ArrayLike,
+    theta: np.typing.ArrayLike, cam: CameraModel,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sense of n landmarks from each of the m = len(ys) * len(xs) positions
-    of the block ys x xs at heading theta, in one numpy pass.  Position k is
-    (xs[k % len(xs)], ys[k // len(xs)]), row-major with x fastest.  The (m,)
-    bool array seen says whether every landmark is visible from each
-    position, and column k of the (n, m) float64 array u holds their image
-    coordinates there, in the order given.  The entries of a landmark hidden
-    from a position mean nothing.
-
-    Each landmark's x terms are computed once per block and its y terms once
-    per row, then broadcast against each other: these are sense's operations
-    in sense's order, elementwise in float64, which fuses no operations, so
-    each visible coordinate equals sense's float bit for bit.  A block of
-    many positions pays numpy's per-call cost once; for one pose, sense's
-    loop is faster.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    f = cam.focal_length
-    lx = np.array([lm.x for lm in landmarks], dtype=float)[:, np.newaxis]
-    ly = np.array([lm.y for lm in landmarks], dtype=float)[:, np.newaxis]
-    with np.errstate(all="ignore"):  # inf and NaN pass or fail the tests as in float math
-        dx = lx - np.asarray(xs, dtype=float)  # (n, nx)
-        dy = ly - np.asarray(ys, dtype=float)  # (n, ny)
-        dx_c, ndx_s = (dx * c)[:, np.newaxis, :], (-dx * s)[:, np.newaxis, :]
-        dy_s, dy_c = (dy * s)[:, :, np.newaxis], (dy * c)[:, :, np.newaxis]
-        depth = dx_c + dy_s  # (n, ny, nx)
-        u = f * -(ndx_s + dy_c) / depth
-        hidden = (depth < cam.min_depth) | (abs(u) > cam.half_width)
-    shape = len(lx), dx.shape[1] * dy.shape[1]
-    return ~hidden.reshape(shape).any(axis=0), u.reshape(shape)
-
-
-def sense_poses(
-    landmarks: Sequence[Landmark], poses: Sequence[Pose], cam: CameraModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """sense of n landmarks from each of the m poses, in one numpy pass.
-    Entry (i, k) of the (n, m) bool array seen says whether landmark i is
-    visible from pose k, and that of the (n, m) float64 array u holds its
-    image coordinate there; the coordinate of a hidden landmark means nothing.
+    """sense of n landmarks from a whole block of positions (x, y) at headings
+    theta, in one numpy pass.  x, y and theta broadcast together to the block
+    shape P.  Entry (i, *p) of the (n, *P) bool array seen says whether
+    landmark i is visible from position p, and that of the (n, *P) float64
+    array u holds its image coordinate there; the coordinate of a hidden
+    landmark means nothing.
 
     These are sense's operations in sense's order, elementwise in float64,
     which fuses no operations, so every verdict and visible coordinate equals
-    sense's bit for bit.  Each pose's cos and sin come from math, as in
+    sense's bit for bit.  Each heading's cos and sin come from math, as in
     sense: numpy's float64 sin and cos are not guaranteed to round as libm
-    does.
+    does.  Each landmark's x terms are computed once per element of x and its
+    y terms once per element of y, then broadcast: a row of xs against a
+    column of ys at one heading is a grid block.  A block of many positions
+    pays numpy's per-call cost once; for one pose, sense's loop is faster.
     """
-    c = np.array([math.cos(p.theta) for p in poses])
-    s = np.array([math.sin(p.theta) for p in poses])
-    px = np.array([p.x for p in poses])
-    py = np.array([p.y for p in poses])
-    lx = np.array([lm.x for lm in landmarks], dtype=float)[:, np.newaxis]
-    ly = np.array([lm.y for lm in landmarks], dtype=float)[:, np.newaxis]
+    x, y, theta = (np.asarray(v, dtype=float) for v in (x, y, theta))
+    heads = theta.ravel().tolist()
+    c = np.fromiter(map(math.cos, heads), float, len(heads)).reshape(theta.shape)
+    s = np.fromiter(map(math.sin, heads), float, len(heads)).reshape(theta.shape)
+    # a landmark axis in front of the block's axes
+    axes = (-1,) + (1,) * max(x.ndim, y.ndim, theta.ndim)
+    lx = np.array([lm.x for lm in landmarks], dtype=float).reshape(axes)
+    ly = np.array([lm.y for lm in landmarks], dtype=float).reshape(axes)
     with np.errstate(all="ignore"):  # inf and NaN pass or fail the tests as in float math
-        dx = lx - px
-        dy = ly - py
+        dx = lx - x
+        dy = ly - y
         depth = dx * c + dy * s
         u = cam.focal_length * -(-dx * s + dy * c) / depth
         seen = ~((depth < cam.min_depth) | (abs(u) > cam.half_width))

@@ -6,7 +6,7 @@ the keyframe, so every keyframe still holds at least 50% of its segment's
 initial feature set.  Teaching is noiseless: a feature is tracked for as long
 as it stays inside the image.
 
-The drive is projected in blocks of frames, one sense_poses call over the
+The drive is projected in blocks of frames, one sense_block call over the
 whole world per block, so no array holds more than GRID_BLOCK landmark-frame
 pairs whatever the drive's length.  A landmark tracked since a segment's start
 stays tracked until its first hidden frame, so each segment's cut is read off
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import TeachDegenerateError
 from .features import Keyframe, VisualPath
-from .geometry import GRID_BLOCK, DT, CameraModel, MotionCommand, Pose, World, sense_poses, step
+from .geometry import GRID_BLOCK, DT, CameraModel, MotionCommand, Pose, World, sense_block, step
 
 __all__ = ["TeachScript", "record"]
 
@@ -75,6 +75,8 @@ def record(
     the start pose sees fewer than min_features.
     """
     poses = script.poses()
+    px, py, pt = np.array([[p.x for p in poses], [p.y for p in poses], [p.theta for p in poses]],
+                          dtype=float)
     ids = [lm.id for lm in world.landmarks]
     width = max(1, GRID_BLOCK // max(1, len(ids)))  # frames per block
 
@@ -86,7 +88,8 @@ def record(
     kf_frames: list[int] = []
     images: list[dict[int, float]] = []
     for a in range(0, len(poses), width):
-        seen, u = sense_poses(world.landmarks, poses[a:a + width], cam)
+        block = slice(a, a + width)
+        seen, u = sense_block(world.landmarks, px[block], py[block], pt[block], cam)
         counts = seen.sum(axis=0)
         if (few := np.flatnonzero(counts < 2)).size:
             raise TeachDegenerateError(f"frame {a + few[0]} sees only {counts[few[0]]} landmarks")

@@ -11,11 +11,13 @@ import filecmp
 import json
 import math
 import time
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from funnelnav import control_sloped
 from funnelnav.cli import main
 from funnelnav.control_sloped import V_MAX, radius_policy, sloped_command
 from funnelnav.control_standard import V0, standard_command
@@ -39,10 +41,10 @@ from funnelnav.geometry import (
     step,
     visible_set,
 )
-from funnelnav.navigate import NavigatorConfig, should_switch, tick_stats
+from funnelnav.navigate import NavigatorConfig, navigate, should_switch, tick_stats
 from funnelnav.teach import START, TeachScript, record
 
-from conftest import SCENARIO_DIR, cols, match_cols, ms
+from conftest import ALL_SCENARIOS, SCENARIO_DIR, cols, first_divergence, match_cols, ms
 
 CAM = CameraModel()
 OMEGA_MAX = 0.5  # rad/s, the sloped turn rate of NavigatorConfig's default
@@ -306,6 +308,86 @@ class TestMetricIdentity:
             mu = pts.mean(axis=0)
             bias2 = float(np.sum((mu - goal) ** 2))
             assert abs(acc**2 - (rep**2 + bias2)) < 1e-9
+
+
+# the paper's "no camera calibration" as a change of pixel unit, by a power of
+# two so that every image coordinate scales exactly
+UNIT = 2.0
+SCALED = {"ed": lambda v: v * UNIT, "mse": lambda v: v * UNIT * UNIT}
+# where the doubled unit first shows while NORM_FLOOR keeps its value in
+# pixels: the roll slope s_x, wherever a side's keyframe median lies under the
+# floor, and, in two runs, the command and so the path
+ROLL_BOUND = {("closed_loop", "sloped", 0): 920, ("offset_start", "sloped", 0): 132,
+              ("wide_turn", "sloped", 0): 387, ("offset_start", "sloped", 3): 90,
+              ("wide_turn", "sloped", 8): 280}
+PATH_BOUND = {("offset_start", "sloped", 3): 98, ("wide_turn", "sloped", 8): 287}
+# run 0 of every shipped scenario for both controllers, and the two above
+UNIT_RUNS = [(f.stem, c, 0) for f in ALL_SCENARIOS for c in ("standard", "sloped")] + [
+    *PATH_BOUND]
+
+
+@lru_cache(maxsize=None)
+def in_unit(name, k):
+    """The scenario with its pixel unit multiplied by k: focal length, image
+    half-width, pixel noise and the median-distance threshold, and the path
+    it teaches."""
+    scn = scenario(name)
+    cam = replace(scn.camera, focal_length=scn.camera.focal_length * k,
+                  half_width=scn.camera.half_width * k)
+    scn = replace(scn, camera=cam, noise=replace(scn.noise, pixel_sigma=scn.noise.pixel_sigma * k),
+                  navigator=replace(scn.navigator, threshold1_ed=scn.navigator.threshold1_ed * k))
+    return scn, record(scn.world, scn.camera, scn.script, scn.min_teach_features)
+
+
+def repeat_run(name, k, controller, i):
+    """The records of run i of one controller, in the pixel unit k."""
+    scn, path = in_unit(name, k)
+    return navigate(scn.repeat_world, scn.camera, path, scn.repeat_start,
+                    replace(scn.navigator, controller=controller),
+                    replace(scn.noise, seed=scn.seed + i)).records
+
+
+shipped_floor_run = lru_cache(maxsize=None)(repeat_run)  # called only at the shipped NORM_FLOOR
+
+
+def without_roll(records):
+    return [{k: v for k, v in r.items() if k != "s_x"} for r in records]
+
+
+class TestNoCalibration:
+    """A doubled pixel unit doubles every image coordinate exactly, so teach
+    cuts the same keyframes and every run keeps every record field bit for
+    bit, but ed, which doubles, and mse, which quadruples.  NORM_FLOOR is the
+    one constant in pixels: scaled with the unit, no run diverges."""
+
+    @pytest.mark.parametrize("f", ALL_SCENARIOS, ids=lambda f: f.stem)
+    def test_teach_doubles_every_observation(self, f):
+        path, path_k = in_unit(f.stem, 1.0)[1], in_unit(f.stem, UNIT)[1]
+        # repr compares poses, ids, order and every float to the bit
+        assert repr(path_k.keyframes) == repr(tuple(
+            replace(kf, observations={i: u * UNIT for i, u in kf.observations.items()})
+            for kf in path.keyframes))
+
+    def test_with_the_floor_scaled_no_run_diverges(self, monkeypatch):
+        expected = [shipped_floor_run(name, 1.0, c, i) for name, c, i in UNIT_RUNS]
+        monkeypatch.setattr(control_sloped, "NORM_FLOOR", control_sloped.NORM_FLOOR * UNIT)
+        diverged = {}
+        for (name, c, i), records in zip(UNIT_RUNS, expected):
+            if d := first_divergence(records, repeat_run(name, UNIT, c, i), SCALED):
+                diverged[name, c, i] = d
+        assert diverged == {}
+
+    def test_at_the_shipped_floor_the_roll_slope_and_two_paths_diverge(self):
+        first, path = {}, {}
+        for name, c, i in UNIT_RUNS:
+            records = shipped_floor_run(name, 1.0, c, i)
+            records_k = shipped_floor_run(name, UNIT, c, i)
+            if d := first_divergence(records, records_k, SCALED):
+                first[name, c, i] = d
+            if d := first_divergence(without_roll(records), without_roll(records_k), SCALED):
+                path[name, c, i] = d[0]
+        assert first == {case: (tick, "s_x") for case, tick in ROLL_BOUND.items()}
+        assert path == PATH_BOUND
 
 
 class TestDeterminism:

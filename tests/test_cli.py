@@ -503,6 +503,25 @@ class TestRepeatAndCompare:
         b = (out_b / "sloped" / "run_000.jsonl").read_bytes()
         assert a != b
 
+    def test_overflowing_pixel_noise_writes_traces_metrics_reads(self, tmp_path):
+        # a finite pixel_sigma of 5e307 overflows the coordinate sums of
+        # std_ratio at tick 250 of run 1; the NaN ratio once made the sloped
+        # speed NaN, every later pose NaN, and the traces unreadable to metrics
+        d = yaml.safe_load((SCENARIO_DIR / "almost_straight.yaml").read_text())
+        d["noise"]["pixel_sigma"] = 5.0e307
+        d["repeat"]["runs"] = 2
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_text(yaml.safe_dump(d))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 0
+        for controller in ("standard", "sloped"):
+            runs = sorted((out / controller).glob("run_*.jsonl"))
+            assert len(runs) == 2
+            for run in runs:
+                last = read_run(run).records[-1]
+                assert all(math.isfinite(last[k]) for k in ("x", "y", "theta")), run.name
+
 
 class TestOracleCheck:
     def test_two_feature_world_agreement(self, tmp_path):

@@ -45,7 +45,7 @@ from funnelnav.geometry import (
     MotionCommand,
     Pose,
     World,
-    sense_grid,
+    sense_block,
     visible_set,
 )
 from funnelnav.navigate import NavigatorConfig, navigate
@@ -236,12 +236,14 @@ class TestFunnelOracle:
         expected = loop_controller(kf, world, CAM, grid)
         shapes = []
 
-        def spy(landmarks, xs, ys, theta, cam):
-            shapes.append((len(ys), len(xs)))
-            return sense_grid(landmarks, xs, ys, theta, cam)
+        def spy(landmarks, x, y, theta, cam):
+            # a row of xs against a column of ys
+            assert (np.ndim(x), np.shape(y)[1:], np.ndim(theta)) == (1, (1,), 0)
+            shapes.append((len(y), len(x)))
+            return sense_block(landmarks, x, y, theta, cam)
 
         monkeypatch.setattr(evaluate, "GRID_BLOCK", block)
-        monkeypatch.setattr(evaluate, "sense_grid", spy)
+        monkeypatch.setattr(evaluate, "sense_block", spy)
         assert controller_inside_grid(kf, world, CAM, grid) == expected
         assert shapes == blocks
         assert any(expected) and not all(expected)

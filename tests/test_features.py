@@ -1,6 +1,7 @@
 """Match statistics and noise-model unit tests."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -161,6 +162,19 @@ class TestStdRatio:
 
     def test_zero_keyframe_spread_is_degenerate(self):
         assert std_ratio([1.0, 2.0], [5.0, 5.0]) is None
+
+    @pytest.mark.parametrize("uc, uj", [
+        # both spreads overflow to inf: inf / inf
+        ([1e308, 1e308, -1e308], [1e308, 1e308, 5.0]),
+        # the keyframe column's pairwise sum adds +inf to -inf: a NaN mean
+        ([1.0, 2.0] * 4, [1.7e308, 1.7e308, -1.7e308, -1.7e308] * 2),
+    ], ids=["inf-over-inf", "nan-keyframe-spread"])
+    def test_a_nan_quotient_from_overflowing_sums_is_degenerate(self, uc, uj):
+        assert std_ratio(uc, uj) is None
+
+    def test_an_infinite_ratio_is_kept(self):
+        # only the current spread overflows: the ratio is inf, not undefined
+        assert std_ratio([1e308, 1e308, -1e308], [1.0, 2.0, 3.0]) == math.inf
 
     @settings(max_examples=50)
     @given(st.floats(-50.0, 50.0))

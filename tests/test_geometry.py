@@ -21,8 +21,7 @@ from funnelnav.geometry import (
     in_collision,
     normalize_angle,
     sense,
-    sense_grid,
-    sense_poses,
+    sense_block,
     step,
     visible_set,
 )
@@ -205,7 +204,36 @@ _AXIS = st.sampled_from([0.0, 1.0, -1.0, 5e-324, -5e-324])
 _NEAR = [0.5, 1.5, 0.0, 1.0, 2.0, 3.0, -1.0, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
 
 
-class TestSenseGrid:
+# A pose and a landmark on opposite sides of this far overflow dx = lm.x - x,
+# or dy, to an infinity.  depth is then infinite, or NaN where dx * c and
+# dy * s are infinities of opposite sign; u is NaN either way, and sense keeps
+# the landmark unless depth is -inf, since NaN fails both of its tests
+_FAR = st.sampled_from([1.7e308, -1.7e308])
+_CAM = CameraModel(focal_length=200.0, half_width=100.0, min_depth=0.5)
+
+
+def assert_block_equals_sense(lms, seen, u, positions):
+    """Each block position's verdicts and visible coordinates, given its
+    (x, y, theta) in the block's row-major order, equal sense's to the bit."""
+    n, m = len(lms), len(positions)
+    # as Python values: numpy 2's repr of a float64 is not the float's, and
+    # np.bool_ is not bool
+    seen, u = seen.reshape(n, m).T.tolist(), u.reshape(n, m).T.tolist()
+    for (x, y, theta), vis, col in zip(positions, seen, u, strict=True):
+        obs = sense(lms, x, y, theta, _CAM)
+        # repr compares ids, order and every float to the bit, signed zeros and NaN included
+        shown = [(lm.id, c) for lm, v, c in zip(lms, vis, col, strict=True) if v]
+        assert repr(shown) == repr(list(obs.items()))
+
+
+class TestSenseBlock:
+    """sense_block against sense, position by position: an equal verdict can
+    hide a coordinate that differs but still votes forward, so every visible
+    coordinate is compared to the bit.  sense_block takes each heading's cos
+    and sin from math, as sense does: numpy's float64 sin and cos are not
+    guaranteed to round as libm does, so a position computed from them could
+    differ from sense in the last bit."""
+
     @settings(max_examples=300)
     @given(
         points=st.lists(
@@ -225,41 +253,15 @@ class TestSenseGrid:
     # subnormal rows (they round away in lm.y - y) and a third row: x must run fastest
     @example(points=[(2.0, 1.0), (3.0, 0.5)], xs=[0.0, 0.5, 1.0], ys=[5e-324, -5e-324, 0.25],
              theta=0.0)
-    def test_each_cell_equals_sense_float_for_float(self, points, xs, ys, theta):
-        # an equal verdict can hide a coordinate that differs but still votes
-        # forward, so every visible coordinate is compared to the bit
-        cam = CameraModel(focal_length=200.0, half_width=100.0, min_depth=0.5)
+    def test_a_grid_block_equals_sense_float_for_float(self, points, xs, ys, theta):
+        # the grid walk's shape: a row of xs against a column of ys at one heading
         lms = [Landmark(i, x, ly) for i, (x, ly) in enumerate(points)]
-        seen, u = sense_grid(lms, xs, ys, theta, cam)
-        m = len(ys) * len(xs)
-        assert (seen.shape, seen.dtype) == ((m,), bool)
-        assert (u.shape, u.dtype) == ((len(lms), m), np.float64)
-        # as Python values: numpy 2's repr of a float64 is not the float's, and
-        # np.bool_ is not bool
-        seen, cols = seen.tolist(), u.T.tolist()
-        # row-major, x fastest: position k is (xs[k % len(xs)], ys[k // len(xs)])
-        positions = [(x, y) for y in ys for x in xs]
-        for (x, y), all_seen, col in zip(positions, seen, cols, strict=True):
-            obs = sense(lms, x, y, theta, cam)
-            assert all_seen is (len(obs) == len(lms))
-            assert len(col) == len(lms)
-            # repr compares ids, order and every float to the bit, signed zeros included
-            shown = [(lm.id, u) for lm, u in zip(lms, col) if lm.id in obs]
-            assert repr(shown) == repr(list(obs.items()))
-
-
-# A pose and a landmark on opposite sides of this far overflow dx = lm.x - x,
-# or dy, to an infinity.  depth is then infinite, or NaN where dx * c and
-# dy * s are infinities of opposite sign; u is NaN either way, and sense keeps
-# the landmark unless depth is -inf, since NaN fails both of its tests
-_FAR = st.sampled_from([1.7e308, -1.7e308])
-
-
-class TestSensePoses:
-    """sense_poses takes each pose's cos and sin from math, as sense does:
-    numpy's float64 sin and cos are not guaranteed to round as libm does, so
-    a column computed from them could differ from sense in the last bit.
-    Every verdict and coordinate is compared to sense's, to the bit."""
+        seen, u = sense_block(lms, xs, np.array(ys)[:, np.newaxis], theta, _CAM)
+        shape = (len(lms), len(ys), len(xs))
+        assert (seen.shape, seen.dtype) == (shape, bool)
+        assert (u.shape, u.dtype) == (shape, np.float64)
+        # row-major, x fastest: position (r, k) is (xs[k], ys[r])
+        assert_block_equals_sense(lms, seen, u, [(x, y, theta) for y in ys for x in xs])
 
     @settings(max_examples=300)
     @given(
@@ -284,18 +286,15 @@ class TestSensePoses:
     @example(points=[(1.7e308, 0.0), (1.7e308, -1.7e308), (2.0, 1.0)],
              poses=[Pose(-1.7e308, 0.0, 0.0), Pose(-1.7e308, 1.7e308, 0.3),
                     Pose(-1.7e308, 0.0, math.pi / 2), Pose(0.0, 0.0, 0.0)])
-    def test_each_column_equals_sense_float_for_float(self, points, poses):
-        cam = CameraModel(focal_length=200.0, half_width=100.0, min_depth=0.5)
+    def test_a_block_of_poses_equals_sense_float_for_float(self, points, poses):
+        # teach's shape: one array each of x, y and theta, a heading per pose
         lms = [Landmark(i, x, y) for i, (x, y) in enumerate(points)]
-        seen, u = sense_poses(lms, poses, cam)
-        assert (seen.shape, seen.dtype) == ((len(lms), len(poses)), bool)
-        assert (u.shape, u.dtype) == ((len(lms), len(poses)), np.float64)
-        # as Python values: numpy 2's repr of a float64 is not the float's
-        for p, vis, col in zip(poses, seen.T.tolist(), u.T.tolist(), strict=True):
-            obs = sense(lms, p.x, p.y, p.theta, cam)
-            # repr compares ids, order and every float to the bit, signed zeros and NaN included
-            shown = [(lm.id, x) for lm, v, x in zip(lms, vis, col, strict=True) if v]
-            assert repr(shown) == repr(list(obs.items()))
+        x, y, theta = np.array([(p.x, p.y, p.theta) for p in poses]).reshape(-1, 3).T
+        seen, u = sense_block(lms, x, y, theta, _CAM)
+        shape = (len(lms), len(poses))
+        assert (seen.shape, seen.dtype) == (shape, bool)
+        assert (u.shape, u.dtype) == (shape, np.float64)
+        assert_block_equals_sense(lms, seen, u, [(p.x, p.y, p.theta) for p in poses])
 
     @pytest.mark.parametrize("y, theta", [(0.0, 0.0), (0.0, math.pi / 2), (-1.7e308, 0.3)],
                              ids=["depth-inf", "depth-inf-sideways", "depth-nan"])
@@ -303,7 +302,7 @@ class TestSensePoses:
         lm, pose = Landmark(1, 1.7e308, y), Pose(-1.7e308, -y, theta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            seen, u = sense_poses([lm], [pose], CAM)
+            seen, u = sense_block([lm], [pose.x], [pose.y], [pose.theta], CAM)
         assert seen.tolist() == [[True]] and math.isnan(u[0, 0])
         assert list(sense([lm], pose.x, pose.y, pose.theta, CAM)) == [1]
 

@@ -77,7 +77,7 @@ def test_trace_hooks_read_the_sites_arguments(scenario_dir):
     summary = tracer.summary()
     calls = dict(zip(summary["names"], summary["calls"]))
     assert calls["evaluate.controller_inside_grid"] == 1
-    # the grid is projected in blocks of rows through geometry.sense_grid, which
+    # the grid is projected in blocks of rows through geometry.sense_block, which
     # is no site; the hooks read visible_set's arguments on run_scenario's re-matches
     assert calls["evaluate.visible_set"] == 0
     assert calls["navigate.visible_set"] > 0

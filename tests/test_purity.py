@@ -28,11 +28,13 @@ def test_controllers_import_only_image_side_types():
         assert geometry_imports == ["from .geometry import MotionCommand"]
 
 
-@pytest.mark.parametrize("name", ["MatchSet", "grid_poses", "StandardParams", "SlopedParams"])
+@pytest.mark.parametrize("name", ["MatchSet", "grid_poses", "StandardParams", "SlopedParams",
+                                  "sense_grid", "sense_poses"])
 def test_no_module_names_a_removed_shape(name):
     # a match is an id -> u map like an image, and a grid is its two axes;
     # neither the (id, u_c, u_j) triples nor a Pose per grid cell come back,
-    # and each controller's one setting is its turn rate, a NavigatorConfig float
+    # each controller's one setting is its turn rate, a NavigatorConfig float,
+    # and the grid walk and teach share one projection, sense_block
     src_dir = Path(standard.__file__).parent
     assert [f.name for f in sorted(src_dir.glob("*.py")) if name in f.read_text()] == []
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from funnelnav import geometry, teach
 from funnelnav.errors import TeachDegenerateError
 from funnelnav.features import Keyframe, NoiseModel, VisualPath
-from funnelnav.geometry import (DT, CameraModel, Landmark, MotionCommand, Pose, World, sense_poses,
+from funnelnav.geometry import (DT, CameraModel, Landmark, MotionCommand, Pose, World, sense_block,
                                 visible_set)
 from funnelnav.navigate import NavigatorConfig, navigate
 from funnelnav.teach import MAX_FRAMES, START, TeachScript, record
@@ -259,27 +259,28 @@ class TestTrackedProjection:
                 assert outcome(record, *args) == f"TeachDegenerateError: {error}", block
 
     def test_projects_each_block_once_and_no_frame_alone(self, monkeypatch):
-        # 201 frames of 80 landmarks in blocks of 20 frames: one sense_poses
+        # 201 frames of 80 landmarks in blocks of 20 frames: one sense_block
         # call per block, in frame order, and no sense call at all
         world, script = corridor(), straight(20.0)
         expected = repr(reference_record(world, CAM, script, 4))
         blocks = []
 
-        def spy(landmarks, poses, cam):
-            blocks.append((len(landmarks), poses))
-            return sense_poses(landmarks, poses, cam)
+        def spy(landmarks, x, y, theta, cam):
+            blocks.append((len(landmarks), list(zip(x.tolist(), y.tolist(), theta.tolist()))))
+            return sense_block(landmarks, x, y, theta, cam)
 
         def no_sense(*args):
             raise AssertionError("record called sense")
 
         monkeypatch.setattr(teach, "GRID_BLOCK", 20 * 80)
-        monkeypatch.setattr(teach, "sense_poses", spy)
+        monkeypatch.setattr(teach, "sense_block", spy)
         monkeypatch.setattr(geometry, "sense", no_sense)
         assert not hasattr(teach, "sense")
         path = record(world, CAM, script, 4)
         assert repr(path) == expected and len(path.keyframes) > 2
-        assert [(n, len(poses)) for n, poses in blocks] == [(80, 20)] * 10 + [(80, 1)]
-        assert [p for _, poses in blocks for p in poses] == script.poses()
+        assert [(n, len(frames)) for n, frames in blocks] == [(80, 20)] * 10 + [(80, 1)]
+        assert [f for _, frames in blocks for f in frames] == [
+            (p.x, p.y, p.theta) for p in script.poses()]
 
     def test_a_long_drive_peaks_under_5_mb(self):
         # 1,000 landmarks over 5,001 frames, about 150 blocks: a pass over the
