@@ -100,9 +100,9 @@ def funnel_oracle(kf: Keyframe, world: World, cam: CameraModel, grid: GridSpec) 
     constraints, strictly.  The whole grid is judged at once: a row of x
     positions broadcasts against a column of y positions, in the arithmetic
     order of a pose-by-pose float loop, so each verdict equals that loop's.
-    Each test is negated rather than flipped, so a pose whose geometry
-    overflows to NaN fails no test, as in the loop.  A keyframe landmark that
-    world lacks is visible from no pose, so then no cell is inside.
+    One mask marks a cell outside when any landmark fails any test, each test
+    ORed into it in place as written, so geometry that overflows to NaN fails
+    none, as in the loop.  A keyframe landmark world lacks is seen from no pose.
     """
     lms = {lm.id: lm for lm in world.landmarks}
     if not lms.keys() >= kf.observations.keys():
@@ -112,18 +112,18 @@ def funnel_oracle(kf: Keyframe, world: World, cam: CameraModel, grid: GridSpec) 
     ys = ys[:, np.newaxis]
     c, s = math.cos(kf.pose_truth.theta), math.sin(kf.pose_truth.theta)
     f, half_width = cam.focal_length, cam.half_width
-    inside = np.ones((grid.ny, grid.nx), dtype=bool)
+    outside = np.zeros((grid.ny, grid.nx), dtype=bool)
     with np.errstate(all="ignore"):  # inf and NaN fail or pass tests as in float math
         for lm, u_j in feats:
             dx, dy = lm.x - xs, lm.y - ys
             depth = dx * c + dy * s
             lat_right = dx * s - dy * c
-            inside &= ~(depth < cam.min_depth)
-            inside &= ~(f * abs(lat_right) > half_width * depth)  # outside the image border
-            # |u_c| < |u_j| as a ratio test, avoiding the projection routine
-            inside &= ~(abs(lat_right) * f >= abs(u_j) * depth)
-            inside &= ~(lat_right * u_j < 0)
-    return inside.ravel().tolist()
+            f_lat = f * abs(lat_right)  # equals abs(lat_right) * f: multiplication commutes
+            outside |= depth < cam.min_depth
+            outside |= f_lat > half_width * depth  # outside the image border
+            outside |= f_lat >= abs(u_j) * depth  # not |u_c| < |u_j|, as a ratio test
+            outside |= np.multiply(lat_right, u_j, out=lat_right) < 0
+    return (~outside).ravel().tolist()
 
 
 def controller_inside_grid(

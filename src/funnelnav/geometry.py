@@ -202,28 +202,31 @@ def visible_set(
     return sense(world.landmarks, x, y, theta, cam)
 
 
+def _advance(
+    x: float, y: float, theta: float, v: float, omega: float, dt: float
+) -> tuple[float, float, float]:
+    """step on floats: (x, y, theta) advanced by (v, omega) for dt, as the
+    (x, y, normalize_angle(theta)) a Pose would store, so a walk of many
+    frames builds no Pose per frame and still integrates as step does."""
+    if abs(omega) < 1e-3:
+        # Chord form: v*dt*sinc(h) along the mid heading, h = omega*dt/2.
+        # The radius form below loses about eps*v/|omega| to cancellation,
+        # which is no longer small as omega -> 0; this form stays exact.
+        h = 0.5 * omega * dt
+        chord = v * dt * (math.sin(h) / h if h else 1.0)
+        return (x + chord * math.cos(theta + h), y + chord * math.sin(theta + h),
+                normalize_angle(theta + omega * dt if h else theta))
+    r = v / omega
+    th1 = theta + omega * dt
+    return (x + r * (math.sin(th1) - math.sin(theta)),
+            y - r * (math.cos(th1) - math.cos(theta)), normalize_angle(th1))
+
+
 def step(pose: Pose, cmd: MotionCommand, dt: float) -> Pose:
     """Advance a pose by one command interval using exact unicycle integration."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if abs(cmd.omega) < 1e-3:
-        # Chord form: v*dt*sinc(h) along the mid heading, h = omega*dt/2.
-        # The radius form below loses about eps*v/|omega| to cancellation,
-        # which is no longer small as omega -> 0; this form stays exact.
-        h = 0.5 * cmd.omega * dt
-        chord = cmd.v * dt * (math.sin(h) / h if h else 1.0)
-        return Pose(
-            pose.x + chord * math.cos(pose.theta + h),
-            pose.y + chord * math.sin(pose.theta + h),
-            pose.theta + cmd.omega * dt if h else pose.theta,
-        )
-    r = cmd.v / cmd.omega
-    th1 = pose.theta + cmd.omega * dt
-    return Pose(
-        pose.x + r * (math.sin(th1) - math.sin(pose.theta)),
-        pose.y - r * (math.cos(th1) - math.cos(pose.theta)),
-        th1,
-    )
+    return Pose(*_advance(pose.x, pose.y, pose.theta, cmd.v, cmd.omega, dt))
 
 
 def in_collision(world: World, pose: Pose) -> bool:

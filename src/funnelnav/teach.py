@@ -6,12 +6,15 @@ the keyframe, so every keyframe still holds at least 50% of its segment's
 initial feature set.  Teaching is noiseless: a feature is tracked for as long
 as it stays inside the image.
 
-The drive is projected in blocks of frames, one sense_block call over the
-whole world per block, so no array holds more than GRID_BLOCK landmark-frame
-pairs whatever the drive's length.  A landmark tracked since a segment's start
-stays tracked until its first hidden frame, so each segment's cut is read off
-the tracked landmarks' first hidden frames in the block, with no loop over
-frames, and each keyframe's observations are read off the block's columns.
+The drive is walked as floats: geometry's integrator, which step wraps,
+advances each frame's (x, y, theta), and a Pose is built only for a keyframe;
+TeachScript.poses() is the same walk as Poses.  The drive is projected in
+blocks of frames, one sense_block call over the whole world per block, so no
+array holds more than GRID_BLOCK landmark-frame pairs whatever the drive's
+length.  A landmark tracked since a segment's start stays tracked until its
+first hidden frame, so each segment's cut is read off the tracked landmarks'
+first hidden frames in the block, with no loop over frames, and each
+keyframe's observations are read off the block's columns.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import numpy as np
 
 from .errors import TeachDegenerateError
 from .features import Keyframe, VisualPath
-from .geometry import GRID_BLOCK, DT, CameraModel, MotionCommand, Pose, World, sense_block, step
+from .geometry import (GRID_BLOCK, DT, CameraModel, MotionCommand, Pose, World, _advance,
+                       sense_block)
 
 __all__ = ["TeachScript", "record"]
 
@@ -44,8 +48,8 @@ class TeachScript:
                 raise ValueError("step durations must be positive, and duration / DT finite")
             if not (math.isfinite(cmd.v) and math.isfinite(cmd.omega)):
                 raise ValueError("step speeds v and omega must be finite")
-        # poses() appends one pose per frame, so a finite but huge count would
-        # fill memory before the drive ended
+        # the walk appends one pose per frame, so a finite but huge count
+        # would fill memory before the drive ended
         frames = sum(max(1, round(duration / DT)) for _, duration in self.steps)
         if frames > MAX_FRAMES:
             raise ValueError(f"a teach drive has at most {MAX_FRAMES} frames, the sum over "
@@ -53,12 +57,15 @@ class TeachScript:
 
     def poses(self) -> list[Pose]:
         """The full frame-by-frame pose sequence, starting at START."""
-        out = [START]
-        pose = START
+        return [Pose(*p) for p in self._walk()]
+
+    def _walk(self) -> list[tuple[float, float, float]]:
+        """Each frame's (x, y, theta) from START, as poses() holds them: the
+        integrator steps the floats themselves, one DT per frame."""
+        out = [(START.x, START.y, START.theta)]
         for cmd, duration in self.steps:
             for _ in range(max(1, round(duration / DT))):
-                pose = step(pose, cmd, DT)
-                out.append(pose)
+                out.append(_advance(*out[-1], cmd.v, cmd.omega, DT))
         return out
 
 
@@ -74,9 +81,8 @@ def record(
     Raises TeachDegenerateError when any frame sees fewer than 2 landmarks or
     the start pose sees fewer than min_features.
     """
-    poses = script.poses()
-    px, py, pt = np.array([[p.x for p in poses], [p.y for p in poses], [p.theta for p in poses]],
-                          dtype=float)
+    walk = script._walk()
+    px, py, pt = np.array(walk, dtype=float).T
     ids = [lm.id for lm in world.landmarks]
     width = max(1, GRID_BLOCK // max(1, len(ids)))  # frames per block
 
@@ -87,7 +93,7 @@ def record(
 
     kf_frames: list[int] = []
     images: list[dict[int, float]] = []
-    for a in range(0, len(poses), width):
+    for a in range(0, len(walk), width):
         block = slice(a, a + width)
         seen, u = sense_block(world.landmarks, px[block], py[block], pt[block], cam)
         counts = seen.sum(axis=0)
@@ -125,13 +131,13 @@ def record(
             f"start pose sees {len(images[0])} landmarks, need {min_features}"
         )
 
-    last = len(poses) - 1
+    last = len(walk) - 1
     if kf_frames[-1] != last:
         kf_frames.append(last)
         images.append(image(*carry))
 
     keyframes = tuple(
-        Keyframe(index=j, pose_truth=poses[fr], observations=obs)
+        Keyframe(index=j, pose_truth=Pose(*walk[fr]), observations=obs)
         for j, (fr, obs) in enumerate(zip(kf_frames, images))
     )
     return VisualPath(keyframes=keyframes)

@@ -202,6 +202,33 @@ def oracle_cases(draw):
     return world, kf, grid
 
 
+# coordinates up to +-1e308, where differences overflow to inf and inf * 0.0
+# or inf - inf give NaN, and u_j from the values whose sign or size is extreme
+_HUGE = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e308, 1e308),
+                  st.sampled_from([1e308, -1e308, 0.0, -0.0, 5e-324, -5e-324]))
+_EXTREME_U = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf]),
+                       st.floats(-2.2e-308, 2.2e-308), st.floats(-200.0, 200.0))
+
+
+@st.composite
+def extreme_oracle_cases(draw):
+    """oracle_cases at the ends of float64: a world of 1-5 landmarks and a
+    grid of up to 8 x 8 poses, each span x1 - x0 and y1 - y0 finite."""
+    points = draw(st.lists(st.tuples(_HUGE, _HUGE), min_size=1, max_size=5))
+    world = World(tuple(Landmark(i, x, y) for i, (x, y) in enumerate(points)),
+                  bounds=(-1e308, -1e308, 1e308, 1e308))
+    seen = draw(st.lists(st.sampled_from(range(len(points))), min_size=1, unique=True))
+    kf = Keyframe(0, Pose(draw(_HUGE), draw(_HUGE), draw(st.floats(-4.0, 4.0))),
+                  {i: draw(_EXTREME_U) for i in seen})
+
+    def axis():
+        a = draw(_HUGE)
+        return a, draw(st.floats(max(-1e308, a - 1.7e308), min(1e308, a + 1.7e308)))
+
+    (x0, x1), (y0, y1) = axis(), axis()
+    return world, kf, GridSpec(x0, x1, draw(st.integers(1, 8)), y0, y1, draw(st.integers(1, 8)))
+
+
 class TestFunnelOracle:
     @settings(max_examples=300, deadline=None)
     @given(case=oracle_cases())
@@ -277,6 +304,24 @@ class TestFunnelOracle:
                 assert funnel_oracle(kf, world, CAM, grid) == loop_oracle(kf, world, CAM, grid)
                 assert controller_inside_grid(kf, world, CAM, grid) == loop_controller(
                     kf, world, CAM, grid)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=extreme_oracle_cases())
+    # dx is inf and dy -inf, so depth is NaN and fails no test: inside
+    @example(case=(World((Landmark(1, 1e308, -1e308),), bounds=(-1e308, -1e308, 1e308, 1e308)),
+                   Keyframe(0, Pose(0.0, 0.0, 0.5), {1: 50.0}),
+                   GridSpec(-1e308, -1e308, 1, 1e308, 1e308, 1)))
+    # depth overflows to inf with lat_right finite and positive, so u_j = -0.0
+    # passes the sign test (lat_right * -0.0 is -0.0) and the others give NaN
+    @example(case=(World((Landmark(1, 1e308, 1e308),), bounds=(-1e308, -1e308, 1e308, 1e308)),
+                   Keyframe(0, Pose(0.0, 0.0, math.pi / 4), {1: -0.0}),
+                   GridSpec(-5e307, -5e307, 1, -4e307, -4e307, 1)))
+    def test_extreme_geometry_equals_pose_loop(self, case):
+        # NaN, infinite, subnormal and signed-zero cells, silently, as in the loop
+        world, kf, grid = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert funnel_oracle(kf, world, CAM, grid) == loop_oracle(kf, world, CAM, grid)
 
     @pytest.mark.parametrize("judge, reference", [(funnel_oracle, loop_oracle),
                                                    (controller_inside_grid, loop_controller)],

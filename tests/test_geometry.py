@@ -4,6 +4,7 @@ import ast
 import inspect
 import math
 import struct
+import types
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from funnelnav import navigate, teach
+from funnelnav import geometry, navigate, teach
 from funnelnav.geometry import (
     CameraModel,
     Landmark,
@@ -306,14 +307,37 @@ class TestSenseBlock:
         assert seen.tolist() == [[True]] and math.isnan(u[0, 0])
         assert list(sense([lm], pose.x, pose.y, pose.theta, CAM)) == [1]
 
+    def test_cos_and_sin_come_from_math(self, monkeypatch):
+        # numpy's cos and sin round as libm's on common platforms, so the
+        # properties above pass with either.  With math's cos and sin nudged
+        # one ulp, sense's coordinates move, and sense_block's must move with them
+        lms = [Landmark(i, x, y) for i, (x, y) in
+               enumerate([(3.0, 0.7), (2.5, -0.4), (1.2, 1.9), (-2.0, 3.0), (-3.0, -1.0)])]
+        positions = [(x, y, theta) for theta in (0.0, 0.3, 1.0, -2.5)
+                     for y in (0.0, -0.2) for x in (0.0, 0.3)]
+        unnudged = [sense(lms, *p, _CAM) for p in positions]
+        nudged = types.SimpleNamespace(**{
+            **vars(math),
+            "cos": lambda a: math.nextafter(math.cos(a), math.inf),
+            "sin": lambda a: math.nextafter(math.sin(a), math.inf),
+        })
+        monkeypatch.setattr(geometry, "math", nudged)
+        assert [sense(lms, *p, _CAM) for p in positions] != unnudged
+        x, y, theta = np.array(positions).T
+        seen, u = sense_block(lms, x, y, theta, _CAM)
+        assert_block_equals_sense(lms, seen, u, positions)
+
 
 class TestStep:
     @pytest.mark.parametrize("module", [teach, navigate], ids=lambda m: m.__name__)
     def test_teach_and_navigate_step_by_the_frame_period(self, module):
-        # a teach frame and a repeat tick both last geometry.DT
+        # a teach frame and a repeat tick both last geometry.DT: navigate
+        # calls step, and teach's float walk the integrator step wraps; dt is
+        # the last argument of both
         calls = [node for node in ast.walk(ast.parse(inspect.getsource(module)))
-                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "step"]
-        assert calls and [ast.unparse(c.args[2]) for c in calls] == ["DT"] * len(calls)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) in ("step", "_advance")]
+        assert calls and [ast.unparse(c.args[-1]) for c in calls] == ["DT"] * len(calls)
 
     def test_zero_command_keeps_pose(self):
         p = Pose(1.0, 2.0, 0.5)

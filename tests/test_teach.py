@@ -282,10 +282,26 @@ class TestTrackedProjection:
         assert [f for _, frames in blocks for f in frames] == [
             (p.x, p.y, p.theta) for p in script.poses()]
 
+    def test_record_builds_a_pose_per_keyframe_not_per_frame(self, monkeypatch):
+        # the drive is walked as floats; a Pose is built only for a keyframe
+        world, script = corridor(), straight(20.0)
+        expected, frames = repr(reference_record(world, CAM, script, 4)), len(script.poses())
+        built = []
+        post_init = Pose.__post_init__
+
+        def counted(self):
+            built.append((self.x, self.y, self.theta))
+            post_init(self)
+
+        monkeypatch.setattr(Pose, "__post_init__", counted)
+        path = record(world, CAM, script, 4)
+        assert repr(path) == expected
+        assert len(built) == len(path.keyframes) < frames
+
     def test_a_long_drive_peaks_under_5_mb(self):
         # 1,000 landmarks over 5,001 frames, about 150 blocks: a pass over the
         # whole drive would hold 40 MB per float array.  The walk peaked at
-        # 3.4 MB, 0.9 MB of it the drive's poses
+        # 3.4 MB, 0.7 MB of it the drive's (x, y, theta) floats
         world, script = corridor(x1=260.0, pairs=500), straight(500.0)
         tracemalloc.start()
         try:
