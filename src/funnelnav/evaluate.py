@@ -60,7 +60,7 @@ def repeatability(points) -> float:
 
 # --- funnel-lane oracle ------------------------------------------------------
 
-MAX_GRID_POSES = 1_000_000  # 25 times the shipped 200 x 200; funnel_oracle holds arrays of this size
+MAX_GRID_POSES = 1_000_000  # 25 times the shipped 200 x 200; a judge returns a verdict per pose
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,44 @@ def grid_axes(grid: GridSpec) -> tuple[list[float], list[float]]:
             np.linspace(grid.y0, grid.y1, grid.ny).tolist())
 
 
+def _walk(kf: Keyframe, world: World, grid: GridSpec, passes) -> list[bool]:
+    """The AND over kf's landmarks of passes(lm, u_j, x, y), a bool per
+    position of x and y broadcast together, in C order: one verdict per grid
+    cell in grid_axes' order.  A keyframe landmark world lacks is seen from
+    no pose, so then no cell is inside.
+
+    The grid is walked in blocks of at most GRID_BLOCK positions: whole rows
+    where a row fits, else part of one row, so a block is one run of cells
+    in grid_axes' order.  The first landmark judges the block as a row of xs
+    against a column of ys; every later one only the cells still inside, as
+    two 1-D arrays, and a block with no cell left stops.  Each test is
+    elementwise, so the landmarks' order changes the cost, never a verdict:
+    smallest |u_j| first, since |u_c| < |u_j| holds on the narrowest wedge
+    for a feature near the image centre, so that test leaves the fewest cells.
+    """
+    lm_of = {lm.id: lm for lm in world.landmarks}
+    if not lm_of.keys() >= kf.observations.keys():
+        return [False] * (grid.nx * grid.ny)
+    first, *rest = [(lm_of[i], u_j) for i, u_j in
+                    sorted(kf.observations.items(), key=lambda obs: abs(obs[1]))]
+    xs, ys = map(np.array, grid_axes(grid))
+    inside = np.zeros(len(xs) * len(ys), dtype=bool)
+    cols = min(len(xs), GRID_BLOCK)
+    rows = GRID_BLOCK // cols  # 1 unless a block holds whole rows
+    for r in range(0, len(ys), rows):
+        for k in range(0, len(xs), cols):
+            x, y = xs[k:k + cols], ys[r:r + rows]
+            cell = np.flatnonzero(passes(*first, x, y[:, np.newaxis]))
+            x, y = x[cell % len(x)], y[cell // len(x)]
+            for lm, u_j in rest:
+                if not len(cell):
+                    break
+                keep = passes(lm, u_j, x, y)
+                x, y, cell = x[keep], y[keep], cell[keep]
+            inside[r * len(xs) + k + cell] = True
+    return inside.tolist()
+
+
 def funnel_oracle(kf: Keyframe, world: World, cam: CameraModel, grid: GridSpec) -> list[bool]:
     """Ground-truth membership in the combined funnel lane, by brute force,
     one verdict per grid cell in grid_axes' order.
@@ -97,33 +135,26 @@ def funnel_oracle(kf: Keyframe, world: World, cam: CameraModel, grid: GridSpec) 
     Works directly on world geometry (lateral/depth ratios), independent of
     the projection and voting code it is used to check.  A pose is inside iff
     every keyframe landmark is visible from it and satisfies both per-feature
-    constraints, strictly.  The whole grid is judged at once: a row of x
-    positions broadcasts against a column of y positions, in the arithmetic
+    constraints, strictly.  Each landmark's four tests are in the arithmetic
     order of a pose-by-pose float loop, so each verdict equals that loop's.
-    One mask marks a cell outside when any landmark fails any test, each test
-    ORed into it in place as written, so geometry that overflows to NaN fails
-    none, as in the loop.  A keyframe landmark world lacks is seen from no pose.
+    A cell passes a landmark unless one of its tests holds as written, so
+    geometry that overflows to NaN fails none, as in the loop.
     """
-    lms = {lm.id: lm for lm in world.landmarks}
-    if not lms.keys() >= kf.observations.keys():
-        return [False] * (grid.nx * grid.ny)
-    feats = [(lms[i], u_j) for i, u_j in sorted(kf.observations.items())]
-    xs, ys = map(np.array, grid_axes(grid))
-    ys = ys[:, np.newaxis]
     c, s = math.cos(kf.pose_truth.theta), math.sin(kf.pose_truth.theta)
     f, half_width = cam.focal_length, cam.half_width
-    outside = np.zeros((grid.ny, grid.nx), dtype=bool)
+
+    def passes(lm, u_j, x, y):
+        dx, dy = lm.x - x, lm.y - y
+        depth = dx * c + dy * s
+        lat_right = dx * s - dy * c
+        f_lat = f * abs(lat_right)  # equals abs(lat_right) * f: multiplication commutes
+        return ~((depth < cam.min_depth)
+                 | (f_lat > half_width * depth)  # outside the image border
+                 | (f_lat >= abs(u_j) * depth)  # not |u_c| < |u_j|, as a ratio test
+                 | (lat_right * u_j < 0))
+
     with np.errstate(all="ignore"):  # inf and NaN fail or pass tests as in float math
-        for lm, u_j in feats:
-            dx, dy = lm.x - xs, lm.y - ys
-            depth = dx * c + dy * s
-            lat_right = dx * s - dy * c
-            f_lat = f * abs(lat_right)  # equals abs(lat_right) * f: multiplication commutes
-            outside |= depth < cam.min_depth
-            outside |= f_lat > half_width * depth  # outside the image border
-            outside |= f_lat >= abs(u_j) * depth  # not |u_c| < |u_j|, as a ratio test
-            outside |= np.multiply(lat_right, u_j, out=lat_right) < 0
-    return (~outside).ravel().tolist()
+        return _walk(kf, world, grid, passes)
 
 
 def controller_inside_grid(
@@ -131,34 +162,19 @@ def controller_inside_grid(
 ) -> list[bool]:
     """The controller's own "inside combined funnel lane" verdict on each grid
     cell, in grid_axes' order: it sees every keyframe landmark, and their
-    noise-free pairs are inside.  A keyframe landmark that world lacks is
-    never seen, so then no cell is inside.
+    noise-free pairs are inside.
 
-    The grid is projected and judged in blocks of at most GRID_BLOCK
-    landmark-position pairs, each by one sense_block and one inside_funnel
-    call: whole rows where a row fits in a block, else part of one row, so
-    the verdicts come out in grid_axes' order and the memory held stays
-    bounded whatever the grid's size.  No Pose is built per cell.
+    A landmark is judged on the cells still inside by one sense_block call,
+    which projects it, and one inside_funnel call on its pair.  No Pose is
+    built per cell.
     """
-    ids, uj = zip(*sorted(kf.observations.items()))  # a tick's ascending id order
-    uj = np.array(uj)
-    lm_of = {lm.id: lm for lm in world.landmarks}
-    xs, ys = map(np.array, grid_axes(grid))
-    if not lm_of.keys() >= set(ids):
-        return [False] * (len(xs) * len(ys))
-    lms = [lm_of[i] for i in ids]
     theta = kf.pose_truth.theta  # normalised already, so a Pose per cell would change no bit
-    n = len(lms)
-    cols = max(1, min(len(xs), GRID_BLOCK // n))
-    rows = max(1, GRID_BLOCK // (n * cols))  # 1 unless a block holds whole rows
-    out = []
-    for r in range(0, len(ys), rows):
-        for k in range(0, len(xs), cols):
-            # a row of xs against a column of ys: (n, rows, cols), x fastest
-            seen, u = sense_block(lms, xs[k:k + cols], ys[r:r + rows, np.newaxis], theta, cam)
-            seen, u = seen.reshape(n, -1), u.reshape(n, -1)
-            out += (seen.all(axis=0) & inside_funnel(u, uj)).tolist()
-    return out
+
+    def passes(lm, u_j, x, y):
+        seen, u = sense_block([lm], x, y, theta, cam)
+        return seen.ravel() & inside_funnel(u.reshape(1, -1), [u_j])
+
+    return _walk(kf, world, grid, passes)
 
 
 # --- scenarios ---------------------------------------------------------------

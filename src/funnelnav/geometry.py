@@ -33,12 +33,12 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 DT = 0.1  # s, the frame period of the camera: one teach frame, one repeat tick
-# the most landmark-position pairs one sense_block call is given by the grid
-# walk and by teach: each holds one block at a time, so the memory held stays
-# bounded whatever the grid's size or the drive's length.  A world holds at
-# most evaluate.MAX_LANDMARKS < GRID_BLOCK landmarks, so a block of one
-# position always fits.  A block's float arrays, 256 KB each, are smaller
-# than funnel_oracle's own over the shipped 200 x 200 grid
+# the most landmark-position pairs one sense_block call is given by teach or
+# by the oracle grid walk, whose blocks hold at most GRID_BLOCK positions and
+# project one landmark per call: each holds one block at a time, so the memory
+# held stays bounded whatever the grid's size or the drive's length.  A world
+# holds at most evaluate.MAX_LANDMARKS < GRID_BLOCK landmarks, so a teach
+# block of one frame always fits.  A block's float arrays are 256 KB each
 GRID_BLOCK = 2**15
 
 

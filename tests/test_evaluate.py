@@ -187,18 +187,27 @@ _COORD = st.floats(-10.0, 10.0)
 
 @st.composite
 def oracle_cases(draw):
-    """A world of 1-9 landmarks, a keyframe at a random pose observing some of
-    them at random image coordinates, and a grid of up to 15 x 15 poses."""
+    """A world of 1-9 landmarks, a keyframe at a random pose and a grid of up
+    to 15 x 15 poses.  The keyframe observes either some landmarks at random
+    image coordinates, with the grid anywhere, or every landmark visible from
+    its pose as the camera there sees it, with the grid around that pose, so
+    that many cells pass several landmarks and some pass all."""
     points = draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=9))
     world = World(tuple(Landmark(i, x, y) for i, (x, y) in enumerate(points)),
                   bounds=(-10.0, -10.0, 10.0, 10.0))
+    pose = Pose(draw(_COORD), draw(_COORD), draw(st.floats(-4.0, 4.0)))
+    taught = visible_set(world, pose.x, pose.y, pose.theta, CAM)
+    nx, ny = draw(st.integers(1, 15)), draw(st.integers(1, 15))
+    if taught and draw(st.booleans()):
+        span = st.floats(0.0, 3.0)
+        return world, Keyframe(0, pose, taught), GridSpec(
+            pose.x - draw(span), pose.x + draw(span), nx,
+            pose.y - draw(span), pose.y + draw(span), ny)
     seen = draw(st.lists(st.sampled_from(range(len(points))), min_size=1, unique=True))
     u = st.one_of(st.floats(-200.0, 200.0), st.sampled_from([0.0, -0.0]))
-    kf = Keyframe(0, Pose(draw(_COORD), draw(_COORD), draw(st.floats(-4.0, 4.0))),
-                  {i: draw(u) for i in seen})
-    grid = GridSpec(draw(st.floats(-12.0, 12.0)), draw(st.floats(-12.0, 12.0)),
-                    draw(st.integers(1, 15)), draw(st.floats(-12.0, 12.0)),
-                    draw(st.floats(-12.0, 12.0)), draw(st.integers(1, 15)))
+    kf = Keyframe(0, pose, {i: draw(u) for i in seen})
+    grid = GridSpec(draw(st.floats(-12.0, 12.0)), draw(st.floats(-12.0, 12.0)), nx,
+                    draw(st.floats(-12.0, 12.0)), draw(st.floats(-12.0, 12.0)), ny)
     return world, kf, grid
 
 
@@ -233,14 +242,18 @@ class TestFunnelOracle:
     @settings(max_examples=300, deadline=None)
     @given(case=oracle_cases())
     def test_array_oracle_equals_pose_loop(self, case):
+        # the shipped block holds every case whole; the smaller ones walk
+        # several blocks of whole rows, or split a row into blocks
         world, kf, grid = case
-        assert funnel_oracle(kf, world, CAM, grid) == loop_oracle(kf, world, CAM, grid)
+        expected = loop_oracle(kf, world, CAM, grid)
+        for block in (1, 2, 5, 17, evaluate.GRID_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluate, "GRID_BLOCK", block)
+                assert funnel_oracle(kf, world, CAM, grid) == expected, block
 
     @settings(max_examples=200, deadline=None)
     @given(case=oracle_cases())
     def test_controller_walk_equals_pose_loop(self, case):
-        # the shipped block holds every case whole; the smaller ones walk
-        # several blocks of whole rows, or split a row into blocks
         world, kf, grid = case
         expected = loop_controller(kf, world, CAM, grid)
         for block in (1, 2, 5, 17, evaluate.GRID_BLOCK):
@@ -249,35 +262,92 @@ class TestFunnelOracle:
                 assert controller_inside_grid(kf, world, CAM, grid) == expected, block
 
     @pytest.mark.parametrize("block, blocks", [
-        (5, [(1, 2), (1, 2), (1, 2), (1, 1)] * 3),  # a row split into blocks of 2 positions
-        (14, [(1, 7)] * 3),  # one whole row per block
-        (30, [(2, 7), (1, 7)]),  # two whole rows per block
+        (5, [(1, 5), (1, 2)] * 3),  # a row split into blocks of 5 and 2 positions
+        (14, [(2, 7), (1, 7)]),  # two whole rows per block
+        (30, [(3, 7)]),  # the whole grid in one block
     ])
     def test_walk_holds_one_block_of_at_most_grid_block_pairs(self, block, blocks, monkeypatch):
-        # a grid row holds n * nx landmark-position pairs, and a scenario can
-        # set 10,000 landmarks and a row of 1,000,000 poses, so the walk
-        # splits such a row.  Checked on a small grid with small blocks
+        # a scenario can set a row of 1,000,000 poses, so the walk splits the
+        # grid into blocks of at most GRID_BLOCK positions, and each
+        # sense_block call projects one landmark: a block's first call from a
+        # row of xs against a column of ys, each later one only from the cells
+        # no landmark has failed yet.  Checked on a small grid with small blocks
         world, kf = two_feature_keyframe()
         p = kf.pose_truth
         grid = GridSpec(x0=p.x - 2.0, x1=p.x - 0.01, nx=7, y0=-1.0, y1=1.0, ny=3)
         expected = loop_controller(kf, world, CAM, grid)
-        shapes = []
+        (first, u_first), (second, _) = sorted(kf.observations.items(),
+                                               key=lambda obs: abs(obs[1]))
+        passed = loop_controller(replace(kf, observations={first: u_first}), world, CAM, grid)
+        cells = [(q.x, q.y) for q in reference_poses(grid, p.theta)]
+        calls = []
 
         def spy(landmarks, x, y, theta, cam):
-            # a row of xs against a column of ys
-            assert (np.ndim(x), np.shape(y)[1:], np.ndim(theta)) == (1, (1,), 0)
-            shapes.append((len(y), len(x)))
+            assert len(landmarks) == 1 and np.ndim(theta) == 0
+            if np.ndim(y) == 2:  # a row of xs against a column of ys
+                assert np.ndim(x) == 1 and np.shape(y)[1] == 1
+                assert len(x) * len(y) <= block
+                calls.append((landmarks[0].id, (len(y), len(x))))
+            else:  # the cells still inside, as two 1-D arrays
+                assert np.ndim(x) == 1 and np.shape(x) == np.shape(y) and len(x) <= block
+                calls.append((landmarks[0].id, list(zip(x.tolist(), y.tolist()))))
             return sense_block(landmarks, x, y, theta, cam)
 
+        expected_calls, k = [], 0
+        for rows, cols in blocks:
+            expected_calls.append((first, (rows, cols)))
+            if left := [c for c, ok in zip(cells[k:k + rows * cols], passed[k:]) if ok]:
+                expected_calls.append((second, left))
+            k += rows * cols
+        assert k == len(cells)
         monkeypatch.setattr(evaluate, "GRID_BLOCK", block)
         monkeypatch.setattr(evaluate, "sense_block", spy)
         assert controller_inside_grid(kf, world, CAM, grid) == expected
-        assert shapes == blocks
-        assert any(expected) and not all(expected)
+        assert calls == expected_calls
+        assert any(expected) and not all(expected) and len(expected_calls) > len(blocks)
+
+    def test_shipped_walk_projects_under_a_quarter_of_the_pairs(self, scenario_dir, monkeypatch):
+        # each landmark is projected only from the cells the landmarks before
+        # it left inside, smallest |u_j| first: on almost_straight's grid a
+        # pair count that does not rest on wall time
+        scn = load_scenario(scenario_dir / "almost_straight.yaml")
+        path = record(scn.world, scn.camera, scn.script, scn.min_teach_features)
+        kf = path.keyframes[scn.oracle_keyframe]
+        pairs = []
+
+        def spy(landmarks, x, y, theta, cam):
+            pairs.append(len(landmarks) * np.broadcast(x, y).size)
+            return sense_block(landmarks, x, y, theta, cam)
+
+        monkeypatch.setattr(evaluate, "sense_block", spy)
+        controller_inside_grid(kf, scn.world, scn.camera, scn.oracle_grid)
+        every_pair = len(kf.observations) * 200 * 200
+        assert every_pair == 720_000
+        assert sum(pairs) < every_pair / 4
+
+    def test_a_block_no_cell_passes_stops_after_one_call(self, monkeypatch):
+        # landmark 2, with the smaller |u_j|, is hidden from every cell, so
+        # each block stops after its first call; landmark 1 is seen from all
+        world = two_feature_world()
+        kf = Keyframe(0, Pose(0.0, 0.0, 0.0), {1: 100.0, 2: 1.0})
+        grid = GridSpec(x0=4.0, x1=5.0, nx=7, y0=0.8, y1=1.2, ny=3)
+        for q in reference_poses(grid, 0.0):
+            assert visible_set(world, q.x, q.y, q.theta, CAM).keys() == {1}
+        calls = []
+
+        def spy(landmarks, x, y, theta, cam):
+            calls.append([lm.id for lm in landmarks])
+            return sense_block(landmarks, x, y, theta, cam)
+
+        monkeypatch.setattr(evaluate, "GRID_BLOCK", 5)
+        monkeypatch.setattr(evaluate, "sense_block", spy)
+        assert controller_inside_grid(kf, world, CAM, grid) == [False] * 21
+        assert calls == [[2]] * 6  # 3 rows, each split into blocks of 5 and 2 positions
+        assert funnel_oracle(kf, world, CAM, grid) == [False] * 21
 
     def test_a_block_holds_one_position_of_the_largest_world(self):
-        # a block of one position holds a landmark per pair, so a row split
-        # down to single positions stays within GRID_BLOCK pairs
+        # teach projects a whole world over a block of frames, a landmark per
+        # pair, so a block of one frame stays within GRID_BLOCK pairs
         assert MAX_LANDMARKS <= evaluate.GRID_BLOCK
 
     def test_controller_walk_builds_no_pose(self, monkeypatch):

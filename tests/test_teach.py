@@ -1,11 +1,12 @@
 """Teach-phase keyframe selection tests."""
 
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from funnelnav import geometry, teach
@@ -198,6 +199,12 @@ def outcome(fn, *args):
         return f"TeachDegenerateError: {e}"
 
 
+def zero_or_normal(coords):
+    """Whether every coordinate is zero or a normal float, the range in which
+    multiplying by a power of two is exact."""
+    return all(u == 0 or abs(u) >= sys.float_info.min for u in coords)
+
+
 @st.composite
 def small_drives(draw):
     """n landmarks evenly spaced in bearing around the start, at random
@@ -330,7 +337,10 @@ class TestPixelUnit:
         # a power of two scales a product, a quotient, a median and a
         # correctly rounded sqrt exactly, so changing the pixel unit changes
         # no keyframe, pose, command or verdict: the paper's "no camera
-        # calibration" for teach and the standard lane
+        # calibration" for teach and the standard lane.  Exactly only while
+        # every image coordinate, unscaled and scaled, is zero or normal: a
+        # subnormal turn rate gives subnormal coordinates, which lose bits
+        # when scaled (test_a_subnormal_coordinate_loses_bits_when_scaled)
         world, script = drive
         cam_k = CameraModel(focal_length=CAM.focal_length * k, half_width=CAM.half_width * k)
         try:
@@ -340,6 +350,9 @@ class TestPixelUnit:
                 f"TeachDegenerateError: {e}"
             return
         path_k = record(world, cam_k, script, min_features)
+        observed = [u for kf in path.keyframes for u in kf.observations.values()]
+        assume(zero_or_normal(observed + [u * k for u in observed]
+                              + [u for kf in path_k.keyframes for u in kf.observations.values()]))
         # repr compares poses, ids, order and every float to the bit
         assert repr(path_k) == repr(VisualPath(tuple(
             replace(kf, observations={i: u * k for i, u in kf.observations.items()})
@@ -348,6 +361,9 @@ class TestPixelUnit:
         cfg = NavigatorConfig(controller="standard", max_ticks=100)
         noise = NoiseModel(dropout_prob=dropout, pixel_sigma=sigma, seed=seed)
         run = navigate(world, CAM, path, Pose(*start), cfg, noise)
+        seen = [u for r in run.records
+                for u in visible_set(world, r["x"], r["y"], r["theta"], CAM).values()]
+        assume(zero_or_normal(seen + [u * k for u in seen]))
         run_k = navigate(world, cam_k, path_k, Pose(*start),
                          replace(cfg, threshold1_ed=cfg.threshold1_ed * k),
                          replace(noise, pixel_sigma=sigma * k))
@@ -355,3 +371,22 @@ class TestPixelUnit:
                         "mse": None if r["mse"] is None else r["mse"] * k * k}
                        for r in run.records)
         assert repr(run_k.records) == repr(scaled)
+
+    def test_a_subnormal_coordinate_loses_bits_when_scaled(self):
+        # a drive Hypothesis drew for the test above: the turn rate is
+        # subnormal, so is the heading's sin at the last frame, and the
+        # landmark dead ahead images at a normal coordinate whose quarter is
+        # subnormal.  Teaching with the quartered camera rounds that quarter
+        # differently from u * 0.25, so the precondition above excludes it
+        n = 12
+        world = World(tuple(Landmark(i, 3.0 * math.cos(2 * math.pi * i / n),
+                                     3.0 * math.sin(2 * math.pi * i / n)) for i in range(n)),
+                      bounds=(-8, -8, 8, 8))
+        script = TeachScript(((MotionCommand(0.0, 2.225073858507203e-309), 0.125),))
+        cam_k = CameraModel(focal_length=CAM.focal_length / 4, half_width=CAM.half_width / 4)
+        u = record(world, CAM, script, 2).keyframes[-1].observations[0]
+        u_k = record(world, cam_k, script, 2).keyframes[-1].observations[0]
+        assert u.hex() == "0x1.628f5c28f5c2fp-1021"
+        assert u_k.hex() == "0x0.b147ae147ae17p-1022"
+        assert (u * 0.25).hex() == "0x0.b147ae147ae18p-1022"
+        assert zero_or_normal([u]) and not zero_or_normal([u_k])
