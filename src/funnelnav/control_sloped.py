@@ -59,12 +59,17 @@ def evaluate_state(uc: list[float], uj: list[float]) -> tuple[float, tuple[bool,
     """
     if len(uc) == 0:
         raise EmptyMatchError("evaluate_state on empty match set")
-    left, right = ([], []), ([], [])  # each side's u_current and u_keyframe columns
+    # each side's u_current and u_keyframe columns; a NaN u_j fails u_j < 0,
+    # so it goes right
+    l_c, l_j, r_c, r_j = [], [], [], []
     for u_c, u_j in zip(uc, uj):
-        side_c, side_j = left if u_j < 0 else right
-        side_c.append(u_c)
-        side_j.append(u_j)
-    mu_l_c, mu_l_j, mu_r_c, mu_r_j = map(median, (*left, *right))
+        if u_j < 0:
+            l_c.append(u_c)
+            l_j.append(u_j)
+        else:
+            r_c.append(u_c)
+            r_j.append(u_j)
+    mu_l_c, mu_l_j, mu_r_c, mu_r_j = median(l_c), median(l_j), median(r_c), median(r_j)
 
     # non-strict at the boundary: landing exactly on the keyframe must read
     # as inside, so the controller drives through it and the switching

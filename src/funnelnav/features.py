@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,15 +100,16 @@ def perturb_all(us: list[float], noise: NoiseModel, rng: np.random.Generator) ->
     return [u + (lim if d > lim else -lim if d < -lim else d) for u, d in zip(us, draws)]
 
 
-def survivors(ids: list[int], noise: NoiseModel, rng: np.random.Generator) -> list[int]:
-    """The ids that outlive one tick of tracking dropout, one draw per id in order.
+def survivors(tracked: list, noise: NoiseModel, rng: np.random.Generator) -> list:
+    """The tracked features, such as landmarks, that outlive one tick of
+    tracking dropout, one draw per feature in order.
 
-    Equal to keeping each id whose scalar rng.random() is at least dropout_prob.
+    Equal to keeping each feature whose scalar rng.random() is at least dropout_prob.
     """
     if noise.dropout_prob == 0.0:
-        return ids
-    draws = rng.random(len(ids)).tolist()
-    return [i for i, r in zip(ids, draws) if r >= noise.dropout_prob]
+        return tracked
+    draws = rng.random(len(tracked)).tolist()
+    return [f for f, r in zip(tracked, draws) if r >= noise.dropout_prob]
 
 
 def match(
@@ -193,9 +193,14 @@ def std_ratio(uc: list[float], uj: list[float]) -> float | None:
 
 def median(xs: list[float]) -> float | None:
     """The median of xs, or None when xs is empty."""
-    # statistics.median returns numpy's median bit for bit (the middle value,
-    # or the two middle values summed and halved) without its per-call cost
-    return statistics.median(xs) if xs else None
+    # the middle of sorted(xs), or its two middle values summed and halved:
+    # statistics.median's own code, which returns numpy's median bit for bit
+    # without numpy's per-call cost
+    if not xs:
+        return None
+    s = sorted(xs)
+    i = len(s) // 2
+    return s[i] if len(s) % 2 else (s[i - 1] + s[i]) / 2
 
 
 def median_distance(uc: list[float], uj: list[float]) -> float | None:

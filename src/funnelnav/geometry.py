@@ -2,11 +2,15 @@
 
 The camera looks along the robot heading; landmarks project onto a single
 horizontal image axis.  Positive image coordinates are on the RIGHT side of
-the image, negative on the left.  sense projects any sequence of landmarks,
-such as the few a tracked tick still follows; visible_set projects a whole
-World; sense_block projects landmarks from a whole block of positions and
-headings at once, such as a block of oracle grid cells or of teach frames.
-All functions here are pure and operate on immutable values.
+the image, negative on the left.  One loop, project, projects any sequence
+of landmarks from one position and heading, such as the few a tracked tick
+still follows, and returns the visible landmarks and their coordinates;
+sense is its result as an id -> coordinate map and visible_set that of a
+whole World.  sense_block projects landmarks from a whole block of positions
+and headings at once, such as a block of oracle grid cells or of teach
+frames.  step and in_collision take a Pose; _advance and _collides are their
+float forms, for walks that build no Pose per frame.  All functions here are
+pure and operate on immutable values.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "World",
     "MotionCommand",
     "normalize_angle",
+    "project",
     "sense",
     "sense_block",
     "visible_set",
@@ -128,21 +133,21 @@ class World:
                 raise ValueError(f"landmark {lm.id} outside world bounds")
 
 
-def sense(
+def project(
     landmarks: Sequence[Landmark], x: float, y: float, theta: float, cam: CameraModel
-) -> dict[int, float]:
-    """Map of landmark id -> image coordinate for those of landmarks visible
-    from position (x, y) at heading theta, in the order given.
+) -> tuple[list[Landmark], list[float]]:
+    """Those of landmarks visible from position (x, y) at heading theta, in
+    the order given, and their image coordinates, as two lists.
 
     A landmark's coordinate is focal_length * lateral / depth, positive on the
     right side of the image.  It is not visible when it lies closer than
     min_depth along the heading or when |u| exceeds half_width.  Each landmark
-    is judged alone, so sensing a subset gives that subset's entries of
-    sensing the whole, float for float.
+    is judged alone, so projecting a subset gives that subset's entries of
+    projecting the whole, float for float.
     """
     c, s = math.cos(theta), math.sin(theta)
     f, half_width, min_depth = cam.focal_length, cam.half_width, cam.min_depth
-    out = {}
+    seen, us = [], []
     for lm in landmarks:
         dx = lm.x - x
         dy = lm.y - y
@@ -152,8 +157,17 @@ def sense(
         u = f * -(-dx * s + dy * c) / depth
         if abs(u) > half_width:
             continue
-        out[lm.id] = u
-    return out
+        seen.append(lm)
+        us.append(u)
+    return seen, us
+
+
+def sense(
+    landmarks: Sequence[Landmark], x: float, y: float, theta: float, cam: CameraModel
+) -> dict[int, float]:
+    """project's result as a map of landmark id -> image coordinate, in the order given."""
+    seen, us = project(landmarks, x, y, theta, cam)
+    return {lm.id: u for lm, u in zip(seen, us)}
 
 
 def sense_block(
@@ -167,14 +181,14 @@ def sense_block(
     array u holds its image coordinate there; the coordinate of a hidden
     landmark means nothing.
 
-    These are sense's operations in sense's order, elementwise in float64,
+    These are project's operations in project's order, elementwise in float64,
     which fuses no operations, so every verdict and visible coordinate equals
     sense's bit for bit.  Each heading's cos and sin come from math, as in
-    sense: numpy's float64 sin and cos are not guaranteed to round as libm
+    project: numpy's float64 sin and cos are not guaranteed to round as libm
     does.  Each landmark's x terms are computed once per element of x and its
     y terms once per element of y, then broadcast: a row of xs against a
     column of ys at one heading is a grid block.  A block of many positions
-    pays numpy's per-call cost once; for one pose, sense's loop is faster.
+    pays numpy's per-call cost once; for one pose, project's loop is faster.
     """
     x, y, theta = (np.asarray(v, dtype=float) for v in (x, y, theta))
     heads = theta.ravel().tolist()
@@ -198,7 +212,8 @@ def visible_set(
 ) -> dict[int, float]:
     """sense over all of world's landmarks, in world order."""
     # kept only because perfbench's tracer wraps visible_set by name and
-    # counts args[0].landmarks; callers that hold a landmark sequence call sense
+    # counts args[0].landmarks; callers that hold a landmark sequence call
+    # project or sense
     return sense(world.landmarks, x, y, theta, cam)
 
 
@@ -231,8 +246,12 @@ def step(pose: Pose, cmd: MotionCommand, dt: float) -> Pose:
 
 def in_collision(world: World, pose: Pose) -> bool:
     """True when the robot position lies inside any obstacle rectangle."""
+    return _collides(world, pose.x, pose.y)
+
+
+def _collides(world: World, x: float, y: float) -> bool:
+    """in_collision on floats: whether (x, y) lies inside any of world's obstacle rectangles."""
     for xmin, ymin, xmax, ymax in world.obstacles:
-        if xmin <= pose.x <= xmax and ymin <= pose.y <= ymax:
+        if xmin <= x <= xmax and ymin <= y <= ymax:
             return True
     return False
-

@@ -8,8 +8,13 @@ Tracking inside a segment is simulated as persistence of the matched id set
 with per-tick dropout; a full re-match happens only on a switch or during
 recovery.  A tick projects only the landmarks it can use: a re-match senses
 the destination keyframe's landmarks, since no other landmark can enter a
-match, and a tracked tick senses only its tracked landmarks, since it reads
+match, and a tracked tick projects only its tracked landmarks, since it reads
 only which of them stay in view, and where.
+
+A tick holds plain values: the pose is three floats, advanced through
+geometry's float integrator, and the tracked set is a list of Landmarks in
+ascending id order, which project filters to those in view and tracking
+attrition thins; no Pose is built per tick.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,17 +44,10 @@ from .features import (
 )
 # read only by perfbench/run.py, whose tracer wraps navigate.perturb
 from .features import perturb  # noqa: F401
-from .geometry import (
-    DT,
-    CameraModel,
-    MotionCommand,
-    Pose,
-    World,
-    in_collision,
-    sense,
-    step,
-    visible_set,
-)
+from .geometry import DT, CameraModel, Landmark, MotionCommand, Pose, World, project, visible_set
+# the float forms of geometry.step and geometry.in_collision, under the names
+# perfbench/run.py's tracer wraps as those layers
+from .geometry import _advance as step, _collides as in_collision
 
 __all__ = ["NavigatorConfig", "RunTrace", "read_run", "tick_stats", "should_switch",
            "keyframe_world", "navigate"]
@@ -78,6 +77,30 @@ class NavigatorConfig:
             raise ValueError(f"unknown controller {self.controller!r}")
         if not isinstance(self.max_ticks, int) or self.max_ticks <= 0:
             raise ValueError(f"max_ticks must be a positive integer, not {self.max_ticks!r}")
+
+
+def _record_encoder() -> Callable[[dict], str]:
+    """json.dumps for a record, from one C encoder built once.
+
+    json.dumps builds a new C encoder per call.  This one takes dumps's
+    arguments but for check_circular: without a markers dict it holds no
+    state between calls, so neither a call that fails part way, which leaves
+    its markers behind, nor a call on another thread can make a later call
+    report a circular reference.  A record is a flat dict of scalars, so the
+    check finds none, and every line is dumps's, byte for byte.  Where json
+    has no C encoder, each record is a plain json.dumps.
+    """
+    if json.encoder.c_make_encoder is None:
+        return json.dumps
+    e = json.JSONEncoder()
+    encode = json.encoder.c_make_encoder(
+        None, e.default, json.encoder.encode_basestring_ascii, e.indent,
+        e.key_separator, e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+    join = "".join
+    return lambda record: join(encode(record, 0))
+
+
+_encode_record = _record_encoder()
 
 
 @dataclass(frozen=True)
@@ -117,8 +140,8 @@ class RunTrace:
         repeats its tick number.
         """
         # records and summary list their keys in sorted order, so each line
-        # is a plain json.dumps, which takes the cached default encoder
-        lines = [json.dumps(r) for r in self.records]
+        # is a plain json.dumps; the records share one encoder
+        lines = list(map(_encode_record, self.records))
         last = self.records[-1]
         lines.append(json.dumps({
             "final_theta": last["theta"], "final_x": last["x"], "final_y": last["y"],
@@ -208,10 +231,10 @@ def navigate(
     draws the tracking attrition of each of those ids in the same order.
     """
     rng = noise.make_rng()
-    pose = start
+    x, y, theta = start.x, start.y, start.theta
     dest = 1
     last = len(path.keyframes) - 1
-    tracked: list[int] | None = None  # ascending ids; None forces a full re-match
+    tracked: list[Landmark] | None = None  # in ascending id order; None forces a full re-match
     stopped = 0
     records: list[dict] = []
     seen = [keyframe_world(world, kf) for kf in path.keyframes]
@@ -220,8 +243,8 @@ def navigate(
         records.append({
             "ed": stats["ed"], "event": event, "inside": inside, "mse": stats["mse"],
             "nmf": stats["nmf"], "omega": cmd.omega, "s_x": s_x, "s_y": s_y, "segment": dest,
-            "std_ratio": stats["std_ratio"], "theta": pose.theta, "tick": tick, "v": cmd.v,
-            "x": pose.x, "y": pose.y,
+            "std_ratio": stats["std_ratio"], "theta": theta, "tick": tick, "v": cmd.v,
+            "x": x, "y": y,
         })
 
     lm_of = {lm.id: lm for lm in world.landmarks}
@@ -229,13 +252,14 @@ def navigate(
     for tick in range(cfg.max_ticks):
         kf = path.keyframes[dest]
         if tracked is None:
-            m = match(visible_set(seen[dest], pose.x, pose.y, pose.theta, cam), kf, noise, rng)
-            tracked, uc = list(m), list(m.values())
+            m = match(visible_set(seen[dest], x, y, theta, cam), kf, noise, rng)
+            tracked, uc = [lm_of[i] for i in m], list(m.values())
         else:
-            obs = sense([lm_of[i] for i in tracked], pose.x, pose.y, pose.theta, cam)
-            tracked = list(obs)  # ascending still: sense keeps the order given
-            uc = perturb_all(list(obs.values()), noise, rng)
-        uj = [kf.observations[i] for i in tracked]
+            # ascending still: project keeps the order given
+            tracked, uc = project(tracked, x, y, theta, cam)
+            uc = perturb_all(uc, noise, rng)
+        obs = kf.observations
+        uj = [obs[lm.id] for lm in tracked]
 
         stats = tick_stats(uc, uj)
         if stats["nmf"] < cfg.threshold2_features:
@@ -264,8 +288,8 @@ def navigate(
             else:
                 cmd, s_x, s_y, inside = sloped_command(uc, uj, cfg.omega_max, stats["std_ratio"])
                 rec(tick, cmd, stats, event, s_x, s_y, inside)
-            pose = step(pose, cmd, DT)
-            if in_collision(world, pose):
+            x, y, theta = step(x, y, theta, cmd.v, cmd.omega, DT)
+            if in_collision(world, x, y):
                 rec(tick, STOP, stats, "collision")
                 break
             # per-tick tracking attrition

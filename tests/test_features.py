@@ -2,6 +2,7 @@
 
 import json
 import math
+import statistics
 import struct
 
 import numpy as np
@@ -219,7 +220,8 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0
 
 class TestPythonMedian:
     """features.median, which median_distance and the sloped controller share,
-    uses statistics.median in place of np.median; the two must agree to the bit."""
+    takes the middle of sorted(xs) itself, as statistics.median does, in place
+    of np.median; it must agree with both to the bit."""
 
     @pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
     @settings(max_examples=300)
@@ -238,6 +240,17 @@ class TestPythonMedian:
         # of a difference, or tests a product >= 0)
         xs = [0.0, -0.0, 0.0]
         assert median(xs) == float(np.median(xs)) == 0.0
+
+    @settings(max_examples=300)
+    @given(xs=st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0])),
+                       min_size=1, max_size=25))
+    @example(xs=[0.0, -0.0])
+    @example(xs=[-0.0, 0.0])
+    @example(xs=[0.0, -0.0, 0.0])
+    @example(xs=[-0.0, 0.0, -0.0, 0.0])
+    def test_equals_statistics_median_bit_for_bit(self, xs):
+        # the same code, so the same value, signed zero ties included
+        assert _bits(median(xs)) == _bits(statistics.median(xs))
 
 
 def _mixed_pairs(n: int, seed: int) -> tuple:

@@ -194,6 +194,11 @@ class TestVisibleSet:
         shuffle.shuffle(shuffled)
         expected = [(lm.id, whole[lm.id]) for lm in shuffled if lm.id in whole]
         assert repr(list(sense(shuffled, *at, CAM).items())) == repr(expected)
+        # and so does project, whose loop sense reads: it returns the very
+        # landmarks it was given, with the same coordinates
+        seen, us = geometry.project(shuffled, *at, CAM)
+        assert [id(lm) for lm in seen] == [id(lm) for lm in shuffled if lm.id in whole]
+        assert repr([(lm.id, u) for lm, u in zip(seen, us, strict=True)]) == repr(expected)
 
 
 # Seen from a grid position whose x is in _AXIS at heading 0 (the two
@@ -391,6 +396,53 @@ class TestStep:
         assert whole.x == pytest.approx(parts.x, abs=1e-9)
         assert whole.y == pytest.approx(parts.y, abs=1e-9)
         assert whole.theta == pytest.approx(parts.theta, abs=1e-9)
+
+
+def _bits3(p) -> bytes:
+    return struct.pack("<3d", *p)
+
+
+# turn rates either side of the chord form's 1e-3 bound, and fast enough to
+# wrap the heading across +-pi within a few frames
+_OMEGA = st.one_of(st.floats(-1e-3, 1e-3), st.sampled_from([1e-3, -1e-3, 0.0, -0.0]),
+                   st.floats(-20.0, 20.0))
+
+
+class TestFloatWalk:
+    """navigate and teach walk (x, y, theta) as floats through _advance and
+    test obstacles through _collides; both must equal the Pose forms step and
+    in_collision to the bit."""
+
+    @settings(max_examples=200)
+    @given(
+        start=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+                        st.one_of(st.floats(-4.0, 4.0),
+                                  st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                                                   math.nextafter(-math.pi, 0.0)]))),
+        commands=st.lists(st.tuples(st.floats(0.0, 2.0), _OMEGA), min_size=1, max_size=40),
+    )
+    @example(start=(0.0, 0.0, math.pi - 0.01), commands=[(0.5, 0.5)] * 3)
+    @example(start=(0.0, 0.0, -math.pi + 0.01), commands=[(0.5, -0.5)] * 3)
+    @example(start=(1.0, -1.0, math.pi), commands=[(0.5, 5e-4), (0.5, -5e-4), (0.3, 1e-300)])
+    def test_a_float_walk_equals_chained_step_poses(self, start, commands):
+        pose = Pose(*start)
+        p = (pose.x, pose.y, pose.theta)
+        for v, omega in commands:
+            pose = step(pose, MotionCommand(v, omega), geometry.DT)
+            p = geometry._advance(*p, v, omega, geometry.DT)
+            assert _bits3(p) == _bits3((pose.x, pose.y, pose.theta))
+
+    _RECT = (-1.5, 0.0, 2.0, 0.75)
+
+    @pytest.mark.parametrize("x", [-1.5, 2.0, math.nextafter(-1.5, -2.0),
+                                   math.nextafter(2.0, 3.0), 0.25])
+    @pytest.mark.parametrize("y", [0.0, -0.0, 0.75, math.nextafter(0.0, -1.0),
+                                   math.nextafter(0.75, 1.0), 0.5])
+    def test_the_float_obstacle_check_equals_the_pose_form_on_rectangle_edges(self, x, y):
+        w = World(landmarks=(), bounds=(-5, -5, 5, 5), obstacles=((9.0, 9.0, 9.5, 9.5), self._RECT))
+        xmin, ymin, xmax, ymax = self._RECT
+        inside = xmin <= x <= xmax and ymin <= y <= ymax
+        assert geometry._collides(w, x, y) is in_collision(w, Pose(x, y, 0.0)) is inside
 
 
 class TestCommandAndCamera:

@@ -6,8 +6,11 @@ import types
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import funnelnav
+from funnelnav.errors import ConfigError
 from funnelnav.evaluate import GridSpec, controller_inside_grid, load_scenario, run_scenario
 from funnelnav.features import (
     Keyframe,
@@ -22,7 +25,9 @@ from funnelnav.navigate import (
     STOP_LIMIT,
     TERMINAL_EVENTS,
     NavigatorConfig,
+    RunTrace,
     navigate,
+    read_run,
     should_switch,
     tick_stats,
 )
@@ -205,8 +210,8 @@ class TestStatisticsOncePerTick:
 
 class TestSensingPerTick:
     """A re-matching tick senses its destination keyframe's landmarks through
-    visible_set, and a tracked tick hands sense exactly its tracked landmarks:
-    the ids that the previous tick's tracking attrition kept."""
+    visible_set, and a tracked tick hands project exactly its tracked
+    landmarks: those that the previous tick's tracking attrition kept."""
 
     @pytest.mark.parametrize("run", ["sharp_turn-sloped", "sharp_turn-standard"])
     def test_a_tracked_tick_senses_exactly_its_tracked_landmarks(self, monkeypatch, run):
@@ -214,18 +219,18 @@ class TestSensingPerTick:
         world_landmarks = set(args[0].landmarks)
         events = []
         for name, shown in (("visible_set", lambda args, out: None),
-                            ("sense", lambda args, out: [lm.id for lm in args[0]]),
-                            ("survivors", lambda args, out: list(out))):
+                            ("project", lambda args, out: [lm.id for lm in args[0]]),
+                            ("survivors", lambda args, out: [lm.id for lm in out])):
             def spying(*args, _name=name, _shown=shown, _fn=getattr(funnelnav.navigate, name)):
                 out = _fn(*args)
                 events.append((_name, _shown(args, out)))
-                if _name == "sense":  # the repeat world's own landmarks
+                if _name == "project":  # the repeat world's own landmarks
                     assert set(args[0]) <= world_landmarks
                 return out
             monkeypatch.setattr(funnelnav.navigate, name, spying)
         tr = navigate(*args)
 
-        sensed = [k for k, (name, _) in enumerate(events) if name == "sense"]
+        sensed = [k for k, (name, _) in enumerate(events) if name == "project"]
         assert sensed and len(sensed) < len(events)  # both kinds of tick occur
         for k in sensed:
             assert events[k - 1] == ("survivors", events[k][1])
@@ -276,6 +281,56 @@ class TestTraceInvariants:
         assert last["outcome"] == tr.outcome
         assert last["ticks"] == len(tr.records)
         assert last["seed"] == 3
+
+
+RECORD_KEYS = ("ed", "event", "inside", "mse", "nmf", "omega", "s_x", "s_y", "segment",
+               "std_ratio", "theta", "tick", "v", "x", "y")
+# any JSON scalar: floats with both infinities, NaN, both zeros and
+# subnormals; ints past 64 bits; strings with quotes, backslashes, control
+# and non-ASCII characters
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.2e-308]),
+    st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x7féß\u2028\u4e2d\U0001f600'),
+                      st.characters())),
+)
+_RECORDS = st.lists(st.fixed_dictionaries({k: _SCALARS for k in RECORD_KEYS}),
+                    min_size=1, max_size=3)
+
+
+class TestRecordEncoder:
+    """jsonl_lines encodes the records with one encoder built once per process;
+    every line is json.dumps's, byte for byte."""
+
+    @settings(max_examples=300)
+    @given(records=_RECORDS, seed=st.integers())
+    @example(records=[dict.fromkeys(RECORD_KEYS, math.inf)], seed=0)
+    @example(records=[dict.fromkeys(RECORD_KEYS, -0.0)], seed=0)
+    def test_each_record_line_is_json_dumps(self, records, seed):
+        lines = RunTrace(tuple(records), seed).jsonl_lines()
+        assert lines[:-1] == [json.dumps(r) for r in records]
+
+    def test_without_the_c_encoder_each_line_is_a_plain_json_dumps(self, monkeypatch):
+        trace = navigate(*navigate_args("sharp_turn-sloped"))
+        expected = trace.jsonl_lines()
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        encode = funnelnav.navigate._record_encoder()
+        assert encode is json.dumps
+        monkeypatch.setattr(funnelnav.navigate, "_encode_record", encode)
+        assert trace.jsonl_lines() == expected
+
+    def test_read_run_accepts_its_own_file_and_rejects_a_hand_edited_one(self, tmp_path):
+        trace = navigate(*navigate_args("sharp_turn-standard"))
+        run = tmp_path / "run_000.jsonl"
+        trace.write(run)
+        assert read_run(run) == trace
+        # the same values, spaced as json.dumps does not space them
+        text = run.read_text()
+        run.write_text(text.replace('"x": ', '"x":', 1))
+        assert [json.loads(line) for line in run.read_text().splitlines()] == \
+            [json.loads(line) for line in text.splitlines()]
+        with pytest.raises(ConfigError, match="not the trace RunTrace.write writes"):
+            read_run(run)
 
 
 class TestSummaryCountsRecords:
