@@ -5,12 +5,11 @@ horizontal image axis.  Positive image coordinates are on the RIGHT side of
 the image, negative on the left.  One loop, project, projects any sequence
 of landmarks from one position and heading, such as the few a tracked tick
 still follows, and returns the visible landmarks and their coordinates;
-sense is its result as an id -> coordinate map and visible_set that of a
-whole World.  sense_block projects landmarks from a whole block of positions
-and headings at once, such as a block of oracle grid cells or of teach
-frames.  step and in_collision take a Pose; _advance and _collides are their
-float forms, for walks that build no Pose per frame.  All functions here are
-pure and operate on immutable values.
+visible_set is its result over a whole World as an id -> coordinate map.
+sense_block projects landmarks from a whole block of positions and headings
+at once, such as a block of oracle grid cells or of teach frames.  step and
+in_collision take a position as floats, so a walk of many frames builds no
+Pose per frame.  All functions here are pure and operate on immutable values.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "MotionCommand",
     "normalize_angle",
     "project",
-    "sense",
     "sense_block",
     "visible_set",
     "step",
@@ -162,28 +160,20 @@ def project(
     return seen, us
 
 
-def sense(
-    landmarks: Sequence[Landmark], x: float, y: float, theta: float, cam: CameraModel
-) -> dict[int, float]:
-    """project's result as a map of landmark id -> image coordinate, in the order given."""
-    seen, us = project(landmarks, x, y, theta, cam)
-    return {lm.id: u for lm, u in zip(seen, us)}
-
-
 def sense_block(
     landmarks: Sequence[Landmark], x: np.typing.ArrayLike, y: np.typing.ArrayLike,
     theta: np.typing.ArrayLike, cam: CameraModel,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sense of n landmarks from a whole block of positions (x, y) at headings
-    theta, in one numpy pass.  x, y and theta broadcast together to the block
-    shape P.  Entry (i, *p) of the (n, *P) bool array seen says whether
-    landmark i is visible from position p, and that of the (n, *P) float64
-    array u holds its image coordinate there; the coordinate of a hidden
-    landmark means nothing.
+    """project's verdicts on n landmarks from a whole block of positions
+    (x, y) at headings theta, in one numpy pass.  x, y and theta broadcast
+    together to the block shape P.  Entry (i, *p) of the (n, *P) bool array
+    seen says whether landmark i is visible from position p, and that of the
+    (n, *P) float64 array u holds its image coordinate there; the coordinate
+    of a hidden landmark means nothing.
 
     These are project's operations in project's order, elementwise in float64,
     which fuses no operations, so every verdict and visible coordinate equals
-    sense's bit for bit.  Each heading's cos and sin come from math, as in
+    project's bit for bit.  Each heading's cos and sin come from math, as in
     project: numpy's float64 sin and cos are not guaranteed to round as libm
     does.  Each landmark's x terms are computed once per element of x and its
     y terms once per element of y, then broadcast: a row of xs against a
@@ -210,19 +200,23 @@ def sense_block(
 def visible_set(
     world: World, x: float, y: float, theta: float, cam: CameraModel
 ) -> dict[int, float]:
-    """sense over all of world's landmarks, in world order."""
+    """project over all of world's landmarks, in world order, as a map of
+    landmark id -> image coordinate."""
     # kept only because perfbench's tracer wraps visible_set by name and
     # counts args[0].landmarks; callers that hold a landmark sequence call
-    # project or sense
-    return sense(world.landmarks, x, y, theta, cam)
+    # project
+    seen, us = project(world.landmarks, x, y, theta, cam)
+    return {lm.id: u for lm, u in zip(seen, us)}
 
 
-def _advance(
+def step(
     x: float, y: float, theta: float, v: float, omega: float, dt: float
 ) -> tuple[float, float, float]:
-    """step on floats: (x, y, theta) advanced by (v, omega) for dt, as the
-    (x, y, normalize_angle(theta)) a Pose would store, so a walk of many
-    frames builds no Pose per frame and still integrates as step does."""
+    """(x, y, theta) advanced by the command (v, omega) for dt seconds, by
+    exact unicycle integration, as the (x, y, normalize_angle(theta)) a Pose
+    would store; dt must be positive and finite."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, not {dt!r}")
     if abs(omega) < 1e-3:
         # Chord form: v*dt*sinc(h) along the mid heading, h = omega*dt/2.
         # The radius form below loses about eps*v/|omega| to cancellation,
@@ -237,20 +231,8 @@ def _advance(
             y - r * (math.cos(th1) - math.cos(theta)), normalize_angle(th1))
 
 
-def step(pose: Pose, cmd: MotionCommand, dt: float) -> Pose:
-    """Advance a pose by one command interval using exact unicycle integration."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return Pose(*_advance(pose.x, pose.y, pose.theta, cmd.v, cmd.omega, dt))
-
-
-def in_collision(world: World, pose: Pose) -> bool:
-    """True when the robot position lies inside any obstacle rectangle."""
-    return _collides(world, pose.x, pose.y)
-
-
-def _collides(world: World, x: float, y: float) -> bool:
-    """in_collision on floats: whether (x, y) lies inside any of world's obstacle rectangles."""
+def in_collision(world: World, x: float, y: float) -> bool:
+    """Whether (x, y) lies inside any of world's obstacle rectangles, edges included."""
     for xmin, ymin, xmax, ymax in world.obstacles:
         if xmin <= x <= xmax and ymin <= y <= ymax:
             return True

@@ -11,9 +11,9 @@ the destination keyframe's landmarks, since no other landmark can enter a
 match, and a tracked tick projects only its tracked landmarks, since it reads
 only which of them stay in view, and where.
 
-A tick holds plain values: the pose is three floats, advanced through
-geometry's float integrator, and the tracked set is a list of Landmarks in
-ascending id order, which project filters to those in view and tracking
+A tick holds plain values: the pose is three floats, which geometry's step
+advances and in_collision tests, and the tracked set is a list of Landmarks
+in ascending id order, which project filters to those in view and tracking
 attrition thins; no Pose is built per tick.
 """
 
@@ -44,13 +44,10 @@ from .features import (
 )
 # read only by perfbench/run.py, whose tracer wraps navigate.perturb
 from .features import perturb  # noqa: F401
-from .geometry import DT, CameraModel, Landmark, MotionCommand, Pose, World, project, visible_set
-# the float forms of geometry.step and geometry.in_collision, under the names
-# perfbench/run.py's tracer wraps as those layers
-from .geometry import _advance as step, _collides as in_collision
+from .geometry import (DT, CameraModel, Landmark, MotionCommand, Pose, World, in_collision,
+                       project, step, visible_set)
 
-__all__ = ["NavigatorConfig", "RunTrace", "read_run", "tick_stats", "should_switch",
-           "keyframe_world", "navigate"]
+__all__ = ["NavigatorConfig", "RunTrace", "read_run", "tick_stats", "should_switch", "navigate"]
 
 STOP = MotionCommand(0.0, 0.0)
 STOP_LIMIT = 50  # consecutive stopped ticks after which a run is lost

@@ -6,12 +6,11 @@ the keyframe, so every keyframe still holds at least 50% of its segment's
 initial feature set.  Teaching is noiseless: a feature is tracked for as long
 as it stays inside the image.
 
-The drive is walked as floats: geometry's integrator, which step wraps,
-advances each frame's (x, y, theta), and a Pose is built only for a keyframe;
-TeachScript.poses() is the same walk as Poses.  The drive is projected in
-blocks of frames, one sense_block call over the whole world per block, so no
-array holds more than GRID_BLOCK landmark-frame pairs whatever the drive's
-length.  A landmark tracked since a segment's start stays tracked until its
+The drive is walked as floats: geometry's step advances each frame's
+(x, y, theta), and a Pose is built only for a keyframe; TeachScript.poses()
+is the same walk as Poses.  The drive is projected in blocks of frames, one
+sense_block call over the whole world per block, so no array holds more
+than GRID_BLOCK landmark-frame pairs whatever the drive's length.  A landmark tracked since a segment's start stays tracked until its
 first hidden frame, so each segment's cut is read off the tracked landmarks'
 first hidden frames in the block, with no loop over frames, and each
 keyframe's observations are read off the block's columns.
@@ -26,8 +25,7 @@ import numpy as np
 
 from .errors import TeachDegenerateError
 from .features import Keyframe, VisualPath
-from .geometry import (GRID_BLOCK, DT, CameraModel, MotionCommand, Pose, World, _advance,
-                       sense_block)
+from .geometry import GRID_BLOCK, DT, CameraModel, MotionCommand, Pose, World, sense_block, step
 
 __all__ = ["TeachScript", "record"]
 
@@ -60,12 +58,12 @@ class TeachScript:
         return [Pose(*p) for p in self._walk()]
 
     def _walk(self) -> list[tuple[float, float, float]]:
-        """Each frame's (x, y, theta) from START, as poses() holds them: the
-        integrator steps the floats themselves, one DT per frame."""
+        """Each frame's (x, y, theta) from START, as poses() holds them: step
+        advances the floats themselves, one DT per frame."""
         out = [(START.x, START.y, START.theta)]
         for cmd, duration in self.steps:
             for _ in range(max(1, round(duration / DT))):
-                out.append(_advance(*out[-1], cmd.v, cmd.omega, DT))
+                out.append(step(*out[-1], cmd.v, cmd.omega, DT))
         return out
 
 
@@ -87,7 +85,7 @@ def record(
     width = max(1, GRID_BLOCK // max(1, len(ids)))  # frames per block
 
     def image(seen: np.ndarray, u: np.ndarray) -> dict[int, float]:
-        """A frame's column as sense returns it: visible id -> u, in world order."""
+        """A frame's column as visible_set returns it: visible id -> u, in world order."""
         idx = np.flatnonzero(seen)
         return dict(zip([ids[i] for i in idx.tolist()], u[idx].tolist()))
 

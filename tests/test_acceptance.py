@@ -276,11 +276,9 @@ class TestSwitchingCorrectness:
                 i for i, p in enumerate(poses) if p == kf.pose_truth
             )
             # extend two ticks beyond the script in case the keyframe is last
-            cmd = MotionCommand(v, 0.0)
-            extended = poses + [
-                step(poses[-1], cmd, 0.1),
-                step(step(poses[-1], cmd, 0.1), cmd, 0.1),
-            ]
+            p = poses[-1]
+            one = step(p.x, p.y, p.theta, v, 0.0, 0.1)
+            extended = poses + [Pose(*one), Pose(*step(*one, v, 0.0, 0.1))]
             fired_at = None
             for f, pose in enumerate(extended):
                 obs = visible_set(world, pose.x, pose.y, pose.theta, CAM)

@@ -21,7 +21,7 @@ from funnelnav.geometry import (
     World,
     in_collision,
     normalize_angle,
-    sense,
+    project,
     sense_block,
     step,
     visible_set,
@@ -74,9 +74,9 @@ class TestPose:
         assert (repr(p.x), repr(p.y)) == ("1.0", "1.0")
 
 
-def project(landmark, pose, cam):
+def reference_u(landmark, pose, cam):
     """One landmark's image coordinate, or None if not visible: the reference
-    that visible_set's loop must equal, landmark by landmark."""
+    that project's loop must equal, landmark by landmark."""
     dx = landmark.x - pose.x
     dy = landmark.y - pose.y
     c, s = math.cos(pose.theta), math.sin(pose.theta)
@@ -164,7 +164,7 @@ class TestVisibleSet:
         cam = CameraModel(focal_length=200.0, half_width=100.0, min_depth=0.5)
         lms = tuple(Landmark(i, x, y) for i, (x, y) in enumerate(points))
         world = World(landmarks=lms, bounds=(-20, -20, 20, 20))
-        expected = [(lm.id, project(lm, pose, cam)) for lm in lms]
+        expected = [(lm.id, reference_u(lm, pose, cam)) for lm in lms]
         expected = [(i, u) for i, u in expected if u is not None]
         at = (pose.x, pose.y, pose.theta)
         # repr compares ids, order and every float to the bit, signed zeros included
@@ -189,14 +189,12 @@ class TestVisibleSet:
         whole = visible_set(world, *at, CAM)
         expected = [(i, u) for i, u in whole.items() if i in ids]
         assert repr(list(visible_set(subset, *at, CAM).items())) == repr(expected)
-        # sense keeps the order it is given
+        # project keeps the order it is given: it returns the very landmarks
+        # it was given, with the same coordinates
         shuffled = list(subset.landmarks)
         shuffle.shuffle(shuffled)
         expected = [(lm.id, whole[lm.id]) for lm in shuffled if lm.id in whole]
-        assert repr(list(sense(shuffled, *at, CAM).items())) == repr(expected)
-        # and so does project, whose loop sense reads: it returns the very
-        # landmarks it was given, with the same coordinates
-        seen, us = geometry.project(shuffled, *at, CAM)
+        seen, us = project(shuffled, *at, CAM)
         assert [id(lm) for lm in seen] == [id(lm) for lm in shuffled if lm.id in whole]
         assert repr([(lm.id, u) for lm, u in zip(seen, us, strict=True)]) == repr(expected)
 
@@ -212,33 +210,33 @@ _NEAR = [0.5, 1.5, 0.0, 1.0, 2.0, 3.0, -1.0, math.nextafter(0.5, 0.0), math.next
 
 # A pose and a landmark on opposite sides of this far overflow dx = lm.x - x,
 # or dy, to an infinity.  depth is then infinite, or NaN where dx * c and
-# dy * s are infinities of opposite sign; u is NaN either way, and sense keeps
+# dy * s are infinities of opposite sign; u is NaN either way, and project keeps
 # the landmark unless depth is -inf, since NaN fails both of its tests
 _FAR = st.sampled_from([1.7e308, -1.7e308])
 _CAM = CameraModel(focal_length=200.0, half_width=100.0, min_depth=0.5)
 
 
-def assert_block_equals_sense(lms, seen, u, positions):
+def assert_block_equals_project(lms, seen, u, positions):
     """Each block position's verdicts and visible coordinates, given its
-    (x, y, theta) in the block's row-major order, equal sense's to the bit."""
+    (x, y, theta) in the block's row-major order, equal project's to the bit."""
     n, m = len(lms), len(positions)
     # as Python values: numpy 2's repr of a float64 is not the float's, and
     # np.bool_ is not bool
     seen, u = seen.reshape(n, m).T.tolist(), u.reshape(n, m).T.tolist()
     for (x, y, theta), vis, col in zip(positions, seen, u, strict=True):
-        obs = sense(lms, x, y, theta, _CAM)
+        obs = project(lms, x, y, theta, _CAM)
         # repr compares ids, order and every float to the bit, signed zeros and NaN included
         shown = [(lm.id, c) for lm, v, c in zip(lms, vis, col, strict=True) if v]
-        assert repr(shown) == repr(list(obs.items()))
+        assert repr(shown) == repr([(lm.id, c) for lm, c in zip(*obs, strict=True)])
 
 
 class TestSenseBlock:
-    """sense_block against sense, position by position: an equal verdict can
-    hide a coordinate that differs but still votes forward, so every visible
-    coordinate is compared to the bit.  sense_block takes each heading's cos
-    and sin from math, as sense does: numpy's float64 sin and cos are not
-    guaranteed to round as libm does, so a position computed from them could
-    differ from sense in the last bit."""
+    """sense_block against project, position by position: an equal verdict
+    can hide a coordinate that differs but still votes forward, so every
+    visible coordinate is compared to the bit.  sense_block takes each
+    heading's cos and sin from math, as project does: numpy's float64 sin and
+    cos are not guaranteed to round as libm does, so a position computed from
+    them could differ from project in the last bit."""
 
     @settings(max_examples=300)
     @given(
@@ -259,7 +257,7 @@ class TestSenseBlock:
     # subnormal rows (they round away in lm.y - y) and a third row: x must run fastest
     @example(points=[(2.0, 1.0), (3.0, 0.5)], xs=[0.0, 0.5, 1.0], ys=[5e-324, -5e-324, 0.25],
              theta=0.0)
-    def test_a_grid_block_equals_sense_float_for_float(self, points, xs, ys, theta):
+    def test_a_grid_block_equals_project_float_for_float(self, points, xs, ys, theta):
         # the grid walk's shape: a row of xs against a column of ys at one heading
         lms = [Landmark(i, x, ly) for i, (x, ly) in enumerate(points)]
         seen, u = sense_block(lms, xs, np.array(ys)[:, np.newaxis], theta, _CAM)
@@ -267,7 +265,7 @@ class TestSenseBlock:
         assert (seen.shape, seen.dtype) == (shape, bool)
         assert (u.shape, u.dtype) == (shape, np.float64)
         # row-major, x fastest: position (r, k) is (xs[k], ys[r])
-        assert_block_equals_sense(lms, seen, u, [(x, y, theta) for y in ys for x in xs])
+        assert_block_equals_project(lms, seen, u, [(x, y, theta) for y in ys for x in xs])
 
     @settings(max_examples=300)
     @given(
@@ -292,7 +290,7 @@ class TestSenseBlock:
     @example(points=[(1.7e308, 0.0), (1.7e308, -1.7e308), (2.0, 1.0)],
              poses=[Pose(-1.7e308, 0.0, 0.0), Pose(-1.7e308, 1.7e308, 0.3),
                     Pose(-1.7e308, 0.0, math.pi / 2), Pose(0.0, 0.0, 0.0)])
-    def test_a_block_of_poses_equals_sense_float_for_float(self, points, poses):
+    def test_a_block_of_poses_equals_project_float_for_float(self, points, poses):
         # teach's shape: one array each of x, y and theta, a heading per pose
         lms = [Landmark(i, x, y) for i, (x, y) in enumerate(points)]
         x, y, theta = np.array([(p.x, p.y, p.theta) for p in poses]).reshape(-1, 3).T
@@ -300,83 +298,90 @@ class TestSenseBlock:
         shape = (len(lms), len(poses))
         assert (seen.shape, seen.dtype) == (shape, bool)
         assert (u.shape, u.dtype) == (shape, np.float64)
-        assert_block_equals_sense(lms, seen, u, [(p.x, p.y, p.theta) for p in poses])
+        assert_block_equals_project(lms, seen, u, [(p.x, p.y, p.theta) for p in poses])
 
     @pytest.mark.parametrize("y, theta", [(0.0, 0.0), (0.0, math.pi / 2), (-1.7e308, 0.3)],
                              ids=["depth-inf", "depth-inf-sideways", "depth-nan"])
-    def test_an_overflowing_landmark_is_kept_as_sense_keeps_it(self, y, theta):
+    def test_an_overflowing_landmark_is_kept_as_project_keeps_it(self, y, theta):
         lm, pose = Landmark(1, 1.7e308, y), Pose(-1.7e308, -y, theta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             seen, u = sense_block([lm], [pose.x], [pose.y], [pose.theta], CAM)
         assert seen.tolist() == [[True]] and math.isnan(u[0, 0])
-        assert list(sense([lm], pose.x, pose.y, pose.theta, CAM)) == [1]
+        assert project([lm], pose.x, pose.y, pose.theta, CAM)[0] == [lm]
 
     def test_cos_and_sin_come_from_math(self, monkeypatch):
         # numpy's cos and sin round as libm's on common platforms, so the
         # properties above pass with either.  With math's cos and sin nudged
-        # one ulp, sense's coordinates move, and sense_block's must move with them
+        # one ulp, project's coordinates move, and sense_block's must move with them
         lms = [Landmark(i, x, y) for i, (x, y) in
                enumerate([(3.0, 0.7), (2.5, -0.4), (1.2, 1.9), (-2.0, 3.0), (-3.0, -1.0)])]
         positions = [(x, y, theta) for theta in (0.0, 0.3, 1.0, -2.5)
                      for y in (0.0, -0.2) for x in (0.0, 0.3)]
-        unnudged = [sense(lms, *p, _CAM) for p in positions]
+        unnudged = [project(lms, *p, _CAM) for p in positions]
         nudged = types.SimpleNamespace(**{
             **vars(math),
             "cos": lambda a: math.nextafter(math.cos(a), math.inf),
             "sin": lambda a: math.nextafter(math.sin(a), math.inf),
         })
         monkeypatch.setattr(geometry, "math", nudged)
-        assert [sense(lms, *p, _CAM) for p in positions] != unnudged
+        assert [project(lms, *p, _CAM) for p in positions] != unnudged
         x, y, theta = np.array(positions).T
         seen, u = sense_block(lms, x, y, theta, _CAM)
-        assert_block_equals_sense(lms, seen, u, positions)
+        assert_block_equals_project(lms, seen, u, positions)
 
 
 class TestStep:
     @pytest.mark.parametrize("module", [teach, navigate], ids=lambda m: m.__name__)
     def test_teach_and_navigate_step_by_the_frame_period(self, module):
-        # a teach frame and a repeat tick both last geometry.DT: navigate
-        # calls step, and teach's float walk the integrator step wraps; dt is
-        # the last argument of both
+        # a teach frame and a repeat tick both last geometry.DT: navigate and
+        # teach's float walk both call step, whose last argument is dt
         calls = [node for node in ast.walk(ast.parse(inspect.getsource(module)))
-                 if isinstance(node, ast.Call)
-                 and getattr(node.func, "id", None) in ("step", "_advance")]
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "step"]
         assert calls and [ast.unparse(c.args[-1]) for c in calls] == ["DT"] * len(calls)
+
+    def test_navigate_and_teach_bind_geometry_s_own_functions(self):
+        # perfbench's tracer wraps navigate.step and navigate.in_collision as
+        # the geometry.step and geometry.in_collision layers
+        assert navigate.step is geometry.step and teach.step is geometry.step
+        assert navigate.in_collision is geometry.in_collision
 
     def test_zero_command_keeps_pose(self):
         p = Pose(1.0, 2.0, 0.5)
-        assert step(p, MotionCommand(0.0, 0.0), 0.1) == p
+        assert Pose(*step(p.x, p.y, p.theta, 0.0, 0.0, 0.1)) == p
 
     def test_rotation_in_place(self):
-        p = step(Pose(1.0, 2.0, 0.0), MotionCommand(0.0, math.pi), 1.0)
+        p = Pose(*step(1.0, 2.0, 0.0, 0.0, math.pi, 1.0))
         assert (p.x, p.y) == (1.0, 2.0)
         assert p.theta == pytest.approx(math.pi)
 
     def test_quarter_circle_arc(self):
-        p = step(Pose(0, 0, 0), MotionCommand(1.0, 1.0), math.pi / 2)
-        assert p.x == pytest.approx(1.0)
-        assert p.y == pytest.approx(1.0)
-        assert p.theta == pytest.approx(math.pi / 2)
+        x, y, theta = step(0.0, 0.0, 0.0, 1.0, 1.0, math.pi / 2)
+        assert x == pytest.approx(1.0)
+        assert y == pytest.approx(1.0)
+        assert theta == pytest.approx(math.pi / 2)
 
     def test_matches_fine_euler_integration(self):
-        cmd = MotionCommand(0.7, 0.3)
+        v, omega = 0.7, 0.3
         dt = 0.5
-        exact = step(Pose(0.2, -0.1, 0.4), cmd, dt)
+        exact_x, exact_y, exact_theta = step(0.2, -0.1, 0.4, v, omega, dt)
         n = 100000
         x, y, th = 0.2, -0.1, 0.4
         h = dt / n
         for _ in range(n):
-            x += cmd.v * h * math.cos(th)
-            y += cmd.v * h * math.sin(th)
-            th += cmd.omega * h
-        assert exact.x == pytest.approx(x, abs=1e-6)
-        assert exact.y == pytest.approx(y, abs=1e-6)
-        assert exact.theta == pytest.approx(th, abs=1e-9)
+            x += v * h * math.cos(th)
+            y += v * h * math.sin(th)
+            th += omega * h
+        assert exact_x == pytest.approx(x, abs=1e-6)
+        assert exact_y == pytest.approx(y, abs=1e-6)
+        assert exact_theta == pytest.approx(th, abs=1e-9)
 
-    def test_rejects_non_positive_dt(self):
-        with pytest.raises(ValueError):
-            step(Pose(0, 0, 0), MotionCommand(1.0, 0.0), 0.0)
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf, -math.inf])
+    def test_rejects_non_positive_dt(self, dt):
+        # a NaN dt would otherwise walk to a NaN pose, and an infinite one
+        # fail inside math.sin
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            step(0.0, 0.0, 0.0, 1.0, 0.5, dt)
 
     @settings(max_examples=50)
     @given(
@@ -389,13 +394,9 @@ class TestStep:
     # A turn rate just above zero: the radius form cancels to ~4e-9 here.
     @example(2.0, 1.192092896e-07, 0.6857451066812823, 0.7174603698611256, 0.5)
     def test_composition(self, v, omega, dt1, dt2, theta):
-        cmd = MotionCommand(v, omega)
-        p0 = Pose(0.0, 0.0, theta)
-        whole = step(p0, cmd, dt1 + dt2)
-        parts = step(step(p0, cmd, dt1), cmd, dt2)
-        assert whole.x == pytest.approx(parts.x, abs=1e-9)
-        assert whole.y == pytest.approx(parts.y, abs=1e-9)
-        assert whole.theta == pytest.approx(parts.theta, abs=1e-9)
+        whole = step(0.0, 0.0, theta, v, omega, dt1 + dt2)
+        parts = step(*step(0.0, 0.0, theta, v, omega, dt1), v, omega, dt2)
+        assert whole == pytest.approx(parts, abs=1e-9)
 
 
 def _bits3(p) -> bytes:
@@ -409,9 +410,9 @@ _OMEGA = st.one_of(st.floats(-1e-3, 1e-3), st.sampled_from([1e-3, -1e-3, 0.0, -0
 
 
 class TestFloatWalk:
-    """navigate and teach walk (x, y, theta) as floats through _advance and
-    test obstacles through _collides; both must equal the Pose forms step and
-    in_collision to the bit."""
+    """navigate and teach walk (x, y, theta) as floats through step, and a
+    Pose is built from them only where one is kept: TeachScript.poses() and
+    each Keyframe.pose_truth.  Such a Pose must store step's floats to the bit."""
 
     @settings(max_examples=200)
     @given(
@@ -424,13 +425,13 @@ class TestFloatWalk:
     @example(start=(0.0, 0.0, math.pi - 0.01), commands=[(0.5, 0.5)] * 3)
     @example(start=(0.0, 0.0, -math.pi + 0.01), commands=[(0.5, -0.5)] * 3)
     @example(start=(1.0, -1.0, math.pi), commands=[(0.5, 5e-4), (0.5, -5e-4), (0.3, 1e-300)])
-    def test_a_float_walk_equals_chained_step_poses(self, start, commands):
+    def test_a_pose_stores_the_float_walk_bit_for_bit(self, start, commands):
         pose = Pose(*start)
         p = (pose.x, pose.y, pose.theta)
         for v, omega in commands:
-            pose = step(pose, MotionCommand(v, omega), geometry.DT)
-            p = geometry._advance(*p, v, omega, geometry.DT)
-            assert _bits3(p) == _bits3((pose.x, pose.y, pose.theta))
+            p = step(*p, v, omega, geometry.DT)
+            pose = Pose(*p)
+            assert _bits3((pose.x, pose.y, pose.theta)) == _bits3(p)
 
     _RECT = (-1.5, 0.0, 2.0, 0.75)
 
@@ -438,11 +439,11 @@ class TestFloatWalk:
                                    math.nextafter(2.0, 3.0), 0.25])
     @pytest.mark.parametrize("y", [0.0, -0.0, 0.75, math.nextafter(0.0, -1.0),
                                    math.nextafter(0.75, 1.0), 0.5])
-    def test_the_float_obstacle_check_equals_the_pose_form_on_rectangle_edges(self, x, y):
+    def test_in_collision_is_the_closed_rectangle_on_its_edges(self, x, y):
         w = World(landmarks=(), bounds=(-5, -5, 5, 5), obstacles=((9.0, 9.0, 9.5, 9.5), self._RECT))
         xmin, ymin, xmax, ymax = self._RECT
         inside = xmin <= x <= xmax and ymin <= y <= ymax
-        assert geometry._collides(w, x, y) is in_collision(w, Pose(x, y, 0.0)) is inside
+        assert in_collision(w, x, y) is inside
 
 
 class TestCommandAndCamera:
@@ -469,6 +470,6 @@ class TestWorld:
 
     def test_in_collision(self):
         w = World(landmarks=(), bounds=(-5, -5, 5, 5), obstacles=((0, 0, 1, 1),))
-        assert in_collision(w, Pose(0.5, 0.5, 0.0))
-        assert not in_collision(w, Pose(2.0, 0.5, 0.0))
+        assert in_collision(w, 0.5, 0.5)
+        assert not in_collision(w, 2.0, 0.5)
 

@@ -112,9 +112,8 @@ class TestShouldSwitch:
         p = kf.pose_truth
         at_kf = match(visible_set(world, p.x, p.y, p.theta, CAM), kf, quiet, quiet.make_rng())
         assert not should_switch(tick_stats(*match_cols(at_kf, kf)), CFG)  # ratio exactly 1 is not past
-        past = step(kf.pose_truth, MotionCommand(0.5, 0.0), 0.1)
-        past_m = match(visible_set(world, past.x, past.y, past.theta, CAM), kf, quiet,
-                       quiet.make_rng())
+        past = step(p.x, p.y, p.theta, 0.5, 0.0, 0.1)
+        past_m = match(visible_set(world, *past, CAM), kf, quiet, quiet.make_rng())
         assert should_switch(tick_stats(*match_cols(past_m, kf)), CFG)
 
 

@@ -267,7 +267,7 @@ class TestTrackedProjection:
 
     def test_projects_each_block_once_and_no_frame_alone(self, monkeypatch):
         # 201 frames of 80 landmarks in blocks of 20 frames: one sense_block
-        # call per block, in frame order, and no sense call at all
+        # call per block, in frame order, and no project call at all
         world, script = corridor(), straight(20.0)
         expected = repr(reference_record(world, CAM, script, 4))
         blocks = []
@@ -276,13 +276,13 @@ class TestTrackedProjection:
             blocks.append((len(landmarks), list(zip(x.tolist(), y.tolist(), theta.tolist()))))
             return sense_block(landmarks, x, y, theta, cam)
 
-        def no_sense(*args):
-            raise AssertionError("record called sense")
+        def no_project(*args):
+            raise AssertionError("record called project")
 
         monkeypatch.setattr(teach, "GRID_BLOCK", 20 * 80)
         monkeypatch.setattr(teach, "sense_block", spy)
-        monkeypatch.setattr(geometry, "sense", no_sense)
-        assert not hasattr(teach, "sense")
+        monkeypatch.setattr(geometry, "project", no_project)
+        assert not hasattr(teach, "project")
         path = record(world, CAM, script, 4)
         assert repr(path) == expected and len(path.keyframes) > 2
         assert [(n, len(frames)) for n, frames in blocks] == [(80, 20)] * 10 + [(80, 1)]
